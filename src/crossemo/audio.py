@@ -8,6 +8,7 @@ tempo change the duration.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 import wave
@@ -26,6 +27,7 @@ from .errors import (
     ResultTooShort,
     UnsupportedEncoding,
 )
+from .ioutil import atomic_write_bytes
 
 PCM16_SCALE = 32768.0
 # shortest usable result: one analysis frame of the downstream front-end
@@ -142,19 +144,15 @@ def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
         raise EmptyAudio("refusing to write an empty buffer")
     q = np.clip(np.rint(np.clip(buffer.samples, -1.0, 1.0) * PCM16_SCALE), -32768, 32767)
     q = q.astype("<i2")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    data = io.BytesIO()
+    with wave.open(data, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(buffer.sample_rate)
+        wf.writeframes(q.tobytes())
     try:
-        with wave.open(str(tmp), "wb") as wf:
-            wf.setnchannels(1)
-            wf.setsampwidth(2)
-            wf.setframerate(buffer.sample_rate)
-            wf.writeframes(q.tobytes())
-        tmp.replace(path)
+        atomic_write_bytes(path, data.getvalue())
     except OSError as exc:
-        if tmp.exists():
-            tmp.unlink()
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .audio import EffectSpec, apply_effect, read_wav, write_wav
-from .corpus import CorpusManifest
+from .corpus import CorpusManifest, save_manifest
 from .errors import BadRange, CrossEmoError, UnknownRecipe
-from .ioutil import read_json, stable_hash64, write_json
+from .ioutil import atomic_write_text, read_json, stable_hash64, write_json
 
 DEFAULT_FACTOR_RANGE = (0.6, 1.5)
 
@@ -210,3 +210,18 @@ def outcomes_to_csv(outcomes) -> str:
         status = o.status.replace(",", ";")
         lines.append(f"{o.output_id},{status},{dur}")
     return "\n".join(lines) + "\n"
+
+
+def augment_corpus(
+    manifest: CorpusManifest, recipe: str, seed: int, out_dir: str | Path, manifest_path
+):
+    """Plan `recipe` over every record and render it under `out_dir`/wav.
+    Writes plan.json and summary.csv into `out_dir` and the expanded
+    manifest to `manifest_path`. Returns (expanded manifest, outcomes)."""
+    out_dir = Path(out_dir)
+    plan = plan_augmentation(manifest, recipe, seed, out_dir / "wav")
+    save_plan(plan, out_dir / "plan.json")
+    expanded, outcomes = apply_plan(plan, manifest)
+    atomic_write_text(out_dir / "summary.csv", outcomes_to_csv(outcomes))
+    save_manifest(expanded, manifest_path)
+    return expanded, outcomes

@@ -9,16 +9,14 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .errors import CrossEmoError, ValidationFailure
-from .ioutil import atomic_write_text, write_json
-
-FOLD_STRATEGIES = ("speaker-rotation", "session-holdout", "proportional", "split-80-20")
+from .ioutil import atomic_write_text, read_json, write_json
 
 
 def _out_root() -> Path:
@@ -42,33 +40,17 @@ def cmd_prepare(args) -> int:
 
     manifest = corpus.load_manifest(args.manifest)
     discards = None
-    if args.label_map == "iemocap":
-        result = corpus.map_labels_iemocap(manifest)
-        manifest, discards = result.manifest, result.discarded
-    elif args.label_map == "mosei":
-        result = corpus.map_labels_mosei(manifest)
+    if args.label_map != "none":
+        mapper = {"iemocap": corpus.map_labels_iemocap, "mosei": corpus.map_labels_mosei}
+        result = mapper[args.label_map](manifest)
         manifest, discards = result.manifest, result.discarded
 
-    if args.strategy == "speaker-rotation":
-        plan = corpus.make_folds_speaker_rotation(
-            manifest, n_folds=args.n_folds, test_speakers=args.test_speakers
-        )
-    elif args.strategy == "session-holdout":
-        plan = corpus.make_folds_session_holdout(manifest, reverse_order=args.reverse_sessions)
-    elif args.strategy == "proportional":
-        plan = corpus.make_folds_proportional(
-            manifest, n_folds=args.n_folds, test_fraction=args.test_fraction, seed=args.seed
-        )
-    elif args.strategy == "split-80-20":
-        plan = corpus.make_split_80_20(manifest, seed=args.seed)
-    else:
-        raise ValidationFailure(
-            f"unknown fold strategy {args.strategy!r}; valid: {', '.join(FOLD_STRATEGIES)}"
-        )
-    corpus.validate_fold_plan(plan, manifest)
+    # fold options left off the command line are absent here and take
+    # make_fold_plan's defaults
+    opts = {k: v for k, v in vars(args).items() if k in corpus.FOLD_OPTION_DEFAULTS}
+    plan = corpus.make_fold_plan(manifest, args.strategy, **opts)
 
     out_dir = Path(args.out) if args.out else _out_root() / "prepare"
-    out_dir.mkdir(parents=True, exist_ok=True)
     corpus.save_manifest(manifest, out_dir / "manifest.jsonl")
     corpus.save_fold_plan(plan, out_dir / "folds.json")
     if discards is not None:
@@ -87,12 +69,9 @@ def cmd_augment(args) -> int:
 
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out) if args.out else _out_root() / f"augment-{args.recipe}"
-    wav_dir = out_dir / "wav"
-    plan = augment.plan_augmentation(manifest, args.recipe, args.seed, wav_dir)
-    augment.save_plan(plan, out_dir / "plan.json")
-    expanded, outcomes = augment.apply_plan(plan, manifest)
-    corpus.save_manifest(expanded, out_dir / "manifest.jsonl")
-    atomic_write_text(out_dir / "summary.csv", augment.outcomes_to_csv(outcomes))
+    expanded, outcomes = augment.augment_corpus(
+        manifest, args.recipe, args.seed, out_dir, out_dir / "manifest.jsonl"
+    )
     failures = sum(1 for o in outcomes if o.status != "ok")
     print(
         f"[crossemo] rendered {len(outcomes) - failures}/{len(outcomes)} variants; "
@@ -103,6 +82,7 @@ def cmd_augment(args) -> int:
 
 
 def _run_training(cfg, resume: bool = False):
+    """Train one fold of `cfg`. Returns (fold, feature store, graph, result)."""
     from .corpus import load_fold_plan, load_manifest, validate_fold_plan
     from .features import FeatureStore
     from .nn.models import build_model
@@ -119,16 +99,44 @@ def _run_training(cfg, resume: bool = False):
     store = FeatureStore(manifest, cfg.features, cfg.feature_cache)
     graph = build_model(cfg.arch, cfg.model, seed=cfg.seed)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = cfg.resolved_json()
-    resolved["package_version"] = __version__
-    resolved["deterministic_mode"] = True
-    write_json(out_dir / "config.resolved.json", resolved)
-    result = train_model(
-        graph, manifest, fold, store, cfg.train, out_dir, verbose=True, resume=resume
+    write_json(
+        Path(cfg.out_dir) / "config.resolved.json",
+        {**cfg.resolved_json(), "package_version": __version__, "deterministic_mode": True},
     )
-    return manifest, plan, fold, store, graph, result
+    result = train_model(
+        graph, manifest, fold, store, cfg.train, cfg.out_dir,
+        verbose=True, resume=resume, fold_index=cfg.fold_index,
+    )
+    return fold, store, graph, result
+
+
+def _evaluate(graph, classes, manifest, store, out_dir: Path, train_tag: str, fold: int,
+              restrict_classes: bool, checkpoint: str, checkpoint_epoch: int):
+    """Score `graph`, loaded from `checkpoint`, on one test manifest. Writes
+    metrics_<tag>.json (the run record plus confusion and provenance) and
+    predictions_<tag>.csv into `out_dir`, and returns the run record."""
+    from .evaluation import evaluate_model, predictions_to_csv
+    from .report import RunRecord
+
+    result = evaluate_model(graph, classes, manifest, store, restrict_classes=restrict_classes)
+    tag = manifest.name
+    record = RunRecord(train_tag=train_tag, test_tag=tag, fold=fold, metrics=result.metrics)
+    write_json(out_dir / f"metrics_{tag}.json", {
+        **record.to_json(),
+        "checkpoint": checkpoint,
+        "checkpoint_epoch": checkpoint_epoch,
+        "restrict_classes": result.restricted,
+        "classes": list(result.confusion.classes),
+        "confusion": result.confusion.counts.tolist(),
+    })
+    atomic_write_text(out_dir / f"predictions_{tag}.csv", predictions_to_csv(result))
+    print(
+        f"[crossemo] {tag}: ua_eq1 {result.metrics.ua_eq1:.2f} "
+        f"wa_eq2 {result.metrics.wa_eq2:.2f} "
+        f"mean_class_recall {result.metrics.mean_class_recall:.2f} "
+        f"overall {result.metrics.overall_accuracy:.2f}"
+    )
+    return record
 
 
 def cmd_train(args) -> int:
@@ -136,7 +144,7 @@ def cmd_train(args) -> int:
 
     raw = load_json_config(args.config)
     cfg = resolve_experiment_config(raw, base_dir=Path(args.config).parent)
-    _, _, _, _, _, result = _run_training(cfg, resume=args.resume)
+    _, _, _, result = _run_training(cfg, resume=args.resume)
     print(
         f"[crossemo] trained {len(result.history)} epoch records; "
         f"best val_ua {result.best_val_ua:.2f} at epoch {result.best_epoch}"
@@ -146,20 +154,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .corpus import load_manifest
-    from .evaluation import evaluate_model, predictions_to_csv
-    from .features import FeatureStore
-    from .nn.checkpoint import graph_from_checkpoint, load_checkpoint
-    from .features import FbankConfig
     from .config import load_json_config
+    from .corpus import load_manifest
+    from .features import FbankConfig, FeatureStore
+    from .nn.checkpoint import graph_from_checkpoint, load_checkpoint
 
     if not Path(args.checkpoint).exists():
         raise ValidationFailure(f"checkpoint not found: {args.checkpoint}")
     data = load_checkpoint(args.checkpoint)
     graph = graph_from_checkpoint(data)
-    classes = tuple(data.extra.get("classes", []))
-    if not classes:
-        raise ValidationFailure("checkpoint carries no class list")
+    if not data.extra.get("classes") or "train_tag" not in data.extra or "fold" not in data.extra:
+        raise ValidationFailure("checkpoint lacks its class list, train_tag or fold")
+    classes = tuple(data.extra["classes"])
 
     if args.features_config:
         feat_cfg = FbankConfig.from_json(load_json_config(args.features_config))
@@ -170,33 +176,15 @@ def cmd_eval(args) -> int:
                 "no --features-config given and no config.resolved.json next to "
                 "the checkpoint"
             )
-        feat_cfg = FbankConfig.from_json(json.loads(run_cfg_path.read_text())["features"])
+        feat_cfg = FbankConfig.from_json(read_json(run_cfg_path)["features"])
 
     out_dir = Path(args.out) if args.out else _out_root() / "eval"
-    out_dir.mkdir(parents=True, exist_ok=True)
     for manifest_path in args.manifests:
         manifest = load_manifest(manifest_path)
-        store = FeatureStore(manifest, feat_cfg)
-        result = evaluate_model(
-            graph, classes, manifest, store, restrict_classes=args.restrict_classes
-        )
-        tag = manifest.name
-        payload = {
-            "test_set": tag,
-            "checkpoint": str(args.checkpoint),
-            "checkpoint_epoch": data.epoch,
-            "restrict_classes": result.restricted,
-            "classes": list(result.confusion.classes),
-            "confusion": result.confusion.counts.tolist(),
-            "metrics": result.metrics.to_json(),
-        }
-        write_json(out_dir / f"metrics_{tag}.json", payload)
-        atomic_write_text(out_dir / f"predictions_{tag}.csv", predictions_to_csv(result))
-        print(
-            f"[crossemo] {tag}: ua_eq1 {result.metrics.ua_eq1:.2f} "
-            f"wa_eq2 {result.metrics.wa_eq2:.2f} "
-            f"mean_class_recall {result.metrics.mean_class_recall:.2f} "
-            f"overall {result.metrics.overall_accuracy:.2f}"
+        _evaluate(
+            graph, classes, manifest, FeatureStore(manifest, feat_cfg), out_dir,
+            data.extra["train_tag"], data.extra["fold"], args.restrict_classes,
+            str(args.checkpoint), data.epoch,
         )
     print(out_dir)
     return 0
@@ -205,22 +193,15 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     import glob as globmod
 
-    from .evaluation import MetricSet
     from .report import RunRecord, build_cross_matrix, save_report
 
     runs = []
     for pattern in args.runs:
         for path in sorted(globmod.glob(pattern)):
-            obj = json.loads(Path(path).read_text())
-            runs.append(
-                RunRecord(
-                    train_tag=obj["train_tag"],
-                    test_tag=obj["test_tag"],
-                    fold=int(obj["fold"]),
-                    metrics=MetricSet(**obj["metrics"]),
-                    train_components=tuple(obj.get("train_components", [])),
-                )
-            )
+            try:
+                runs.append(RunRecord.from_json(read_json(path)))
+            except (ValueError, ValidationFailure) as exc:
+                raise ValidationFailure(f"{path}: {exc}") from exc
     if not runs:
         raise ValidationFailure(f"no run files matched {args.runs}")
     report = build_cross_matrix(runs)
@@ -239,18 +220,16 @@ def cmd_pipeline(args) -> int:
     """Thin driver: synth -> folds -> (augment) -> train -> eval -> report
     from one config file."""
     from . import corpus
+    from .augment import augment_corpus
     from .config import load_json_config, resolve_experiment_config
-    from .evaluation import evaluate_model
     from .features import FeatureStore
-    from .report import RunRecord, build_cross_matrix, save_report
+    from .report import build_cross_matrix, save_report
     from .synth import SynthCorpusSpec, generate_corpus
 
     raw = load_json_config(args.config)
     base_dir = Path(args.config).parent
-    out_dir = Path(raw.get("out_dir", _out_root() / "pipeline"))
-    if not out_dir.is_absolute():
-        out_dir = base_dir / out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # joining keeps an absolute path as it is
+    out_dir = base_dir / raw.get("out_dir", _out_root() / "pipeline")
 
     manifest_path = raw.get("manifest")
     if "synth" in raw:
@@ -261,105 +240,60 @@ def cmd_pipeline(args) -> int:
     if manifest_path is None:
         raise ValidationFailure("pipeline config needs either 'synth' or 'manifest'")
 
-    manifest = corpus.load_manifest(
-        manifest_path if Path(manifest_path).is_absolute() else base_dir / manifest_path
+    manifest = corpus.load_manifest(base_dir / manifest_path)
+    folds_cfg = dict(raw.get("folds", {}))
+    plan = corpus.make_fold_plan(
+        manifest, folds_cfg.pop("strategy", "split-80-20"), **folds_cfg
     )
-    folds_cfg = raw.get("folds", {"strategy": "split-80-20", "seed": 0})
-    strategy = folds_cfg.get("strategy", "split-80-20")
-    if strategy == "speaker-rotation":
-        plan = corpus.make_folds_speaker_rotation(
-            manifest,
-            n_folds=folds_cfg.get("n_folds", 5),
-            test_speakers=folds_cfg.get("test_speakers", 5),
-        )
-    elif strategy == "session-holdout":
-        plan = corpus.make_folds_session_holdout(manifest)
-    elif strategy == "proportional":
-        plan = corpus.make_folds_proportional(
-            manifest,
-            n_folds=folds_cfg.get("n_folds", 5),
-            test_fraction=folds_cfg.get("test_fraction", 0.2),
-            seed=folds_cfg.get("seed", 0),
-        )
-    elif strategy == "split-80-20":
-        plan = corpus.make_split_80_20(manifest, seed=folds_cfg.get("seed", 0))
-    else:
-        raise ValidationFailure(
-            f"unknown fold strategy {strategy!r}; valid: {', '.join(FOLD_STRATEGIES)}"
-        )
     corpus.save_manifest(manifest, out_dir / "manifest.jsonl")
-    corpus.save_fold_plan(plan, out_dir / "folds.json")
 
     train_manifest = manifest
     manifest_file = out_dir / "manifest.jsonl"
     if "augment" in raw:
-        from . import augment as augment_mod
-
-        recipe = raw["augment"].get("recipe", "2sp-2vol")
-        seed = raw["augment"].get("seed", 0)
-        aug_dir = out_dir / "augment"
-        # expand the train side of every fold; test ids stay original
-        aug_plan = augment_mod.plan_augmentation(manifest, recipe, seed, aug_dir / "wav")
-        augment_mod.save_plan(aug_plan, aug_dir / "plan.json")
-        expanded, outcomes = augment_mod.apply_plan(aug_plan, manifest)
-        atomic_write_text(aug_dir / "summary.csv", augment_mod.outcomes_to_csv(outcomes))
-        corpus.save_manifest(expanded, out_dir / "manifest.augmented.jsonl")
-        train_manifest = expanded
         manifest_file = out_dir / "manifest.augmented.jsonl"
-        aug_by_source: dict = {}
-        for r in expanded.records:
-            if r.augmented:
-                aug_by_source.setdefault(r.source_id, []).append(r.id)
-        new_folds = []
-        for fold in plan.folds:
-            extra = [a for u in fold.train_ids for a in aug_by_source.get(u, [])]
-            new_folds.append(corpus.Fold(tuple(fold.train_ids) + tuple(extra), fold.test_ids))
-        plan = corpus.FoldPlan(strategy=plan.strategy, folds=tuple(new_folds), seed=plan.seed)
-        corpus.save_fold_plan(plan, out_dir / "folds.json")
+        train_manifest, _ = augment_corpus(
+            manifest,
+            raw["augment"].get("recipe", "2sp-2vol"),
+            raw["augment"].get("seed", 0),
+            out_dir / "augment",
+            manifest_file,
+        )
+        # augmented copies join the train side of every fold their source
+        # trains in; test ids stay original
+        folds = []
+        for f in plan.folds:
+            train = set(f.train_ids)
+            extra = (r.id for r in train_manifest.records if r.augmented and r.source_id in train)
+            folds.append(corpus.Fold(tuple(f.train_ids) + tuple(extra), f.test_ids))
+        plan = replace(plan, folds=tuple(folds))
+    corpus.save_fold_plan(plan, out_dir / "folds.json")
 
     runs = []
-    fold_indices = raw.get("fold_indices", list(range(len(plan.folds))))
-    for fold_index in fold_indices:
-        run_raw = dict(raw)
-        run_raw.pop("synth", None)
-        run_raw.pop("folds", None)
-        run_raw.pop("augment", None)
-        run_raw.pop("fold_indices", None)
+    for fold_index in raw.get("fold_indices", list(range(len(plan.folds)))):
+        run_raw = {
+            k: v for k, v in raw.items() if k not in ("synth", "folds", "augment", "fold_indices")
+        }
         run_raw["manifest"] = str(manifest_file)
         run_raw["fold_plan"] = str(out_dir / "folds.json")
         run_raw["fold_index"] = fold_index
         run_raw["out_dir"] = str(out_dir / f"fold{fold_index}")
         cfg = resolve_experiment_config(run_raw, base_dir=base_dir)
-        _, _, fold, store, graph, result = _run_training(cfg)
+        fold, store, graph, result = _run_training(cfg)
 
-        graph.set_mode("eval")
-        test_records = tuple(train_manifest.get(u) for u in fold.test_ids)
-        test_manifest = corpus.CorpusManifest(
-            name=f"{manifest.name}-test", records=test_records
+        # matched: the fold's own test side, scored over every trained class
+        matched = corpus.CorpusManifest(
+            name=manifest.name, records=tuple(train_manifest.get(u) for u in fold.test_ids)
         )
-        eval_result = evaluate_model(graph, result.classes, test_manifest, store)
-        runs.append(
-            RunRecord(
-                train_tag=manifest.name,
-                test_tag=manifest.name,
-                fold=fold_index,
-                metrics=eval_result.metrics,
-            )
-        )
+        tests = [(matched, store, False)]
         for eval_path in cfg.eval_manifests:
             em = corpus.load_manifest(eval_path)
-            estore = FeatureStore(em, cfg.features)
-            eres = evaluate_model(
-                graph, result.classes, em, estore, restrict_classes=cfg.restrict_classes
-            )
-            runs.append(
-                RunRecord(
-                    train_tag=manifest.name,
-                    test_tag=em.name,
-                    fold=fold_index,
-                    metrics=eres.metrics,
-                )
-            )
+            tests.append((em, FeatureStore(em, cfg.features), cfg.restrict_classes))
+        for test_manifest, test_store, restrict in tests:
+            runs.append(_evaluate(
+                graph, result.classes, test_manifest, test_store, Path(cfg.out_dir),
+                manifest.name, fold_index, restrict,
+                result.last_checkpoint, result.history[-1]["epoch"],
+            ))
 
     report = build_cross_matrix(runs)
     paths = save_report(report, out_dir / "report")
@@ -385,11 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--label-map", choices=("none", "iemocap", "mosei"), default="none")
     p.add_argument("--strategy", required=True)
-    p.add_argument("--n-folds", type=int, default=5)
-    p.add_argument("--test-speakers", type=int, default=5)
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--reverse-sessions", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-folds", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--test-speakers", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--test-fraction", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--reverse-sessions", action="store_true", default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_prepare)
 
@@ -434,10 +368,7 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CrossEmoError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CrossEmoError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

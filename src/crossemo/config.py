@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ValidationFailure
@@ -108,28 +108,9 @@ class ExperimentConfig:
     restrict_classes: bool
     out_dir: str
     seed: int
-    raw: dict
 
     def resolved_json(self) -> dict:
-        from dataclasses import asdict
-
-        model_cfg = asdict(self.model)
-        model_cfg = {k: list(v) if isinstance(v, tuple) else v for k, v in model_cfg.items()}
-        return {
-            "schema_version": 1,
-            "manifest": self.manifest,
-            "fold_plan": self.fold_plan,
-            "fold_index": self.fold_index,
-            "features": self.features.to_json(),
-            "feature_cache": self.feature_cache,
-            "arch": self.arch,
-            "model": model_cfg,
-            "train": self.train.to_json(),
-            "eval_manifests": list(self.eval_manifests),
-            "restrict_classes": self.restrict_classes,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
@@ -139,15 +120,17 @@ def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> Experime
     merged: dict = {}
     if "profile" in raw:
         merged = load_profile(raw["profile"])
+        if raw.get("arch", merged.get("arch")) != merged.get("arch"):
+            # a profile's model keys belong to the profile's architecture
+            merged.pop("model", None)
     merged = _deep_merge(merged, {k: v for k, v in raw.items() if k != "profile"})
 
     for required in ("manifest", "fold_plan", "out_dir"):
         if required not in merged:
             raise ValidationFailure(f"config missing required field {required!r}")
 
-    def respath(p):
-        p = Path(p)
-        return str(p if p.is_absolute() else base_dir / p)
+    def respath(p):  # joining keeps an absolute path as it is
+        return str(base_dir / p)
 
     seed = int(merged.get("seed", 0))
     features = FbankConfig.from_json(merged.get("features", {}))
@@ -171,5 +154,4 @@ def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> Experime
         restrict_classes=bool(merged.get("restrict_classes", False)),
         out_dir=respath(merged["out_dir"]),
         seed=seed,
-        raw=dict(raw),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -341,6 +342,40 @@ def make_split_80_20(manifest: CorpusManifest, seed: int = 0) -> FoldPlan:
     """Single-fold proportional split with a 0.2 test fraction."""
     plan = make_folds_proportional(manifest, n_folds=1, test_fraction=0.2, seed=seed)
     return FoldPlan(strategy="split-80-20", folds=plan.folds, seed=seed)
+
+
+FOLD_OPTION_DEFAULTS = {
+    "n_folds": 5,
+    "test_speakers": 5,
+    "test_fraction": 0.2,
+    "reverse_sessions": False,
+    "seed": 0,
+}
+
+
+def make_fold_plan(manifest: CorpusManifest, strategy: str, **opts) -> FoldPlan:
+    """Build and validate the plan of a named strategy. `opts` override
+    FOLD_OPTION_DEFAULTS; each strategy reads the ones it needs."""
+    unknown = sorted(set(opts) - set(FOLD_OPTION_DEFAULTS))
+    if unknown:
+        raise ValidationFailure(f"unknown fold options {unknown}")
+    o = SimpleNamespace(**{**FOLD_OPTION_DEFAULTS, **opts})
+    # lambdas look each builder up at call time, so a wrapped builder is seen
+    builders = {
+        "speaker-rotation": lambda: make_folds_speaker_rotation(
+            manifest, o.n_folds, o.test_speakers
+        ),
+        "session-holdout": lambda: make_folds_session_holdout(manifest, o.reverse_sessions),
+        "proportional": lambda: make_folds_proportional(
+            manifest, o.n_folds, o.test_fraction, o.seed
+        ),
+        "split-80-20": lambda: make_split_80_20(manifest, o.seed),
+    }
+    if strategy not in builders:
+        raise ValidationFailure(f"unknown fold strategy {strategy!r}; valid: {list(builders)}")
+    plan = builders[strategy]()
+    validate_fold_plan(plan, manifest)
+    return plan
 
 
 def _largest_remainder(counts: dict, total: int) -> dict:

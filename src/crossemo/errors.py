@@ -142,7 +142,3 @@ class UnknownLabel(ValidationFailure):
 
 class ClassSetMismatch(ValidationFailure):
     pass
-
-
-class MissingFold(ValidationFailure):
-    pass

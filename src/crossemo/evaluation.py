@@ -178,6 +178,15 @@ class EvalResult:
     restricted: bool
 
 
+def batched_logits(graph, store, ids, batch_size: int = 64):
+    """Eval-mode forward over `ids`, `batch_size` utterances at a time.
+    Yields (batch ids, logits array) per batch."""
+    graph.set_mode("eval")
+    for start in range(0, len(ids), batch_size):
+        chunk = list(ids[start : start + batch_size])
+        yield chunk, graph.forward(store.batch(chunk)).data
+
+
 def evaluate_model(
     graph,
     classes,
@@ -200,29 +209,19 @@ def evaluate_model(
         raise ClassSetMismatch(
             f"test classes {missing} absent from checkpoint classes {classes}"
         )
-    if restrict_classes:
-        allowed = [i for i, c in enumerate(classes) if c in present]
-        out_classes = tuple(classes[i] for i in allowed)
-    else:
-        allowed = list(range(len(classes)))
-        out_classes = classes
+    allowed = [i for i, c in enumerate(classes) if c in present or not restrict_classes]
 
-    graph.set_mode("eval")
     ids = [r.id for r in manifest.records]
     labels = manifest.labels_by_id()
     predictions = []
-    pairs = []
-    for start in range(0, len(ids), batch_size):
-        chunk = ids[start : start + batch_size]
-        logits = graph.forward(store.batch(chunk)).data
+    for chunk, logits in batched_logits(graph, store, ids, batch_size):
         sub = logits[:, allowed]
         for utt_id, row, subrow in zip(chunk, logits, sub):
             pred = classes[allowed[int(np.argmax(subrow))]]
             scores = {c: float(row[i]) for i, c in enumerate(classes)}
             predictions.append(Prediction(utt_id, labels[utt_id], pred, scores))
-            pairs.append((labels[utt_id], pred))
-    cm_classes = out_classes if restrict_classes else classes
-    cm = confusion_from_predictions(pairs, cm_classes)
+    pairs = [(p.true, p.predicted) for p in predictions]
+    cm = confusion_from_predictions(pairs, tuple(classes[i] for i in allowed))
     return EvalResult(
         confusion=cm,
         metrics=metric_set(cm),

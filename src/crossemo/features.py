@@ -16,6 +16,7 @@ import numpy as np
 
 from .audio import AudioBuffer
 from .errors import EmptyAudio, IoFailure, SampleRateMismatch, ValidationFailure
+from .ioutil import write_json
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ class FeatureCache:
                 # config changed: start fresh
                 if self.bin_path.exists():
                     self.bin_path.unlink()
-        self.sidecar_path.write_text(json.dumps(cfg.to_json(), sort_keys=True, indent=2))
+        write_json(self.sidecar_path, cfg.to_json())
 
     def _load_index(self):
         with open(self.bin_path, "rb") as fh:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import CheckpointMismatch, IoFailure, MalformedHeader
 from ..ioutil import atomic_write_bytes
-from .models import ModelGraph, build_model
+from .models import ModelGraph, build_model, config_to_dict
 from .ops import BnStats
 
 MAGIC = b"XEMO"
@@ -51,7 +51,7 @@ def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict
             blobs.append(arr.tobytes())
     header = {
         "arch": graph.arch,
-        "config": graph.config_dict(),
+        "config": config_to_dict(graph.config),
         "config_digest": graph.digest,
         "epoch": int(epoch),
         "extra": extra or {},

@@ -11,7 +11,8 @@ attention pooling, linear classifier.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -96,20 +97,12 @@ class ModelGraph:
         for p in self.params.values():
             p.zero_grad()
 
-    def config_dict(self) -> dict:
-        cfg = asdict(self.config)
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.items()}
-
     @property
     def digest(self) -> str:
-        return config_digest({"arch": self.arch, "config": self.config_dict()})
+        return config_digest({"arch": self.arch, "config": config_to_dict(self.config)})
 
     def forward(self, feats: np.ndarray, dropout_rng=None) -> Tensor:
-        if self.arch == ARCH_CNN:
-            return _cnn_forward(self, feats, dropout_rng)
-        if self.arch == ARCH_BLSTM:
-            return _blstm_forward(self, feats)
-        raise BadConfig(f"unknown architecture {self.arch!r}")
+        return architecture(self.arch).forward(self, feats, dropout_rng)
 
 
 def _check_input(feats: np.ndarray, input_bands: int) -> np.ndarray:
@@ -166,7 +159,7 @@ def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
     return layers.dense(graph.params, "classifier", pooled)
 
 
-def _blstm_forward(graph: ModelGraph, feats: np.ndarray) -> Tensor:
+def _blstm_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
     cfg = graph.config
     feats = _check_input(feats, cfg.input_bands)
     seq = Tensor(feats)
@@ -221,22 +214,39 @@ def build_blstm_att(cfg: BlstmAttConfig, seed: int) -> ModelGraph:
     return graph
 
 
-def config_from_dict(arch: str, cfg: dict):
-    def tup(d, *keys):
-        return {k: tuple(v) if k in keys and isinstance(v, list) else v for k, v in d.items()}
+@dataclass(frozen=True)
+class Architecture:
+    config: type
+    build: Callable
+    forward: Callable  # (graph, feats, dropout_rng) -> logits
 
-    if arch == ARCH_CNN:
-        return CnnBlstmAttConfig(**tup(cfg, "conv_channels", "pool_after", "fc_sizes"))
-    if arch == ARCH_BLSTM:
-        return BlstmAttConfig(**cfg)
-    raise BadConfig(f"unknown architecture {arch!r}")
+
+ARCHITECTURES = {
+    ARCH_CNN: Architecture(CnnBlstmAttConfig, build_cnn_blstm_att, _cnn_forward),
+    ARCH_BLSTM: Architecture(BlstmAttConfig, build_blstm_att, _blstm_forward),
+}
+
+
+def architecture(arch: str) -> Architecture:
+    if arch not in ARCHITECTURES:
+        raise BadConfig(f"unknown architecture {arch!r}; valid: {', '.join(ARCHITECTURES)}")
+    return ARCHITECTURES[arch]
+
+
+def config_from_dict(arch: str, cfg: dict):
+    config_cls = architecture(arch).config
+    unknown = sorted(set(cfg) - {f.name for f in fields(config_cls)})
+    if unknown:
+        raise BadConfig(f"unknown {arch} model keys: {', '.join(unknown)}")
+    return config_cls(**cfg)
+
+
+def config_to_dict(cfg) -> dict:
+    """JSON form of a model config: tuples become lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
 
 
 def build_model(arch: str, cfg, seed: int) -> ModelGraph:
     if isinstance(cfg, dict):
         cfg = config_from_dict(arch, cfg)
-    if arch == ARCH_CNN:
-        return build_cnn_blstm_att(cfg, seed)
-    if arch == ARCH_BLSTM:
-        return build_blstm_att(cfg, seed)
-    raise BadConfig(f"unknown architecture {arch!r}")
+    return architecture(arch).build(cfg, seed)

@@ -57,14 +57,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def scale(a, s: float) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data * s, a.requires_grad, parents=(a,))
-    if a.requires_grad:
-        out._backward = lambda g: a.accumulate(g * s)
-    return out
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:

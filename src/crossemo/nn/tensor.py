@@ -102,10 +102,6 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value))
 
 
-def parameter(data, rng=None) -> Tensor:
-    return Tensor(np.asarray(data), requires_grad=True)
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape, dtype=np.float32):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)

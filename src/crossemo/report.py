@@ -10,7 +10,7 @@ text table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,37 @@ class RunRecord:
 
     def is_matched(self) -> bool:
         return self.test_tag == self.train_tag or self.test_tag in self.train_components
+
+    def to_json(self) -> dict:
+        return {
+            "train_tag": self.train_tag,
+            "test_tag": self.test_tag,
+            "fold": self.fold,
+            "metrics": self.metrics.to_json(),
+            "train_components": list(self.train_components),
+        }
+
+    @classmethod
+    def from_json(cls, obj) -> "RunRecord":
+        """Inverse of `to_json`; other keys are ignored. A missing or
+        mistyped field raises ValidationFailure."""
+        try:
+            record = cls(
+                train_tag=obj["train_tag"],
+                test_tag=obj["test_tag"],
+                fold=obj["fold"],
+                metrics=MetricSet(**{k: float(obj["metrics"][k]) for k in METRIC_KEYS}),
+                train_components=tuple(obj.get("train_components", ())),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationFailure(f"malformed run record: {exc!r}") from exc
+        texts = (record.train_tag, record.test_tag) + record.train_components
+        if (not all(isinstance(t, str) for t in texts) or type(record.fold) is not int
+                or not isinstance(obj.get("train_components", []), list)):
+            raise ValidationFailure(
+                "run record: tags must be strings, train_components a list, fold an integer"
+            )
+        return record
 
 
 @dataclass
@@ -212,7 +243,6 @@ def render_table(report: CrossCorpusReport, metric: str = "ua_eq1") -> str:
 
 def save_report(report: CrossCorpusReport, out_dir: str | Path, metric: str = "ua_eq1") -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "json": out_dir / "report.json",
         "csv": out_dir / "report.csv",

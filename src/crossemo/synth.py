@@ -14,7 +14,6 @@ byte-identical WAV files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import numpy as np
 from .audio import AudioBuffer, write_wav
 from .corpus import EMOTIONS_4, CorpusManifest, UtteranceRecord, save_manifest
 from .errors import ValidationFailure
-from .ioutil import read_json, stable_hash64
+from .ioutil import read_json, stable_hash64, write_json
 
 
 @dataclass(frozen=True)
@@ -218,5 +217,5 @@ def generate_corpus(spec: SynthCorpusSpec, out_dir: str | Path) -> CorpusManifes
                 )
     manifest = CorpusManifest(name=spec.name, records=tuple(records))
     save_manifest(manifest, out_dir / "manifest.jsonl")
-    (out_dir / "spec.json").write_text(json.dumps(spec.to_json(), indent=2, sort_keys=True))
+    write_json(out_dir / "spec.json", spec.to_json())
     return manifest

@@ -9,6 +9,7 @@ epoch: {epoch, train_loss, val_ua, val_wa, lr}.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -24,8 +25,8 @@ from .errors import (
     TooFewPerClass,
     ValidationFailure,
 )
-from .evaluation import confusion_from_predictions, metric_set
-from .ioutil import stable_hash64, write_json
+from .evaluation import batched_logits, confusion_from_predictions, metric_set
+from .ioutil import atomic_write_bytes, read_jsonl, stable_hash64, write_json
 from .nn.checkpoint import load_checkpoint, load_into_graph, save_checkpoint
 from .nn.models import ModelGraph
 from .nn.ops import softmax_cross_entropy
@@ -174,15 +175,12 @@ def _leakage_check(manifest: CorpusManifest, fold: Fold) -> None:
 
 
 def predict_ids(graph: ModelGraph, store, ids, classes, batch_size: int = 64):
-    """Eval-mode argmax predictions: list of (id, predicted, scores)."""
-    preds = []
-    graph.set_mode("eval")
-    for start in range(0, len(ids), batch_size):
-        chunk = list(ids[start : start + batch_size])
-        logits = graph.forward(store.batch(chunk)).data
-        for utt_id, row in zip(chunk, logits):
-            preds.append((utt_id, classes[int(np.argmax(row))], row.copy()))
-    return preds
+    """Eval-mode argmax predictions: list of (id, predicted class)."""
+    return [
+        (utt_id, classes[int(np.argmax(row))])
+        for chunk, logits in batched_logits(graph, store, ids, batch_size)
+        for utt_id, row in zip(chunk, logits)
+    ]
 
 
 def _opt_state_path(out_dir: Path) -> Path:
@@ -197,9 +195,9 @@ def _save_opt_state(path: Path, adam: AdamState, plateau: PlateauState, epoch: i
         [adam.t, epoch, plateau.lr, plateau.best, plateau.stall, best_val, best_epoch, stagnant],
         dtype=np.float64,
     )
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez(tmp, **arrays)
-    tmp.replace(path)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    atomic_write_bytes(path, buf.getvalue())
 
 
 def _load_opt_state(path: Path, adam: AdamState):
@@ -224,9 +222,12 @@ def train_model(
     out_dir: str | Path,
     verbose: bool = False,
     resume: bool = False,
+    fold_index: int = 0,
 ) -> TrainResult:
     """Train `graph` on the fold's train side. The fold's test side is only
-    consulted by the leakage guard and never enters fitting or validation."""
+    consulted by the leakage guard and never enters fitting or validation.
+    Checkpoints record the classes, the manifest name as train tag and
+    `fold_index`, which is all an evaluation needs to file its run record."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not fold.train_ids:
@@ -264,7 +265,7 @@ def train_model(
     best_path = str(out_dir / "checkpoint_best.bin")
     last_path = str(out_dir / "checkpoint_last.bin")
     history_path = out_dir / "history.jsonl"
-    extra = {"classes": list(classes)}
+    extra = {"classes": list(classes), "train_tag": manifest.name, "fold": fold_index}
 
     if resume and _opt_state_path(out_dir).exists() and Path(last_path).exists():
         data = load_checkpoint(last_path, expect_digest=graph.digest)
@@ -274,8 +275,7 @@ def train_model(
         )
         start_epoch = last_epoch + 1
         if history_path.exists():
-            with open(history_path, "r", encoding="utf-8") as fh:
-                history = [json.loads(line) for line in fh if line.strip()]
+            history = read_jsonl(history_path)
 
     mode = "a" if (resume and start_epoch > 1) else "w"
     with open(history_path, mode, encoding="utf-8") as hist_fh:
@@ -306,7 +306,7 @@ def train_model(
                 losses.append(loss_value)
 
             preds = predict_ids(graph, store, val_ids, classes)
-            pairs = [(labels[u], p) for u, p, _ in preds]
+            pairs = [(labels[u], p) for u, p in preds]
             cm = confusion_from_predictions(pairs, classes)
             metrics = metric_set(cm)
             record = {

@@ -11,6 +11,7 @@ from crossemo.corpus import (
     filter_style,
     load_fold_plan,
     load_manifest,
+    make_fold_plan,
     make_folds_proportional,
     make_folds_session_holdout,
     make_folds_speaker_rotation,
@@ -397,3 +398,35 @@ class TestFoldPlanValidation:
         plan = FoldPlan("proportional", (Fold(("u0000",), ("u0000__speed__v0",)),))
         with pytest.raises(LeakageError):
             validate_fold_plan(plan, manifest)
+
+
+class TestMakeFoldPlan:
+    # 40 records over 8 speakers, 4 sessions and 4 classes
+    MANIFEST = CorpusManifest(
+        "plan", tuple(make_record(i, speaker=f"s{i % 8}", session=f"S{i % 4}") for i in range(40))
+    )
+
+    @pytest.mark.parametrize(
+        "strategy, opts, direct",
+        [
+            ("speaker-rotation", {"n_folds": 3, "test_speakers": 2},
+             lambda m: make_folds_speaker_rotation(m, n_folds=3, test_speakers=2)),
+            ("session-holdout", {}, lambda m: make_folds_session_holdout(m)),
+            ("session-holdout", {"reverse_sessions": True},
+             lambda m: make_folds_session_holdout(m, reverse_order=True)),
+            ("proportional", {"n_folds": 2, "test_fraction": 0.3, "seed": 5},
+             lambda m: make_folds_proportional(m, n_folds=2, test_fraction=0.3, seed=5)),
+            ("proportional", {}, lambda m: make_folds_proportional(m)),
+            ("split-80-20", {"seed": 7}, lambda m: make_split_80_20(m, seed=7)),
+        ],
+    )
+    def test_equals_direct_call(self, strategy, opts, direct):
+        assert make_fold_plan(self.MANIFEST, strategy, **opts) == direct(self.MANIFEST)
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValidationFailure):
+            make_fold_plan(self.MANIFEST, "by-moon-phase")
+
+    def test_unknown_option(self):
+        with pytest.raises(ValidationFailure):
+            make_fold_plan(self.MANIFEST, "split-80-20", n_fold=2)

@@ -132,3 +132,30 @@ class TestRendering:
         a = render_table(build_cross_matrix(synthetic_grid()))
         b = render_table(build_cross_matrix(synthetic_grid()))
         assert a == b
+
+
+class TestRunRecordJson:
+    GOOD = RunRecord("mixAll", "corpusA", 1, flat_metrics(70.0), ("corpusA", "corpusB")).to_json()
+
+    def test_round_trip(self):
+        record = RunRecord.from_json(self.GOOD)
+        assert record.to_json() == self.GOOD
+        assert record.is_matched()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            None,
+            [],
+            {k: v for k, v in GOOD.items() if k != "train_tag"},
+            {**GOOD, "fold": "1"},
+            {**GOOD, "fold": True},
+            {**GOOD, "test_tag": 3},
+            {**GOOD, "metrics": {"ua_eq1": 70.0}},
+            {**GOOD, "metrics": {**GOOD["metrics"], "wa_eq2": "high"}},
+            {**GOOD, "train_components": "corpusA"},
+        ],
+    )
+    def test_malformed_rejected(self, obj):
+        with pytest.raises(ValidationFailure):
+            RunRecord.from_json(obj)
