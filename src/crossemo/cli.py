@@ -81,8 +81,9 @@ def cmd_augment(args) -> int:
     return 0 if failures == 0 else 3
 
 
-def _run_training(cfg, resume: bool = False):
-    """Train one fold of `cfg`. Returns (fold, feature store, graph, result)."""
+def _run_training(cfg, store=None, resume: bool = False):
+    """Train one fold of `cfg`, reading features from `store` (by default a
+    new one over `cfg.manifest`). Returns (fold, graph, result)."""
     from .corpus import load_fold_plan, load_manifest, validate_fold_plan
     from .features import FeatureStore
     from .nn.models import build_model
@@ -96,7 +97,8 @@ def _run_training(cfg, resume: bool = False):
             f"fold_index {cfg.fold_index} out of range for {len(plan.folds)} folds"
         )
     fold = plan.folds[cfg.fold_index]
-    store = FeatureStore(manifest, cfg.features, cfg.feature_cache)
+    if store is None:
+        store = FeatureStore(manifest, cfg.features, cfg.feature_cache)
     graph = build_model(cfg.arch, cfg.model, seed=cfg.seed)
 
     write_json(
@@ -107,7 +109,7 @@ def _run_training(cfg, resume: bool = False):
         graph, manifest, fold, store, cfg.train, cfg.out_dir,
         verbose=True, resume=resume, fold_index=cfg.fold_index,
     )
-    return fold, store, graph, result
+    return fold, graph, result
 
 
 def _evaluate(graph, classes, manifest, store, out_dir: Path, train_tag: str, fold: int,
@@ -144,7 +146,7 @@ def cmd_train(args) -> int:
 
     raw = load_json_config(args.config)
     cfg = resolve_experiment_config(raw, base_dir=Path(args.config).parent)
-    _, _, _, result = _run_training(cfg, resume=args.resume)
+    _, _, result = _run_training(cfg, resume=args.resume)
     print(
         f"[crossemo] trained {len(result.history)} epoch records; "
         f"best val_ua {result.best_val_ua:.2f} at epoch {result.best_epoch}"
@@ -228,15 +230,16 @@ def cmd_pipeline(args) -> int:
 
     raw = load_json_config(args.config)
     base_dir = Path(args.config).parent
-    # joining keeps an absolute path as it is
-    out_dir = base_dir / raw.get("out_dir", _out_root() / "pipeline")
+    # paths in `raw` are relative to base_dir; joining keeps an absolute one as it is
+    run_dir = Path(raw.get("out_dir", _out_root() / "pipeline"))
+    out_dir = base_dir / run_dir
 
     manifest_path = raw.get("manifest")
     if "synth" in raw:
         spec = SynthCorpusSpec.from_json(raw["synth"])
-        corpus_dir = out_dir / f"corpus-{spec.name}"
-        generate_corpus(spec, corpus_dir)
-        manifest_path = str(corpus_dir / "manifest.jsonl")
+        corpus_dir = run_dir / f"corpus-{spec.name}"
+        generate_corpus(spec, base_dir / corpus_dir)
+        manifest_path = corpus_dir / "manifest.jsonl"
     if manifest_path is None:
         raise ValidationFailure("pipeline config needs either 'synth' or 'manifest'")
 
@@ -248,15 +251,15 @@ def cmd_pipeline(args) -> int:
     corpus.save_manifest(manifest, out_dir / "manifest.jsonl")
 
     train_manifest = manifest
-    manifest_file = out_dir / "manifest.jsonl"
+    manifest_file = "manifest.jsonl"
     if "augment" in raw:
-        manifest_file = out_dir / "manifest.augmented.jsonl"
+        manifest_file = "manifest.augmented.jsonl"
         train_manifest, _ = augment_corpus(
             manifest,
             raw["augment"].get("recipe", "2sp-2vol"),
             raw["augment"].get("seed", 0),
             out_dir / "augment",
-            manifest_file,
+            out_dir / manifest_file,
         )
         # augmented copies join the train side of every fold their source
         # trains in; test ids stay original
@@ -268,29 +271,33 @@ def cmd_pipeline(args) -> int:
         plan = replace(plan, folds=tuple(folds))
     corpus.save_fold_plan(plan, out_dir / "folds.json")
 
+    run_raw = {
+        k: v for k, v in raw.items() if k not in ("synth", "folds", "augment", "fold_indices")
+    }
+    run_raw["manifest"] = str(run_dir / manifest_file)
+    run_raw["fold_plan"] = str(run_dir / "folds.json")
+    run_raw["out_dir"] = str(run_dir)
+    cfg = resolve_experiment_config(run_raw, base_dir=base_dir)
+    # one store per manifest, shared by every fold: each utterance's
+    # features are computed once per pipeline
+    store = FeatureStore(train_manifest, cfg.features, cfg.feature_cache)
+    eval_sets = []
+    for eval_path in cfg.eval_manifests:
+        em = corpus.load_manifest(eval_path)
+        eval_sets.append((em, FeatureStore(em, cfg.features), cfg.restrict_classes))
+
     runs = []
     for fold_index in raw.get("fold_indices", list(range(len(plan.folds)))):
-        run_raw = {
-            k: v for k, v in raw.items() if k not in ("synth", "folds", "augment", "fold_indices")
-        }
-        run_raw["manifest"] = str(manifest_file)
-        run_raw["fold_plan"] = str(out_dir / "folds.json")
-        run_raw["fold_index"] = fold_index
-        run_raw["out_dir"] = str(out_dir / f"fold{fold_index}")
-        cfg = resolve_experiment_config(run_raw, base_dir=base_dir)
-        fold, store, graph, result = _run_training(cfg)
+        fold_cfg = replace(cfg, fold_index=fold_index, out_dir=str(out_dir / f"fold{fold_index}"))
+        fold, graph, result = _run_training(fold_cfg, store)
 
         # matched: the fold's own test side, scored over every trained class
         matched = corpus.CorpusManifest(
             name=manifest.name, records=tuple(train_manifest.get(u) for u in fold.test_ids)
         )
-        tests = [(matched, store, False)]
-        for eval_path in cfg.eval_manifests:
-            em = corpus.load_manifest(eval_path)
-            tests.append((em, FeatureStore(em, cfg.features), cfg.restrict_classes))
-        for test_manifest, test_store, restrict in tests:
+        for test_manifest, test_store, restrict in [(matched, store, False), *eval_sets]:
             runs.append(_evaluate(
-                graph, result.classes, test_manifest, test_store, Path(cfg.out_dir),
+                graph, result.classes, test_manifest, test_store, Path(fold_cfg.out_dir),
                 manifest.name, fold_index, restrict,
                 result.last_checkpoint, result.history[-1]["epoch"],
             ))

@@ -8,7 +8,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ValidationFailure
+from .errors import ValidationFailure, from_fields
 from .features import FbankConfig
 from .nn.models import config_from_dict
 from .train import TrainConfig
@@ -138,7 +138,7 @@ def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> Experime
     model = config_from_dict(arch, merged.get("model", {}))
     train_fields = dict(merged.get("train", {}))
     train_fields.setdefault("seed", seed)
-    train = TrainConfig(**train_fields)
+    train = from_fields(TrainConfig, train_fields, "train")
     return ExperimentConfig(
         manifest=respath(merged["manifest"]),
         fold_plan=respath(merged["fold_plan"]),

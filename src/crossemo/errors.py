@@ -4,6 +4,8 @@ ValidationFailure maps to CLI exit code 2 (bad input, bad config),
 RuntimeFailure to exit code 3 (I/O trouble, diverged training).
 """
 
+from dataclasses import fields
+
 
 class CrossEmoError(Exception):
     pass
@@ -108,6 +110,15 @@ class LabelOutOfRange(ValidationFailure):
 
 class BadConfig(ValidationFailure):
     pass
+
+
+def from_fields(cls, obj: dict, what: str):
+    """Build the dataclass `cls` from `obj`; a key that names none of its
+    fields raises BadConfig instead of the constructor's TypeError."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise BadConfig(f"unknown {what} keys: {', '.join(unknown)}")
+    return cls(**obj)
 
 
 class CheckpointMismatch(ValidationFailure):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioBuffer
-from .errors import EmptyAudio, IoFailure, SampleRateMismatch, ValidationFailure
+from .errors import EmptyAudio, IoFailure, SampleRateMismatch, ValidationFailure, from_fields
 from .ioutil import write_json
 
 
@@ -61,7 +61,7 @@ class FbankConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FbankConfig":
-        return cls(**obj)
+        return from_fields(cls, obj, "features")
 
 
 @dataclass

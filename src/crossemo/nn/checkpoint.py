@@ -116,10 +116,18 @@ def graph_from_checkpoint(data: CheckpointData) -> ModelGraph:
 
 
 def load_into_graph(graph: ModelGraph, data: CheckpointData) -> None:
-    """Copy stored parameters and batch-norm state into an existing graph."""
+    """Copy stored parameters and batch-norm state into an existing graph.
+    The checkpoint must hold exactly the graph's parameters and statistics."""
+    bn_names = {f"{base}.{part}" for base in graph.bn_stats for part in ("mean", "var")}
+    for kind, want, have in (
+        ("parameter", set(graph.params), set(data.params)),
+        ("batch-norm state", bn_names, set(data.bn_stats)),
+    ):
+        if have - want:
+            raise CheckpointMismatch(f"unexpected {kind} in checkpoint: {sorted(have - want)}")
+        if want - have:
+            raise CheckpointMismatch(f"checkpoint lacks {kind}: {sorted(want - have)}")
     for name, arr in data.params.items():
-        if name not in graph.params:
-            raise CheckpointMismatch(f"unexpected parameter {name!r} in checkpoint")
         if graph.params[name].shape != arr.shape:
             raise CheckpointMismatch(
                 f"parameter {name!r}: shape {arr.shape} != {graph.params[name].shape}"
@@ -127,8 +135,6 @@ def load_into_graph(graph: ModelGraph, data: CheckpointData) -> None:
         graph.params[name].data = arr.astype(np.float32)
     for name, arr in data.bn_stats.items():
         base, part = name.rsplit(".", 1)
-        if base not in graph.bn_stats:
-            raise CheckpointMismatch(f"unexpected batch-norm state {name!r}")
         stats: BnStats = graph.bn_stats[base]
         if part == "mean":
             stats.mean = arr.astype(np.float32)

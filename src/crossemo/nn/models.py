@@ -11,12 +11,12 @@ attention pooling, linear classifier.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..errors import BadConfig, ShapeMismatch
+from ..errors import BadConfig, ShapeMismatch, from_fields
 from ..ioutil import config_digest
 from . import layers, ops
 from .tensor import Tensor
@@ -234,11 +234,7 @@ def architecture(arch: str) -> Architecture:
 
 
 def config_from_dict(arch: str, cfg: dict):
-    config_cls = architecture(arch).config
-    unknown = sorted(set(cfg) - {f.name for f in fields(config_cls)})
-    if unknown:
-        raise BadConfig(f"unknown {arch} model keys: {', '.join(unknown)}")
-    return config_cls(**cfg)
+    return from_fields(architecture(arch).config, cfg, f"{arch} model")
 
 
 def config_to_dict(cfg) -> dict:

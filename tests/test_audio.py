@@ -1,3 +1,4 @@
+import math
 import struct
 import wave
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from crossemo.audio import (
+    KAISER_BETA,
+    SINC_TAPS,
     AudioBuffer,
     EffectSpec,
     apply_effect,
@@ -13,6 +16,7 @@ from crossemo.audio import (
     apply_speed,
     apply_tempo,
     apply_volume,
+    _kaiser_sinc_resample,
     read_wav,
     shelf_gain_db,
     write_wav,
@@ -170,6 +174,51 @@ class TestSpeed:
     def test_non_positive_factor(self):
         with pytest.raises(NonPositiveFactor):
             apply_speed(tone(440, 0.5), -1.0)
+
+
+def direct_kaiser_sinc_resample(x, factor):
+    """Oracle: the Kaiser-windowed sinc evaluated directly at every tap of
+    every output sample."""
+    n = x.size
+    n_out = int(round(n / factor))
+    rho = min(1.0, 1.0 / factor)
+    half = SINC_TAPS / rho
+    n_taps = 2 * int(math.ceil(half)) + 1
+    centers = np.arange(n_out) * factor
+    k = np.ceil(centers - half).astype(np.int64)[:, None] + np.arange(n_taps)[None, :]
+    t = k - centers[:, None]
+    u = t / half
+    inside = np.abs(u) <= 1.0
+    win = np.zeros_like(t)
+    win[inside] = np.i0(KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)) / np.i0(KAISER_BETA)
+    kernel = rho * np.sinc(rho * t) * win
+    xv = np.where((k >= 0) & (k < n), x[np.clip(k, 0, n - 1)], 0.0)
+    return np.einsum("ij,ij->i", xv, kernel)
+
+
+class TestKaiserSincResample:
+    @pytest.mark.parametrize("factor", [0.6, 0.77, 1.0, 1.31, 1.5])
+    def test_matches_direct_formula(self, factor):
+        x = np.random.default_rng(5).uniform(-1, 1, size=4000)
+        out = _kaiser_sinc_resample(x, factor)
+        expected = direct_kaiser_sinc_resample(x, factor)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-7
+
+    def test_unit_factor_is_identity(self):
+        x = np.random.default_rng(6).uniform(-1, 1, size=4000)
+        assert np.max(np.abs(_kaiser_sinc_resample(x, 1.0) - x)) <= 1e-12
+
+    def test_repeats_bit_for_bit(self):
+        x = np.random.default_rng(8).uniform(-1, 1, size=4000)
+        assert np.array_equal(_kaiser_sinc_resample(x, 1.31), _kaiser_sinc_resample(x, 1.31))
+
+    def test_decimation_removes_tone_above_new_nyquist(self):
+        # speed 1.5 moves Nyquist to 8 kHz / 1.5 = 5.33 kHz of the input
+        buf = tone(7000, 1.0)
+        out = apply_speed(buf, 1.5).samples[100:-100]  # past the edge transients
+        ratio = np.sqrt(np.mean(out**2)) / np.sqrt(np.mean(buf.samples**2))
+        assert ratio < 1e-3
 
 
 class TestTempo:

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from crossemo import corpus
+from crossemo import corpus, features
 from crossemo.cli import main
+from crossemo.features import compute_features
 from crossemo.ioutil import write_json
 from crossemo.synth import SynthCorpusSpec, derive_shifted_corpus, generate_corpus
 
@@ -135,6 +136,14 @@ def test_desk_profile_with_blstm_arch(prepared, tmp_path):
     assert run("train", "--config", tmp_path / "bad.json") == 2
 
 
+@pytest.mark.parametrize("section", [{"train": {"epoch": 3}}, {"features": {"n_band": 23}}])
+def test_train_misspelled_key(prepared, tmp_path, section):
+    write_json(tmp_path / "bad.json", {
+        "profile": "desk-scale", **prepared, **section, "out_dir": str(tmp_path / "run"),
+    })
+    assert run("train", "--config", tmp_path / "bad.json") == 2
+
+
 def pipeline_config(tiny, out_dir, **overrides) -> dict:
     return {
         "profile": "desk-scale",
@@ -169,3 +178,33 @@ def test_pipeline_unknown_fold_option(tiny, tmp_path):
     folds = {"strategy": "split-80-20", "n_fold": 2}
     write_json(tmp_path / "pipe.json", pipeline_config(tiny, tmp_path / "run", folds=folds))
     assert run("pipeline", "--config", tmp_path / "pipe.json") == 2
+
+
+def test_pipeline_computes_features_once_per_utterance(tiny, tmp_path, monkeypatch):
+    computed = []  # the audio of each front-end call; every utterance's audio differs
+
+    def counting(buffer, cfg):
+        computed.append(buffer.samples.tobytes())
+        return compute_features(buffer, cfg)
+
+    monkeypatch.setattr(features, "compute_features", counting)
+    out = tmp_path / "run"
+    folds = {"strategy": "speaker-rotation", "n_folds": 2, "test_speakers": 1}
+    write_json(tmp_path / "pipe.json", pipeline_config(tiny, out, folds=folds))
+    assert run("pipeline", "--config", tmp_path / "pipe.json") == 0
+    assert len(corpus.load_fold_plan(out / "folds.json").folds) == 2
+    assert computed and len(computed) == len(set(computed))
+
+
+def test_pipeline_config_paths_relative_to_its_directory(tiny, tmp_path, monkeypatch):
+    # run from tmp_path with the config one directory down: out_dir, and the
+    # synthesized corpus under it, are relative to the config's directory
+    monkeypatch.chdir(tmp_path)
+    synth = {"name": "tiny", "n_speakers": 2, "utterances_per_class_per_speaker": 2,
+             "duration_range": [0.6, 0.7], "seed": 3}
+    config = pipeline_config(tiny, "run", synth=synth, eval_manifests=[])
+    del config["manifest"]
+    write_json(tmp_path / "cfg" / "pipe.json", config)
+    assert run("pipeline", "--config", "cfg/pipe.json") == 0
+    assert (tmp_path / "cfg" / "run" / "corpus-tiny" / "manifest.jsonl").exists()
+    assert (tmp_path / "cfg" / "run" / "fold0" / "metrics_tiny.json").exists()

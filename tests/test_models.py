@@ -6,6 +6,7 @@ from crossemo.nn import layers, ops
 from crossemo.nn.checkpoint import (
     graph_from_checkpoint,
     load_checkpoint,
+    load_into_graph,
     save_checkpoint,
 )
 from crossemo.nn.models import (
@@ -216,6 +217,17 @@ class TestCheckpoints:
         other = build_cnn_blstm_att(CnnBlstmAttConfig(), seed=0)
         with pytest.raises(CheckpointMismatch):
             load_checkpoint(path, expect_digest=other.digest)
+
+    @pytest.mark.parametrize("part", ["params", "bn_stats"])
+    def test_partial_checkpoint_rejected(self, tmp_path, part):
+        graph = build_cnn_blstm_att(DESK_CNN, seed=13)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(graph, path, epoch=1)
+        data = load_checkpoint(path)
+        stored = getattr(data, part)
+        del stored[sorted(stored)[0]]
+        with pytest.raises(CheckpointMismatch):
+            load_into_graph(build_cnn_blstm_att(DESK_CNN, seed=14), data)
 
     def test_build_model_dispatch(self):
         g = build_model("blstm-att", {"hidden": 8, "attention_dim": 4}, seed=0)
