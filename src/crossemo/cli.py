@@ -100,6 +100,7 @@ def _run_training(cfg, store=None, resume: bool = False):
     if store is None:
         store = FeatureStore(manifest, cfg.features, cfg.feature_cache)
     graph = build_model(cfg.arch, cfg.model, seed=cfg.seed)
+    print(f"[crossemo] built {cfg.arch}: {graph.parameter_count():,} parameters")
 
     write_json(
         Path(cfg.out_dir) / "config.resolved.json",

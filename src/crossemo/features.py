@@ -198,17 +198,28 @@ class FeatureCache:
         write_json(self.sidecar_path, cfg.to_json())
 
     def _load_index(self):
-        with open(self.bin_path, "rb") as fh:
+        """Index every complete record. A torn tail, left by an append that
+        was cut short, is truncated away so its entry is recomputed and the
+        next append starts on a record boundary."""
+        size = self.bin_path.stat().st_size
+        end = 0
+        with open(self.bin_path, "r+b") as fh:
             while True:
                 head = fh.read(4)
                 if len(head) < 4:
                     break
                 (id_len,) = struct.unpack("<I", head)
-                utt_id = fh.read(id_len).decode("utf-8")
-                n_frames, n_bands = struct.unpack("<II", fh.read(8))
+                id_bytes = fh.read(id_len)
+                dims = fh.read(8)
+                if len(id_bytes) < id_len or len(dims) < 8:
+                    break
+                n_frames, n_bands = struct.unpack("<II", dims)
                 offset = fh.tell()
-                fh.seek(4 * n_frames * n_bands, 1)
-                self._index[utt_id] = (offset, n_frames, n_bands)
+                if offset + 4 * n_frames * n_bands > size:
+                    break
+                end = fh.seek(4 * n_frames * n_bands, 1)
+                self._index[id_bytes.decode("utf-8")] = (offset, n_frames, n_bands)
+            fh.truncate(end)
 
     def get(self, utt_id: str) -> np.ndarray | None:
         entry = self._index.get(utt_id)

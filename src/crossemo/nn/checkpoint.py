@@ -3,8 +3,13 @@
 Layout: magic "XEMO", u32 format version, u32 header length, JSON header
 (architecture tag, config, config digest, epoch, extra metadata, blob
 index), then raw little-endian float32 blobs in index order. Blobs cover
-every parameter and the batch-norm running statistics. Loading against an
-expected digest rejects mismatching configs.
+every parameter (kind "param"), the batch-norm running statistics ("bn")
+and any caller state ("state"; training stores the Adam moments there as
+`m::<param>` and `v::<param>`). Training's last checkpoint also carries a
+"run" entry in the extra metadata: the Adam step count, the plateau state,
+the best-validation bookkeeping and the history rows so far, so one file
+holds everything a resume needs. Loading against an expected digest
+rejects mismatching configs.
 """
 
 from __future__ import annotations
@@ -34,21 +39,26 @@ class CheckpointData:
     params: dict
     bn_stats: dict
     extra: dict
+    state: dict
 
 
-def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict | None = None) -> None:
+def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict | None = None,
+                    state: dict | None = None) -> None:
+    """Write the graph's parameters and batch-norm statistics, plus the
+    arrays in `state`, as one atomic file."""
+    entries = [(name, "param", graph.params[name].data) for name in sorted(graph.params)]
+    entries += [
+        (f"{name}.{part}", "bn", getattr(graph.bn_stats[name], part))
+        for name in sorted(graph.bn_stats)
+        for part in ("mean", "var")
+    ]
+    entries += [(name, "state", state[name]) for name in sorted(state or {})]
     blobs = []
     index = []
-    for name in sorted(graph.params):
-        arr = graph.params[name].data.astype("<f4")
-        index.append({"name": name, "kind": "param", "shape": list(arr.shape)})
+    for name, kind, arr in entries:
+        arr = arr.astype("<f4")
+        index.append({"name": name, "kind": kind, "shape": list(arr.shape)})
         blobs.append(arr.tobytes())
-    for name in sorted(graph.bn_stats):
-        stats = graph.bn_stats[name]
-        for part, arr in (("mean", stats.mean), ("var", stats.var)):
-            arr = arr.astype("<f4")
-            index.append({"name": f"{name}.{part}", "kind": "bn", "shape": list(arr.shape)})
-            blobs.append(arr.tobytes())
     header = {
         "arch": graph.arch,
         "config": config_to_dict(graph.config),
@@ -81,25 +91,24 @@ def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> Check
             f"{path}: config digest {header['config_digest']} != expected {expect_digest}"
         )
     offset = 12 + header_len
-    params: dict = {}
-    bn: dict = {}
+    blobs: dict = {"param": {}, "bn": {}, "state": {}}
     for entry in header["index"]:
+        if entry["kind"] not in blobs:
+            raise MalformedHeader(f"{path}: unknown blob kind {entry['kind']!r}")
         shape = tuple(entry["shape"])
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(shape).copy()
         offset += 4 * n
-        if entry["kind"] == "param":
-            params[entry["name"]] = arr
-        else:
-            bn[entry["name"]] = arr
+        blobs[entry["kind"]][entry["name"]] = arr
     return CheckpointData(
         arch=header["arch"],
         config=header["config"],
         digest=header["config_digest"],
         epoch=header["epoch"],
-        params=params,
-        bn_stats=bn,
+        params=blobs["param"],
+        bn_stats=blobs["bn"],
         extra=header.get("extra", {}),
+        state=blobs["state"],
     )
 
 

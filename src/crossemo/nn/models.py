@@ -194,9 +194,7 @@ def build_cnn_blstm_att(cfg: CnnBlstmAttConfig, seed: int) -> ModelGraph:
         fc_in = width
     layers.add_attention(params, rng, "att", fc_in, cfg.attention_dim)
     layers.add_dense(params, rng, "classifier", fc_in, cfg.n_classes)
-    graph = ModelGraph(ARCH_CNN, cfg, params, stats)
-    print(f"[crossemo] built {ARCH_CNN}: {graph.parameter_count():,} parameters")
-    return graph
+    return ModelGraph(ARCH_CNN, cfg, params, stats)
 
 
 def build_blstm_att(cfg: BlstmAttConfig, seed: int) -> ModelGraph:
@@ -209,9 +207,7 @@ def build_blstm_att(cfg: BlstmAttConfig, seed: int) -> ModelGraph:
         n_in = 2 * cfg.hidden
     layers.add_attention(params, rng, "att", n_in, cfg.attention_dim)
     layers.add_dense(params, rng, "classifier", n_in, cfg.n_classes)
-    graph = ModelGraph(ARCH_BLSTM, cfg, params, stats)
-    print(f"[crossemo] built {ARCH_BLSTM}: {graph.parameter_count():,} parameters")
-    return graph
+    return ModelGraph(ARCH_BLSTM, cfg, params, stats)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .audio import AudioBuffer, write_wav
 from .corpus import EMOTIONS_4, CorpusManifest, UtteranceRecord, save_manifest
-from .errors import ValidationFailure
+from .errors import ValidationFailure, from_fields
 from .ioutil import read_json, stable_hash64, write_json
 
 
@@ -91,13 +91,14 @@ class SynthCorpusSpec:
         obj = dict(obj)
         if "signatures" in obj:
             obj["signatures"] = {
-                c: ClassSignature(**s) for c, s in obj["signatures"].items()
+                c: from_fields(ClassSignature, s, "synth signature")
+                for c, s in obj["signatures"].items()
             }
         if "classes" in obj:
             obj["classes"] = tuple(obj["classes"])
         if "duration_range" in obj:
             obj["duration_range"] = tuple(obj["duration_range"])
-        return cls(**obj)
+        return from_fields(cls, obj, "synth")
 
 
 def load_spec(path: str | Path) -> SynthCorpusSpec:

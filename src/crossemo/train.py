@@ -2,15 +2,17 @@
 
 A run is deterministic given (config, seed): per-epoch shuffles and dropout
 masks are seeded from (seed, epoch), so an epoch-boundary resume replays
-exactly the stream a straight run would have produced. Best-validation and
-last checkpoints are both kept; the history file records one JSON line per
-epoch: {epoch, train_loss, val_ua, val_wa, lr}.
+exactly the stream a straight run would have produced. Each epoch is
+committed by one atomic write of checkpoint_last.bin, which holds the
+weights, the Adam moments and the run state (step count, plateau, best
+validation, history), so a crash at any point leaves the last committed
+epoch to resume from. history.jsonl is a view derived from that commit:
+rewritten after it, one JSON line per epoch: {epoch, train_loss, val_ua,
+val_wa, lr}. The best-validation checkpoint is kept next to it.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, Fold
 from .errors import (
+    CheckpointMismatch,
     DivergedLoss,
     EmptyTrainSet,
     ShapeMismatch,
@@ -26,7 +29,7 @@ from .errors import (
     ValidationFailure,
 )
 from .evaluation import batched_logits, confusion_from_predictions, metric_set
-from .ioutil import atomic_write_bytes, read_jsonl, stable_hash64, write_json
+from .ioutil import stable_hash64, write_json, write_jsonl
 from .nn.checkpoint import load_checkpoint, load_into_graph, save_checkpoint
 from .nn.models import ModelGraph
 from .nn.ops import softmax_cross_entropy
@@ -183,36 +186,6 @@ def predict_ids(graph: ModelGraph, store, ids, classes, batch_size: int = 64):
     ]
 
 
-def _opt_state_path(out_dir: Path) -> Path:
-    return out_dir / "opt_state.npz"
-
-
-def _save_opt_state(path: Path, adam: AdamState, plateau: PlateauState, epoch: int,
-                    best_val: float, best_epoch: int, stagnant: int) -> None:
-    arrays = {f"m::{k}": v for k, v in adam.m.items()}
-    arrays.update({f"v::{k}": v for k, v in adam.v.items()})
-    arrays["meta"] = np.array(
-        [adam.t, epoch, plateau.lr, plateau.best, plateau.stall, best_val, best_epoch, stagnant],
-        dtype=np.float64,
-    )
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    atomic_write_bytes(path, buf.getvalue())
-
-
-def _load_opt_state(path: Path, adam: AdamState):
-    data = np.load(path)
-    meta = data["meta"]
-    for key in data.files:
-        if key.startswith("m::"):
-            adam.m[key[3:]] = data[key]
-        elif key.startswith("v::"):
-            adam.v[key[3:]] = data[key]
-    adam.t = int(meta[0])
-    plateau = PlateauState(lr=float(meta[2]), best=float(meta[3]), stall=int(meta[4]))
-    return int(meta[1]), plateau, float(meta[5]), int(meta[6]), int(meta[7])
-
-
 def train_model(
     graph: ModelGraph,
     manifest: CorpusManifest,
@@ -267,78 +240,83 @@ def train_model(
     history_path = out_dir / "history.jsonl"
     extra = {"classes": list(classes), "train_tag": manifest.name, "fold": fold_index}
 
-    if resume and _opt_state_path(out_dir).exists() and Path(last_path).exists():
+    if resume and Path(last_path).exists():
         data = load_checkpoint(last_path, expect_digest=graph.digest)
+        run = data.extra.get("run")
+        moment_names = {f"{part}::{name}" for part in "mv" for name in graph.params}
+        if run is None or set(data.state) != moment_names:
+            raise CheckpointMismatch(f"{last_path} holds no training state to resume from")
         load_into_graph(graph, data)
-        last_epoch, plateau, best_val, best_epoch, stagnant = _load_opt_state(
-            _opt_state_path(out_dir), adam
-        )
-        start_epoch = last_epoch + 1
-        if history_path.exists():
-            history = read_jsonl(history_path)
+        adam.m = {name: data.state[f"m::{name}"] for name in graph.params}
+        adam.v = {name: data.state[f"v::{name}"] for name in graph.params}
+        adam.t = run["adam_t"]
+        plateau = PlateauState(**run["plateau"])
+        best_val, best_epoch, stagnant = run["best_val"], run["best_epoch"], run["stagnant"]
+        history = run["history"]
+        start_epoch = data.epoch + 1
+        # a crash between a commit and its history write left the view behind
+        write_jsonl(history_path, history)
 
-    mode = "a" if (resume and start_epoch > 1) else "w"
-    with open(history_path, mode, encoding="utf-8") as hist_fh:
-        for epoch in range(start_epoch, cfg.epochs + 1):
-            rng_shuffle = np.random.default_rng([cfg.seed, epoch, 0])
-            rng_dropout = np.random.default_rng([cfg.seed, epoch, 1])
-            graph.set_mode("train")
-            losses = []
-            for batch_ids in iter_batches(fit_ids, cfg.batch_size, rng_shuffle):
-                feats = store.batch(batch_ids)
-                targets = np.array([class_index[labels[u]] for u in batch_ids])
-                graph.zero_grad()
-                logits = graph.forward(feats, dropout_rng=rng_dropout)
-                loss = softmax_cross_entropy(logits, targets)
-                loss_value = float(loss.data)
-                if not np.isfinite(loss_value):
-                    write_json(
-                        out_dir / "diverged_state.json",
-                        {"epoch": epoch, "lr": plateau.lr, "batch_ids": batch_ids,
-                         "loss": repr(loss_value)},
-                    )
-                    raise DivergedLoss(
-                        f"non-finite loss at epoch {epoch}; state dumped to "
-                        f"{out_dir / 'diverged_state.json'}"
-                    )
-                loss.backward()
-                adam_step(graph.params, adam, plateau.lr, cfg)
-                losses.append(loss_value)
-
-            preds = predict_ids(graph, store, val_ids, classes)
-            pairs = [(labels[u], p) for u, p in preds]
-            cm = confusion_from_predictions(pairs, classes)
-            metrics = metric_set(cm)
-            record = {
-                "epoch": epoch,
-                "train_loss": float(np.mean(losses)),
-                "val_ua": metrics.ua_eq1,
-                "val_wa": metrics.wa_eq2,
-                "lr": plateau.lr,
-            }
-            history.append(record)
-            hist_fh.write(json.dumps(record, sort_keys=True) + "\n")
-            hist_fh.flush()
-            if verbose and (epoch % 10 == 0 or epoch == 1 or epoch == cfg.epochs):
-                print(
-                    f"[crossemo] epoch {epoch}: loss {record['train_loss']:.4f} "
-                    f"val_ua {record['val_ua']:.2f} lr {record['lr']:.2e}"
+    for epoch in range(start_epoch, cfg.epochs + 1):
+        rng_shuffle = np.random.default_rng([cfg.seed, epoch, 0])
+        rng_dropout = np.random.default_rng([cfg.seed, epoch, 1])
+        graph.set_mode("train")
+        losses = []
+        for batch_ids in iter_batches(fit_ids, cfg.batch_size, rng_shuffle):
+            feats = store.batch(batch_ids)
+            targets = np.array([class_index[labels[u]] for u in batch_ids])
+            graph.zero_grad()
+            logits = graph.forward(feats, dropout_rng=rng_dropout)
+            loss = softmax_cross_entropy(logits, targets)
+            loss_value = float(loss.data)
+            if not np.isfinite(loss_value):
+                write_json(
+                    out_dir / "diverged_state.json",
+                    {"epoch": epoch, "lr": plateau.lr, "batch_ids": batch_ids,
+                     "loss": repr(loss_value)},
                 )
+                raise DivergedLoss(
+                    f"non-finite loss at epoch {epoch}; state dumped to "
+                    f"{out_dir / 'diverged_state.json'}"
+                )
+            loss.backward()
+            adam_step(graph.params, adam, plateau.lr, cfg)
+            losses.append(loss_value)
 
-            if metrics.ua_eq1 > best_val:
-                best_val = metrics.ua_eq1
-                best_epoch = epoch
-                stagnant = 0
-                save_checkpoint(graph, best_path, epoch, extra)
-            else:
-                stagnant += 1
-            plateau = plateau_update(plateau, metrics.ua_eq1, cfg)
-            save_checkpoint(graph, last_path, epoch, extra)
-            _save_opt_state(
-                _opt_state_path(out_dir), adam, plateau, epoch, best_val, best_epoch, stagnant
+        preds = predict_ids(graph, store, val_ids, classes)
+        pairs = [(labels[u], p) for u, p in preds]
+        cm = confusion_from_predictions(pairs, classes)
+        metrics = metric_set(cm)
+        record = {
+            "epoch": epoch,
+            "train_loss": float(np.mean(losses)),
+            "val_ua": metrics.ua_eq1,
+            "val_wa": metrics.wa_eq2,
+            "lr": plateau.lr,
+        }
+        history.append(record)
+        if verbose and (epoch % 10 == 0 or epoch == 1 or epoch == cfg.epochs):
+            print(
+                f"[crossemo] epoch {epoch}: loss {record['train_loss']:.4f} "
+                f"val_ua {record['val_ua']:.2f} lr {record['lr']:.2e}"
             )
-            if cfg.early_stop_patience is not None and stagnant >= cfg.early_stop_patience:
-                break
+
+        if metrics.ua_eq1 > best_val:
+            best_val = metrics.ua_eq1
+            best_epoch = epoch
+            stagnant = 0
+            save_checkpoint(graph, best_path, epoch, extra)
+        else:
+            stagnant += 1
+        plateau = plateau_update(plateau, metrics.ua_eq1, cfg)
+        run = {"adam_t": adam.t, "plateau": asdict(plateau), "best_val": best_val,
+               "best_epoch": best_epoch, "stagnant": stagnant, "history": history}
+        moments = {f"m::{k}": a for k, a in adam.m.items()}
+        moments.update({f"v::{k}": a for k, a in adam.v.items()})
+        save_checkpoint(graph, last_path, epoch, {**extra, "run": run}, moments)
+        write_jsonl(history_path, history)
+        if cfg.early_stop_patience is not None and stagnant >= cfg.early_stop_patience:
+            break
 
     return TrainResult(
         history=history,

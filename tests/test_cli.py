@@ -100,6 +100,36 @@ def test_augment(tiny, tmp_path):
     assert (tmp_path / "plan.json").exists()
 
 
+def test_augment_missing_wav_exits_3(tiny, tmp_path):
+    manifest = corpus.load_manifest(tiny["manifest"])
+    broken = replace(manifest.records[0], audio_path=str(tmp_path / "gone.wav"))
+    corpus.save_manifest(
+        corpus.CorpusManifest("tiny", (broken,) + manifest.records[1:]), tmp_path / "m.jsonl"
+    )
+    assert run("augment", "--manifest", tmp_path / "m.jsonl", "--recipe", "volume",
+               "--out", tmp_path / "out") == 3
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+    failed = [r for r in rows if ",ok," not in r]
+    assert len(rows) == 16 and len(failed) == 1 and failed[0].startswith(broken.id)
+
+
+def test_resume_without_run_state_exits_2(prepared, trained, tmp_path, capsys):
+    # a last checkpoint as written before it carried the Adam and run state
+    from crossemo.nn.checkpoint import graph_from_checkpoint, load_checkpoint, save_checkpoint
+
+    run_dir = tmp_path / "run"
+    data = load_checkpoint(trained / "checkpoint_last.bin")
+    assert data.extra["run"]["history"] and data.state
+    extra = {k: v for k, v in data.extra.items() if k != "run"}
+    save_checkpoint(graph_from_checkpoint(data), run_dir / "checkpoint_last.bin", data.epoch, extra)
+    write_json(tmp_path / "train.json", {
+        "profile": "desk-scale", **prepared, "train": {"epochs": 2}, "out_dir": str(run_dir),
+    })
+    capsys.readouterr()
+    assert run("train", "--config", tmp_path / "train.json", "--resume") == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_train_eval_report(tiny, trained, tmp_path):
     history = (trained / "history.jsonl").read_text().splitlines()
     assert len(history) == 1
@@ -177,6 +207,15 @@ def test_pipeline(tiny, tmp_path):
 def test_pipeline_unknown_fold_option(tiny, tmp_path):
     folds = {"strategy": "split-80-20", "n_fold": 2}
     write_json(tmp_path / "pipe.json", pipeline_config(tiny, tmp_path / "run", folds=folds))
+    assert run("pipeline", "--config", tmp_path / "pipe.json") == 2
+
+
+@pytest.mark.parametrize("synth", [
+    {"name": "tiny", "n_speaker": 2},
+    {"name": "tiny", "signatures": {"sad": {"f0": 120.0}}},
+], ids=["spec", "signature"])
+def test_pipeline_unknown_synth_key(tiny, tmp_path, synth):
+    write_json(tmp_path / "pipe.json", pipeline_config(tiny, tmp_path / "run", synth=synth))
     assert run("pipeline", "--config", tmp_path / "pipe.json") == 2
 
 

@@ -172,3 +172,27 @@ class TestFeatureCache:
     def test_missing_returns_none(self, tmp_path):
         cache = FeatureCache(tmp_path, DEFAULT)
         assert cache.get("nope") is None
+
+    # offsets into the second record: inside its id-length field, its id,
+    # its shape fields, and its cell data
+    @pytest.mark.parametrize("cut", [2, 6, 12, 100], ids=["length", "id", "shape", "data"])
+    def test_torn_tail_dropped_on_open(self, tmp_path, cut):
+        first = np.random.default_rng(1).normal(size=(775, 23)).astype(np.float32)
+        second = np.random.default_rng(2).normal(size=(775, 23)).astype(np.float32)
+        cache = FeatureCache(tmp_path, DEFAULT)
+        cache.put("utt1", first)
+        boundary = cache.bin_path.stat().st_size
+        cache.put("utt2", second)
+        with open(cache.bin_path, "r+b") as fh:
+            fh.truncate(boundary + cut)
+
+        reopened = FeatureCache(tmp_path, DEFAULT)
+        assert "utt2" not in reopened
+        assert np.array_equal(reopened.get("utt1"), first)
+        assert cache.bin_path.stat().st_size == boundary
+        # the lost entry is written again and later appends stay aligned
+        reopened.put("utt2", second)
+        reopened.put("utt3", first)
+        again = FeatureCache(tmp_path, DEFAULT)
+        assert np.array_equal(again.get("utt2"), second)
+        assert np.array_equal(again.get("utt3"), first)

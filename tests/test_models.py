@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from crossemo.cli import main
 from crossemo.errors import BadConfig, CheckpointMismatch, ShapeMismatch
+from crossemo.ioutil import write_json
 from crossemo.nn import layers, ops
 from crossemo.nn.checkpoint import (
     graph_from_checkpoint,
@@ -18,6 +20,7 @@ from crossemo.nn.models import (
 )
 from crossemo.nn.ops import softmax_cross_entropy
 from crossemo.nn.tensor import Tensor
+from crossemo.synth import SynthCorpusSpec, generate_corpus
 
 DESK_CNN = CnnBlstmAttConfig(
     conv_channels=(8, 16), pool_after=(1, 2), blstm_hidden=32,
@@ -128,9 +131,24 @@ class TestParameterCounts:
         assert build_blstm_att(BlstmAttConfig(), 0).parameter_count() == 8_626_436
         assert build_cnn_blstm_att(DESK_CNN, 0).parameter_count() == 33_236
 
-    def test_count_printed(self, capsys):
+    def test_count_printed(self, tmp_path, capsys):
+        # the builder is silent; `crossemo train` reports the size of what it trains
+        capsys.readouterr()
         build_cnn_blstm_att(DESK_CNN, 0)
-        assert "33,236 parameters" in capsys.readouterr().out
+        assert capsys.readouterr().out == ""
+        spec = SynthCorpusSpec(name="tiny", n_speakers=2, utterances_per_class_per_speaker=2,
+                               duration_range=(0.6, 0.7), seed=3)
+        generate_corpus(spec, tmp_path / "corpus")
+        prep = tmp_path / "prep"
+        assert main(["prepare", "--manifest", str(tmp_path / "corpus" / "manifest.jsonl"),
+                     "--strategy", "split-80-20", "--out", str(prep)]) == 0
+        write_json(tmp_path / "train.json", {
+            "profile": "desk-scale", "manifest": str(prep / "manifest.jsonl"),
+            "fold_plan": str(prep / "folds.json"), "train": {"epochs": 1},
+            "out_dir": str(tmp_path / "run"),
+        })
+        assert main(["train", "--config", str(tmp_path / "train.json")]) == 0
+        assert "[crossemo] built cnn-blstm-att: 33,236 parameters" in capsys.readouterr().out
 
 
 class TestBlstmProperties:

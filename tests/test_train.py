@@ -1,4 +1,7 @@
 import json
+import os
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -251,6 +254,53 @@ class TestTrainModel:
         assert (run / "checkpoint_last.bin").read_bytes() == (
             straight / "checkpoint_last.bin"
         ).read_bytes()
+
+    def test_resume_after_crash_at_any_write(self, tmp_path, desk_fbank, desk_model_config,
+                                             monkeypatch):
+        """A crash at any file commit of a 2-epoch run, then a resume to 3
+        epochs, gives the same files as a straight 3-epoch run."""
+        h = TrainHarness(tmp_path, desk_fbank, desk_model_config, n_per_class=2)
+        fold = Fold(h.ids, ())
+        cfg2 = TrainConfig(epochs=2, learning_rate=0.003, batch_size=8, seed=5)
+        cfg3 = replace(cfg2, epochs=3)
+        straight = tmp_path / "straight"
+        train_model(h.graph(seed=5), h.manifest, fold, h.store, cfg3, straight)
+
+        class Crash(Exception):
+            pass
+
+        real_replace = os.replace
+        calls = []
+
+        def replace_counting(src, dst, crash_at=None):
+            calls.append(dst)
+            if len(calls) == crash_at:
+                raise Crash(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_counting)
+        train_model(h.graph(seed=5), h.manifest, fold, h.store, cfg2, tmp_path / "count")
+        n_writes = len(calls)
+        assert n_writes >= 4  # at least checkpoint and history for each epoch
+        for k in range(1, n_writes + 1):
+            run = tmp_path / f"crash{k}"
+            calls.clear()
+            monkeypatch.setattr(os, "replace", partial(replace_counting, crash_at=k))
+            with pytest.raises(Crash):
+                train_model(h.graph(seed=5), h.manifest, fold, h.store, cfg2, run)
+            monkeypatch.setattr(os, "replace", real_replace)
+            result = train_model(
+                h.graph(seed=5), h.manifest, fold, h.store, cfg3, run, resume=True
+            )
+            assert [r["epoch"] for r in result.history] == [1, 2, 3], k
+            for name in ("history.jsonl", "checkpoint_last.bin", "checkpoint_best.bin"):
+                assert (run / name).read_bytes() == (straight / name).read_bytes(), (k, name)
+            assert sorted(p.name for p in run.iterdir()) == sorted(
+                p.name for p in straight.iterdir()
+            )
+        assert sorted(p.name for p in straight.iterdir()) == [
+            "checkpoint_best.bin", "checkpoint_last.bin", "history.jsonl"
+        ]
 
     def test_diverged_loss_dumps_state(self, tmp_path, desk_fbank, desk_model_config):
         h = TrainHarness(tmp_path, desk_fbank, desk_model_config)
