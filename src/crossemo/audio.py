@@ -45,6 +45,7 @@ SHELF_Q = 0.707
 SINC_TAPS = 32
 KAISER_BETA = 8.6
 SINC_TABLE_DENSITY = 4096
+RESAMPLE_BLOCK = 32768  # output samples per pass of the tap loop
 
 # time-scale modification: 30 ms window, 50% overlap, +-7.5 ms search
 WSOLA_WINDOW_MS = 30.0
@@ -204,10 +205,12 @@ def _kaiser_sinc_resample(x: np.ndarray, factor: float) -> np.ndarray:
     xp = np.concatenate([np.zeros(lead), x, np.zeros(trail)])
     first = k0 + lead
     out = np.zeros(n_out, dtype=np.float64)
-    for offset in range(n_taps):
-        pos = np.abs(t0 + offset) * (rho * SINC_TABLE_DENSITY)
-        i = np.minimum(pos.astype(np.int64), last)
-        out += (table[i] + (pos - i) * slope[i]) * xp[first + offset]
+    for start in range(0, n_out, RESAMPLE_BLOCK):
+        block = slice(start, start + RESAMPLE_BLOCK)
+        for offset in range(n_taps):
+            pos = np.abs(t0[block] + offset) * (rho * SINC_TABLE_DENSITY)
+            i = np.minimum(pos.astype(np.int64), last)
+            out[block] += (table[i] + (pos - i) * slope[i]) * xp[first[block] + offset]
     return rho * out
 
 

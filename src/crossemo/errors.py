@@ -4,7 +4,7 @@ ValidationFailure maps to CLI exit code 2 (bad input, bad config),
 RuntimeFailure to exit code 3 (I/O trouble, diverged training).
 """
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 
 class CrossEmoError(Exception):
@@ -114,10 +114,15 @@ class BadConfig(ValidationFailure):
 
 def from_fields(cls, obj: dict, what: str):
     """Build the dataclass `cls` from `obj`; a key that names none of its
-    fields raises BadConfig instead of the constructor's TypeError."""
+    fields, or a required field (one without a default) that `obj` lacks,
+    raises BadConfig instead of the constructor's TypeError."""
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise BadConfig(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in obj
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise BadConfig(f"missing {what} keys: {', '.join(missing)}")
     return cls(**obj)
 
 

@@ -15,6 +15,7 @@ rejects mismatching configs.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,6 +77,8 @@ def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict
 
 
 def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> CheckpointData:
+    """Read a checkpoint. A header that does not decode, or a file size other
+    than the one the header's blob index gives, raises MalformedHeader."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -85,31 +88,32 @@ def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> Check
     version, header_len = struct.unpack_from("<II", raw, 4)
     if version != FORMAT_VERSION:
         raise MalformedHeader(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    if expect_digest is not None and header["config_digest"] != expect_digest:
-        raise CheckpointMismatch(
-            f"{path}: config digest {header['config_digest']} != expected {expect_digest}"
-        )
+    try:
+        header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+        index = [(e["name"], e["kind"], tuple(map(int, e["shape"]))) for e in header["index"]]
+        arch, config, digest = header["arch"], header["config"], header["config_digest"]
+        epoch, extra = header["epoch"], header.get("extra", {})
+    except (ValueError, KeyError, TypeError) as exc:  # incl. Unicode and JSON decode errors
+        raise MalformedHeader(f"{path}: undecodable checkpoint header ({exc!r})") from exc
+    if any(d < 0 for _, _, shape in index for d in shape):
+        raise MalformedHeader(f"{path}: negative blob dimension in the index")
+    expected = 12 + header_len + sum(4 * math.prod(shape) for _, _, shape in index)
+    if expected != len(raw):
+        raise MalformedHeader(f"{path}: {len(raw)} bytes, but its header describes {expected}")
+    if expect_digest is not None and digest != expect_digest:
+        raise CheckpointMismatch(f"{path}: config digest {digest} != expected {expect_digest}")
     offset = 12 + header_len
     blobs: dict = {"param": {}, "bn": {}, "state": {}}
-    for entry in header["index"]:
-        if entry["kind"] not in blobs:
-            raise MalformedHeader(f"{path}: unknown blob kind {entry['kind']!r}")
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(shape).copy()
+    for name, kind, shape in index:
+        if kind not in blobs:
+            raise MalformedHeader(f"{path}: unknown blob kind {kind!r}")
+        n = math.prod(shape)
+        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
+        blobs[kind][name] = arr.reshape(shape).copy()
         offset += 4 * n
-        blobs[entry["kind"]][entry["name"]] = arr
-    return CheckpointData(
-        arch=header["arch"],
-        config=header["config"],
-        digest=header["config_digest"],
-        epoch=header["epoch"],
-        params=blobs["param"],
-        bn_stats=blobs["bn"],
-        extra=header.get("extra", {}),
-        state=blobs["state"],
-    )
+    return CheckpointData(arch=arch, config=config, digest=digest, epoch=epoch,
+                          params=blobs["param"], bn_stats=blobs["bn"], extra=extra,
+                          state=blobs["state"])
 
 
 def graph_from_checkpoint(data: CheckpointData) -> ModelGraph:

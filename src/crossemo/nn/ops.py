@@ -310,6 +310,8 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     """Cross-correlation with zero "same" padding.
 
     x: [batch, in_ch, H, W], w: [out_ch, in_ch, kh, kw], b: [out_ch].
+    Forward: one GEMM over im2col columns. Backward: `dw` is one GEMM against
+    those columns; `dx` is col2im, kh*kw strided slice-adds into the padding.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
@@ -330,69 +332,52 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     req = any(p.requires_grad for p in parents)
     out = Tensor(out_data, req, parents=parents)
     if req:
-        hp, wp = xp.shape[2], xp.shape[3]
-
         def _bw(g):
-            gf = g.reshape(batch, out_ch, oh * ow).transpose(0, 2, 1)  # [B, OHW, OC]
+            gf = g.reshape(batch, out_ch, oh * ow).transpose(0, 2, 1).reshape(-1, out_ch)
             if b is not None and b.requires_grad:
-                b.accumulate(gf.sum(axis=(0, 1)))
+                b.accumulate(gf.sum(axis=0))
             if w.requires_grad:
-                dw = np.einsum("bok,boc->ck", cols, gf)  # [out_ch, C*kh*kw]
+                dw = gf.T @ cols.reshape(-1, wf.shape[1])  # [out_ch, C*kh*kw]
                 w.accumulate(dw.reshape(w.shape))
             if x.requires_grad:
-                dcols = gf @ wf  # [B, OHW, C*kh*kw]
-                dxp = np.zeros((batch, in_ch * hp * wp), dtype=x.dtype)
-                np.add.at(
-                    dxp,
-                    (slice(None), _col_indices(in_ch, hp, wp, kh, kw, stride, oh, ow)),
-                    dcols,
-                )
-                dxp = dxp.reshape(batch, in_ch, hp, wp)
-                x.accumulate(dxp[:, :, pt : pt + h, pl : pl + wd])
+                # col2im channel-last, so each offset adds whole channel runs;
+                # offsets run last to first: every cell sums in output order
+                wk = w.data.transpose(0, 2, 3, 1).reshape(out_ch, -1)
+                dcols = (gf @ wk).reshape(batch, oh, ow, kh, kw, in_ch)
+                dxp = np.zeros((batch, xp.shape[2], xp.shape[3], in_ch), dtype=x.dtype)
+                for i, j in reversed(list(np.ndindex(kh, kw))):
+                    cell = np.s_[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
+                    dxp[cell] += dcols[:, :, :, i, j]
+                dx = dxp[:, pt : pt + h, pl : pl + wd].transpose(0, 3, 1, 2)
+                x.accumulate(np.ascontiguousarray(dx))
 
         out._backward = _bw
     return out
 
 
-_COL_INDEX_CACHE: dict = {}
-
-
-def _col_indices(c, hp, wp, kh, kw, stride, oh, ow) -> np.ndarray:
-    """Flat indices into [C, Hp, Wp] for every im2col column position."""
-    key = (c, hp, wp, kh, kw, stride, oh, ow)
-    hit = _COL_INDEX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ch, ki, kj = np.meshgrid(np.arange(c), np.arange(kh), np.arange(kw), indexing="ij")
-    patch = (ch * hp * wp + ki * wp + kj).reshape(-1)  # [C*kh*kw]
-    oi, oj = np.meshgrid(np.arange(oh) * stride, np.arange(ow) * stride, indexing="ij")
-    origin = (oi * wp + oj).reshape(-1)  # [oh*ow]
-    idx = origin[:, None] + patch[None, :]
-    _COL_INDEX_CACHE[key] = idx
-    return idx
-
-
 def max_pool2d(x, size: int = 2) -> Tensor:
-    """Non-overlapping max pooling; trailing rows/columns that do not fill a
-    window are dropped."""
+    """Non-overlapping max pooling over the size*size strided slices; trailing
+    rows/columns that do not fill a window are dropped. Each window's gradient
+    goes to its first maximum in row-major order, the cell `argmax` picks."""
     x = as_tensor(x)
-    batch, ch, h, w = x.shape
+    h, w = x.shape[2:]
     oh, ow = h // size, w // size
     if oh < 1 or ow < 1:
         raise ShapeMismatch(f"pooling {size}x{size} on {h}x{w} input")
-    xc = x.data[:, :, : oh * size, : ow * size]
-    windows = xc.reshape(batch, ch, oh, size, ow, size).transpose(0, 1, 2, 4, 3, 5)
-    flat = windows.reshape(batch, ch, oh, ow, size * size)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    cells = [np.s_[:, :, di : oh * size : size, dj : ow * size : size]  # row-major
+             for di in range(size) for dj in range(size)]
+    out_data = x.data[cells[0]].copy()
+    for cell in cells[1:]:
+        np.maximum(out_data, x.data[cell], out=out_data)
     out = Tensor(out_data, x.requires_grad, parents=(x,))
     if x.requires_grad:
         def _bw(g):
-            gflat = np.zeros_like(flat)
-            np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
-            gwin = gflat.reshape(batch, ch, oh, ow, size, size).transpose(0, 1, 2, 4, 3, 5)
             dx = np.zeros_like(x.data)
-            dx[:, :, : oh * size, : ow * size] = gwin.reshape(batch, ch, oh * size, ow * size)
+            free = np.ones(out_data.shape, dtype=bool)  # window not yet routed
+            for cell in cells:
+                hit = (x.data[cell] == out_data) & free
+                free ^= hit
+                dx[cell] = np.where(hit, g, 0)
             x.accumulate(dx)
         out._backward = _bw
     return out

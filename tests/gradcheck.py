@@ -65,6 +65,18 @@ def conv2d_inputs(rng):
     }
 
 
+def strided_conv2d_case(tensors):
+    return ops.conv2d(tensors["x"], tensors["w"], tensors["b"], stride=2)
+
+
+def strided_conv2d_inputs(rng):
+    return {
+        "x": rng.normal(size=(2, 3, 7, 6)),
+        "w": rng.normal(size=(2, 3, 3, 3)),
+        "b": rng.normal(size=2),
+    }
+
+
 def dense_case(tensors):
     return ops.add(ops.matmul(tensors["x"], tensors["w"]), tensors["b"])
 
@@ -166,6 +178,7 @@ def check_maxpool(seed: int) -> float:
 
 GRADIENT_SUITE = {
     "conv2d": lambda seed: check_op(conv2d_inputs, conv2d_case, seed),
+    "conv2d_stride2": lambda seed: check_op(strided_conv2d_inputs, strided_conv2d_case, seed),
     "dense": lambda seed: check_op(dense_inputs, dense_case, seed),
     "blstm": lambda seed: check_op(blstm_inputs, blstm_case, seed),
     "attention": lambda seed: check_op(attention_inputs, attention_case, seed),

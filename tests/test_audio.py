@@ -7,6 +7,7 @@ import pytest
 
 from crossemo.audio import (
     KAISER_BETA,
+    RESAMPLE_BLOCK,
     SINC_TAPS,
     AudioBuffer,
     EffectSpec,
@@ -204,6 +205,12 @@ class TestKaiserSincResample:
         expected = direct_kaiser_sinc_resample(x, factor)
         assert out.shape == expected.shape
         assert np.max(np.abs(out - expected)) <= 1e-7
+
+    def test_output_spanning_several_blocks(self):
+        x = np.random.default_rng(7).uniform(-1, 1, size=24000)
+        out = _kaiser_sinc_resample(x, 0.6)
+        assert out.size == 40000 > RESAMPLE_BLOCK
+        assert np.max(np.abs(out - direct_kaiser_sinc_resample(x, 0.6))) <= 1e-7
 
     def test_unit_factor_is_identity(self):
         x = np.random.default_rng(6).uniform(-1, 1, size=4000)

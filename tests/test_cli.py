@@ -130,6 +130,15 @@ def test_resume_without_run_state_exits_2(prepared, trained, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_eval_truncated_checkpoint_exits_2(tiny, trained, tmp_path, capsys):
+    raw = (trained / "checkpoint_last.bin").read_bytes()
+    (tmp_path / "half.bin").write_bytes(raw[: len(raw) // 2])
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", tmp_path / "half.bin", "--manifests", tiny["shift"],
+               "--out", tmp_path / "eval") == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_train_eval_report(tiny, trained, tmp_path):
     history = (trained / "history.jsonl").read_text().splitlines()
     assert len(history) == 1
@@ -217,6 +226,15 @@ def test_pipeline_unknown_fold_option(tiny, tmp_path):
 def test_pipeline_unknown_synth_key(tiny, tmp_path, synth):
     write_json(tmp_path / "pipe.json", pipeline_config(tiny, tmp_path / "run", synth=synth))
     assert run("pipeline", "--config", tmp_path / "pipe.json") == 2
+
+
+def test_pipeline_missing_synth_signature_field(tiny, tmp_path, capsys):
+    synth = {"name": "tiny", "signatures": {"sad": {"f0_hz": 120.0}}}
+    write_json(tmp_path / "pipe.json", pipeline_config(tiny, tmp_path / "run", synth=synth))
+    capsys.readouterr()
+    assert run("pipeline", "--config", tmp_path / "pipe.json") == 2
+    err = capsys.readouterr().err
+    assert "f0_slope" in err and "Traceback" not in err
 
 
 def test_pipeline_computes_features_once_per_utterance(tiny, tmp_path, monkeypatch):

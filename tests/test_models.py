@@ -1,11 +1,20 @@
+import struct
+
 import numpy as np
 import pytest
 
 from crossemo.cli import main
-from crossemo.errors import BadConfig, CheckpointMismatch, ShapeMismatch
+from crossemo.errors import (
+    BadConfig,
+    CheckpointMismatch,
+    MalformedHeader,
+    ShapeMismatch,
+    ValidationFailure,
+)
 from crossemo.ioutil import write_json
 from crossemo.nn import layers, ops
 from crossemo.nn.checkpoint import (
+    FORMAT_VERSION,
     graph_from_checkpoint,
     load_checkpoint,
     load_into_graph,
@@ -246,6 +255,28 @@ class TestCheckpoints:
         del stored[sorted(stored)[0]]
         with pytest.raises(CheckpointMismatch):
             load_into_graph(build_cnn_blstm_att(DESK_CNN, seed=14), data)
+
+    def test_truncated_checkpoint_rejected_at_every_length(self, tmp_path):
+        graph = build_model(
+            "blstm-att", {"blstm_layers": 1, "hidden": 4, "attention_dim": 2, "input_bands": 3},
+            seed=0,
+        )
+        path, cut = tmp_path / "ckpt.bin", tmp_path / "cut.bin"
+        save_checkpoint(graph, path, epoch=1, extra={"classes": ["a", "b", "c", "d"]})
+        raw = path.read_bytes()
+        assert len(raw) < 4096
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValidationFailure):
+                load_checkpoint(cut)
+
+    @pytest.mark.parametrize("header", [b"\xff\xfe", b'{"arch": "blstm-att"}', b"[1, 2]"],
+                             ids=["not-utf8", "missing-keys", "not-an-object"])
+    def test_undecodable_header_rejected(self, tmp_path, header):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(b"XEMO" + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
+        with pytest.raises(MalformedHeader):
+            load_checkpoint(path)
 
     def test_build_model_dispatch(self):
         g = build_model("blstm-att", {"hidden": 8, "attention_dim": 4}, seed=0)

@@ -38,6 +38,59 @@ class TestConv:
             ops.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), None)
 
 
+def scatter_conv2d_grads(x, w, g, stride):
+    """Oracle: conv2d's input, weight and bias gradients with the input
+    gradient scattered through `np.add.at` over flat im2col indices."""
+    batch, in_ch, h, wd = x.shape
+    out_ch, _, kh, kw = w.shape
+    oh, ow = g.shape[2:]
+    pad_h = max(0, (oh - 1) * stride + kh - h)
+    pad_w = max(0, (ow - 1) * stride + kw - wd)
+    pt, pl = pad_h // 2, pad_w // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pad_h - pt), (pl, pad_w - pl)))
+    hp, wp = xp.shape[2:]
+    ch, ki, kj = np.meshgrid(np.arange(in_ch), np.arange(kh), np.arange(kw), indexing="ij")
+    patch = (ch * hp * wp + ki * wp + kj).reshape(-1)
+    oi, oj = np.meshgrid(np.arange(oh) * stride, np.arange(ow) * stride, indexing="ij")
+    idx = (oi * wp + oj).reshape(-1)[:, None] + patch[None, :]  # [oh*ow, C*kh*kw]
+    cols = xp.reshape(batch, -1)[:, idx]
+    gf = g.reshape(batch, out_ch, oh * ow).transpose(0, 2, 1)
+    dxp = np.zeros((batch, in_ch * hp * wp))
+    np.add.at(dxp, (slice(None), idx), gf @ w.reshape(out_ch, -1))
+    dx = dxp.reshape(batch, in_ch, hp, wp)[:, :, pt : pt + h, pl : pl + wd]
+    dw = np.einsum("bok,boc->ck", cols, gf).reshape(w.shape)
+    return dx, dw, gf.sum(axis=(0, 1))
+
+
+class TestConvGradients:
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_scatter_reference(self, stride):
+        rng = np.random.default_rng(stride)
+        x = Tensor(rng.normal(size=(2, 3, 9, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        out = ops.conv2d(x, w, b, stride=stride)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        for got, want in zip((x.grad, w.grad, b.grad),
+                             scatter_conv2d_grads(x.data, w.data, g, stride)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+class TestMaxPool:
+    def test_ties_route_to_first_cell(self):
+        x = Tensor(np.full((2, 3, 5, 7), 0.5), requires_grad=True)
+        out = ops.max_pool2d(x, 2)
+        assert out.shape == (2, 3, 2, 3)
+        g = np.random.default_rng(0).normal(size=out.shape)
+        out.backward(g)
+        expected = np.zeros(x.shape)
+        expected[:, :, 0:4:2, 0:6:2] = g  # each window's top-left cell
+        assert np.array_equal(x.grad, expected)
+        assert not x.grad[:, :, 4, :].any() and not x.grad[:, :, :, 6].any()
+
+
 class TestBatchNorm:
     def test_train_mode_normalizes(self):
         rng = np.random.default_rng(1)
