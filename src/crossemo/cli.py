@@ -108,7 +108,7 @@ def _run_training(cfg, store=None, resume: bool = False):
     )
     result = train_model(
         graph, manifest, fold, store, cfg.train, cfg.out_dir,
-        verbose=True, resume=resume, fold_index=cfg.fold_index,
+        resume=resume, fold_index=cfg.fold_index,
     )
     return fold, graph, result
 

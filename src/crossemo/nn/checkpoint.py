@@ -77,8 +77,9 @@ def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict
 
 
 def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> CheckpointData:
-    """Read a checkpoint. A header that does not decode, or a file size other
-    than the one the header's blob index gives, raises MalformedHeader."""
+    """Read a checkpoint. A header that does not decode or has mistyped fields,
+    or a file size other than the one the header's blob index gives, raises
+    MalformedHeader."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -95,6 +96,9 @@ def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> Check
         epoch, extra = header["epoch"], header.get("extra", {})
     except (ValueError, KeyError, TypeError) as exc:  # incl. Unicode and JSON decode errors
         raise MalformedHeader(f"{path}: undecodable checkpoint header ({exc!r})") from exc
+    if not (isinstance(config, dict) and isinstance(extra, dict) and type(epoch) is int):
+        raise MalformedHeader(f"{path}: checkpoint header needs object config and extra "
+                              f"and an integer epoch")
     if any(d < 0 for _, _, shape in index for d in shape):
         raise MalformedHeader(f"{path}: negative blob dimension in the index")
     expected = 12 + header_len + sum(4 * math.prod(shape) for _, _, shape in index)

@@ -1,4 +1,4 @@
-"""Parameterized layers: dense, LSTM/BLSTM, additive attention.
+"""Parameterized layers: dense, BLSTM (one `ops.blstm` node), additive attention.
 
 Parameters live in a flat dict keyed by dotted names so checkpoints can
 serialize them without knowing the architecture. Init: Glorot uniform for
@@ -55,46 +55,20 @@ def add_lstm(params: dict, rng, prefix: str, n_in: int, hidden: int, dtype=np.fl
     params[f"{prefix}.b"] = Tensor(bias, requires_grad=True)
 
 
-def lstm_forward(params: dict, prefix: str, x: Tensor, hidden: int, reverse: bool = False) -> Tensor:
-    """Single-direction LSTM over [batch, time, feat] -> [batch, time, hidden].
-
-    The input projection is hoisted out of the time loop as one big matmul.
-    """
-    if x.data.ndim != 3:
-        raise ShapeMismatch(f"lstm expects [batch, time, feat], got {x.shape}")
-    batch, n_steps, n_in = x.shape
-    wx, wh, b = params[f"{prefix}.wx"], params[f"{prefix}.wh"], params[f"{prefix}.b"]
-    gates_x = ops.reshape(
-        ops.add(ops.matmul(ops.reshape(x, (batch * n_steps, n_in)), wx), b),
-        (batch, n_steps, 4 * hidden),
-    )
-    h = Tensor(np.zeros((batch, hidden), dtype=x.dtype))
-    c = Tensor(np.zeros((batch, hidden), dtype=x.dtype))
-    order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
-    outputs = [None] * n_steps
-    for t in order:
-        gates = ops.add(ops.timestep(gates_x, t), ops.matmul(h, wh))
-        i = ops.sigmoid(ops.slice_last(gates, 0, hidden))
-        f = ops.sigmoid(ops.slice_last(gates, hidden, 2 * hidden))
-        g = ops.tanh(ops.slice_last(gates, 2 * hidden, 3 * hidden))
-        o = ops.sigmoid(ops.slice_last(gates, 3 * hidden, 4 * hidden))
-        c = ops.add(ops.mul(f, c), ops.mul(i, g))
-        h = ops.mul(o, ops.tanh(c))
-        outputs[t] = h
-    return ops.stack_time(outputs)
-
-
 def add_blstm(params: dict, rng, prefix: str, n_in: int, hidden: int, dtype=np.float32):
     add_lstm(params, rng, f"{prefix}.fw", n_in, hidden, dtype)
     add_lstm(params, rng, f"{prefix}.bw", n_in, hidden, dtype)
 
 
 def blstm_forward(params: dict, prefix: str, x: Tensor, hidden: int) -> Tensor:
-    """Bidirectional LSTM; per-step concatenation of the forward and backward
-    hidden states, full sequence returned (no reduction)."""
-    fw = lstm_forward(params, f"{prefix}.fw", x, hidden, reverse=False)
-    bw = lstm_forward(params, f"{prefix}.bw", x, hidden, reverse=True)
-    return ops.concat_last(fw, bw)
+    """Bidirectional LSTM as one `ops.blstm` node: [batch, time, feat] ->
+    [batch, time, 2*hidden], per step the forward and then the backward
+    hidden state, full sequence returned (no reduction)."""
+    fw, bw = (tuple(params[f"{prefix}.{d}.{n}"] for n in ("wx", "wh", "b"))
+              for d in ("fw", "bw"))
+    if fw[1].shape[0] != hidden:
+        raise ShapeMismatch(f"{prefix}: recurrent weights {fw[1].shape} for hidden size {hidden}")
+    return ops.blstm(x, forward=fw, backward=bw)
 
 
 def add_attention(params: dict, rng, prefix: str, n_in: int, att_dim: int, dtype=np.float32):

@@ -1,9 +1,10 @@
 """Differentiable operations on Tensors.
 
-Everything here passes central finite-difference checks at float64 with
-relative error below 1e-4 (see the gradient suite in the tests). Ops with
-mode switches (dropout, batch norm) take the mode explicitly; there is no
-global training flag.
+Each op adds one graph node; `blstm`, `conv2d` and `max_pool2d` are whole
+layers with hand-written backward passes. Everything here passes central
+finite-difference checks at float64 with relative error below 1e-4 (see the
+gradient suite in the tests). Ops with mode switches (dropout, batch norm)
+take the mode explicitly; there is no global training flag.
 """
 
 from __future__ import annotations
@@ -90,62 +91,6 @@ def transpose(a, axes) -> Tensor:
     return out
 
 
-def timestep(a, t: int) -> Tensor:
-    """Select step t of a [batch, time, feat] tensor -> [batch, feat]."""
-    a = as_tensor(a)
-    out = Tensor(a.data[:, t, :], a.requires_grad, parents=(a,))
-    if a.requires_grad:
-        def _bw(g):
-            full = np.zeros_like(a.data)
-            full[:, t, :] = g
-            a.accumulate(full)
-        out._backward = _bw
-    return out
-
-
-def slice_last(a, start: int, stop: int) -> Tensor:
-    """Slice the final axis; used to split fused LSTM gate blocks."""
-    a = as_tensor(a)
-    out = Tensor(a.data[..., start:stop], a.requires_grad, parents=(a,))
-    if a.requires_grad:
-        def _bw(g):
-            full = np.zeros_like(a.data)
-            full[..., start:stop] = g
-            a.accumulate(full)
-        out._backward = _bw
-    return out
-
-
-def stack_time(steps) -> Tensor:
-    """Stack a list of [batch, feat] tensors into [batch, time, feat]."""
-    steps = [as_tensor(s) for s in steps]
-    req = any(s.requires_grad for s in steps)
-    data = np.stack([s.data for s in steps], axis=1)
-    out = Tensor(data, req, parents=tuple(steps))
-    if req:
-        def _bw(g):
-            for t, s in enumerate(steps):
-                if s.requires_grad:
-                    s.accumulate(g[:, t, :])
-        out._backward = _bw
-    return out
-
-
-def concat_last(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(np.concatenate([a.data, b.data], axis=-1), req, parents=(a, b))
-    if req:
-        split = a.shape[-1]
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate(g[..., :split])
-            if b.requires_grad:
-                b.accumulate(g[..., split:])
-        out._backward = _bw
-    return out
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.maximum(a.data, 0), a.requires_grad, parents=(a,))
@@ -163,12 +108,88 @@ def tanh(a) -> Tensor:
     return out
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y, a.requires_grad, parents=(a,))
-    if a.requires_grad:
-        out._backward = lambda g: a.accumulate(g * y * (1.0 - y))
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def blstm(x, forward, backward) -> Tensor:
+    """Bidirectional LSTM over x [batch, time, feat] -> [batch, time, 2h]: per
+    step the forward direction's hidden state, then the backward one's.
+
+    `forward` and `backward` are (wx [feat, 4h], wh [h, 4h], b [4h]), gates
+    fused as input, forget, cell, output. The forward loop keeps each step's
+    activated gates and cell; the BPTT backward gets `dx`, `dwx` and `db` as
+    whole-sequence GEMMs or sums and `dwh` as one GEMM (the fused RNN of
+    Appleyard et al., arXiv:1604.01946).
+    """
+    x = as_tensor(x)
+    directions = [tuple(as_tensor(p) for p in d) for d in (forward, backward)]
+    if x.data.ndim != 3 or any(wx.shape[0] != x.shape[2] for wx, _, _ in directions):
+        raise ShapeMismatch(f"blstm of {x.shape} with input weights "
+                            f"{[wx.shape for wx, _, _ in directions]}")
+    batch, n_steps, n_in = x.shape
+    hidden = directions[0][1].shape[0]
+    x2 = x.data.reshape(batch * n_steps, n_in)
+    out_data = np.empty((batch, n_steps, 2 * hidden), dtype=x.dtype)
+    orders = (range(n_steps), range(n_steps - 1, -1, -1))
+    saved = []  # per direction, per time index: (i, f, g, o, previous cell, tanh(cell))
+    for k, ((wx, wh, b), order) in enumerate(zip(directions, orders)):
+        gx = (x2 @ wx.data + b.data).reshape(batch, n_steps, 4 * hidden)
+        h = np.zeros((batch, hidden), dtype=x.dtype)
+        c = np.zeros_like(h)
+        steps = [None] * n_steps
+        for t in order:
+            z = gx[:, t] + h @ wh.data
+            i = _sigmoid(z[:, :hidden])
+            f = _sigmoid(z[:, hidden : 2 * hidden])
+            g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+            o = _sigmoid(z[:, 3 * hidden :])
+            c_prev, c = c, f * c + i * g
+            tc = np.tanh(c)
+            h = o * tc
+            out_data[:, t, k * hidden : (k + 1) * hidden] = h
+            steps[t] = (i, f, g, o, c_prev, tc)
+        saved.append(steps)
+
+    parents = (x,) + directions[0] + directions[1]
+    req = any(p.requires_grad for p in parents)
+    out = Tensor(out_data, req, parents=parents)
+    if req:
+        def _bw(gy):
+            for k, ((wx, wh, b), order, steps) in enumerate(zip(directions, orders, saved)):
+                cols = np.s_[..., k * hidden : (k + 1) * hidden]
+                gy_k = gy[cols]
+                dz = np.empty((batch, n_steps, 4 * hidden), dtype=x.dtype)
+                dh_next = np.zeros((batch, hidden), dtype=x.dtype)
+                dc_next = np.zeros_like(dh_next)
+                for t in reversed(order):
+                    i, f, g, o, c_prev, tc = steps[t]
+                    dh = gy_k[:, t] + dh_next
+                    dc = dh * o * (1.0 - tc * tc) + dc_next
+                    dz_t = np.concatenate([
+                        dc * g * i * (1.0 - i),
+                        dc * c_prev * f * (1.0 - f),
+                        dc * i * (1.0 - g * g),
+                        dh * tc * o * (1.0 - o),
+                    ], axis=1)
+                    dz[:, t] = dz_t
+                    dh_next = dz_t @ wh.data.T
+                    dc_next = dc * f
+                # every step's gate gradient sits at its own time index, so
+                # both directions meet x, wx and b in the same row order
+                dz2 = dz.reshape(batch * n_steps, 4 * hidden)
+                if x.requires_grad:
+                    x.accumulate((dz2 @ wx.data.T).reshape(x.shape))
+                if wx.requires_grad:
+                    wx.accumulate(x2.T @ dz2)
+                if wh.requires_grad:
+                    hs = out_data[cols]
+                    # pair each step's gates with the hidden state before it
+                    prev, later = (hs[:, :-1], dz[:, 1:]) if k == 0 else (hs[:, 1:], dz[:, :-1])
+                    wh.accumulate(prev.reshape(-1, hidden).T @ later.reshape(-1, 4 * hidden))
+                if b.requires_grad:
+                    b.accumulate(dz2.sum(axis=0))
+        out._backward = _bw
     return out
 
 
@@ -231,9 +252,6 @@ class BnStats:
     def __init__(self, n_features: int, dtype=np.float32):
         self.mean = np.zeros(n_features, dtype=dtype)
         self.var = np.ones(n_features, dtype=dtype)
-
-    def state_arrays(self):
-        return {"mean": self.mean, "var": self.var}
 
 
 def batch_norm(

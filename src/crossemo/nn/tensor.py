@@ -2,9 +2,11 @@
 
 Each op builds a Tensor node holding the forward value, its parent nodes
 and a backward closure. `Tensor.backward()` topologically sorts the graph
-(iteratively, so deep recurrent graphs are fine) and accumulates gradients
-into `.grad`. Gradients keep the dtype of the forward data, so checks can
-run in float64 while training runs in float32.
+(iteratively, so graphs of any depth are fine) and accumulates gradients
+into `.grad`. Only leaves keep theirs: an interior node's gradient is
+dropped as soon as its closure has passed it on. Gradients keep the dtype
+of the forward data, so checks can run in float64 while training runs in
+float32.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def accumulate(self, g):
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
@@ -58,6 +57,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # nothing reads an interior gradient
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={self.requires_grad})"
@@ -79,7 +79,7 @@ class Tensor:
 
 
 def _topo_order(root: Tensor):
-    """Iterative postorder DFS; recursion would overflow on long LSTM chains."""
+    """Iterative postorder DFS; recursion would overflow on deep graphs."""
     order = []
     seen = set()
     stack = [(root, False)]

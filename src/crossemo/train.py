@@ -193,7 +193,6 @@ def train_model(
     store,
     cfg: TrainConfig,
     out_dir: str | Path,
-    verbose: bool = False,
     resume: bool = False,
     fold_index: int = 0,
 ) -> TrainResult:
@@ -295,11 +294,6 @@ def train_model(
             "lr": plateau.lr,
         }
         history.append(record)
-        if verbose and (epoch % 10 == 0 or epoch == 1 or epoch == cfg.epochs):
-            print(
-                f"[crossemo] epoch {epoch}: loss {record['train_loss']:.4f} "
-                f"val_ua {record['val_ua']:.2f} lr {record['lr']:.2e}"
-            )
 
         if metrics.ua_eq1 > best_val:
             best_val = metrics.ua_eq1

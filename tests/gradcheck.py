@@ -90,8 +90,8 @@ def blstm_case(tensors):
     return layers.blstm_forward(params, "l", tensors["x"], 3)
 
 
-def blstm_inputs(rng):
-    arrays = {"x": rng.normal(size=(2, 3, 4))}
+def blstm_inputs(rng, n_steps=3):
+    arrays = {"x": rng.normal(size=(2, n_steps, 4))}
     for direction in ("fw", "bw"):
         arrays[f"l.{direction}.wx"] = rng.normal(size=(4, 12)) * 0.5
         arrays[f"l.{direction}.wh"] = rng.normal(size=(3, 12)) * 0.5
@@ -181,6 +181,9 @@ GRADIENT_SUITE = {
     "conv2d_stride2": lambda seed: check_op(strided_conv2d_inputs, strided_conv2d_case, seed),
     "dense": lambda seed: check_op(dense_inputs, dense_case, seed),
     "blstm": lambda seed: check_op(blstm_inputs, blstm_case, seed),
+    "blstm_one_step": lambda seed: check_op(
+        lambda rng: blstm_inputs(rng, n_steps=1), blstm_case, seed
+    ),
     "attention": lambda seed: check_op(attention_inputs, attention_case, seed),
     "batchnorm": lambda seed: check_op(batchnorm_inputs, batchnorm_case, seed),
     "softmax_ce": check_softmax_ce,

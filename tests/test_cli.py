@@ -1,15 +1,19 @@
 """The `crossemo` subcommands driven through `main([...])` on a tiny
 synthetic corpus with the desk-scale model and one epoch."""
 
+import ast
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import crossemo
 from crossemo import corpus, features
 from crossemo.cli import main
 from crossemo.features import compute_features
 from crossemo.ioutil import write_json
+from crossemo.nn.checkpoint import graph_from_checkpoint, load_checkpoint, save_checkpoint
 from crossemo.synth import SynthCorpusSpec, derive_shifted_corpus, generate_corpus
 
 
@@ -137,6 +141,27 @@ def test_eval_truncated_checkpoint_exits_2(tiny, trained, tmp_path, capsys):
     assert run("eval", "--checkpoint", tmp_path / "half.bin", "--manifests", tiny["shift"],
                "--out", tmp_path / "eval") == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_mistyped_extra_exits_2(tiny, trained, tmp_path, capsys):
+    graph = graph_from_checkpoint(load_checkpoint(trained / "checkpoint_last.bin"))
+    save_checkpoint(graph, tmp_path / "bad.bin", epoch=1, extra=1)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", tmp_path / "bad.bin", "--manifests", tiny["shift"],
+               "--out", tmp_path / "eval") == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_only_the_cli_prints():
+    package = Path(crossemo.__file__).parent
+    calls = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    assert calls == []
 
 
 def test_train_eval_report(tiny, trained, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -28,7 +29,7 @@ from crossemo.nn.models import (
     build_model,
 )
 from crossemo.nn.ops import softmax_cross_entropy
-from crossemo.nn.tensor import Tensor
+from crossemo.nn.tensor import Tensor, _topo_order
 from crossemo.synth import SynthCorpusSpec, generate_corpus
 
 DESK_CNN = CnnBlstmAttConfig(
@@ -40,6 +41,42 @@ DESK_BLSTM = BlstmAttConfig(hidden=24, attention_dim=12)
 
 def random_features(batch=2, frames=40, bands=23, seed=0):
     return np.random.default_rng(seed).normal(size=(batch, frames, bands)).astype(np.float32)
+
+
+def graph_nodes(root: Tensor) -> list:
+    """Every node reachable from `root` through its parents."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def numpy_blstm(x, params, hidden):
+    """Stepwise BLSTM in plain numpy, in the autodiff graph's arithmetic
+    order: the reference for `ops.blstm`'s forward."""
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    batch, n_steps, n_in = x.shape
+    halves = []
+    for d, order in (("fw", range(n_steps)), ("bw", range(n_steps - 1, -1, -1))):
+        wx, wh, b = (params[f"l.{d}.{n}"] for n in ("wx", "wh", "b"))
+        gx = (x.reshape(batch * n_steps, n_in) @ wx + b).reshape(batch, n_steps, 4 * hidden)
+        h = np.zeros((batch, hidden), dtype=x.dtype)
+        c = np.zeros_like(h)
+        hs = np.empty((batch, n_steps, hidden), dtype=x.dtype)
+        for t in order:
+            z = gx[:, t] + h @ wh
+            i, f, o = (sigmoid(z[:, q * hidden : (q + 1) * hidden]) for q in (0, 1, 3))
+            g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            hs[:, t] = h
+        halves.append(hs)
+    return np.concatenate(halves, axis=-1)
 
 
 class TestShapeContracts:
@@ -132,6 +169,31 @@ class TestGradientCoverage:
         dead = [k for k, p in graph.params.items() if p.grad is None or not np.any(p.grad)]
         assert dead == []
 
+    def test_backward_keeps_only_leaf_grads(self):
+        graph = build_cnn_blstm_att(DESK_CNN, seed=4)
+        graph.set_mode("train")
+        x = random_features(batch=3, seed=4)
+
+        def loss_of():
+            graph.zero_grad()
+            logits = graph.forward(x, dropout_rng=np.random.default_rng(0))
+            return softmax_cross_entropy(logits, np.array([0, 1, 2]))
+
+        # reference: the same reverse topological walk, keeping every gradient
+        loss = loss_of()
+        loss.accumulate(np.ones_like(loss.data))
+        for node in reversed(_topo_order(loss)):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+        kept = {k: p.grad.copy() for k, p in graph.params.items()}
+
+        loss = loss_of()
+        loss.backward()
+        interior = [n for n in graph_nodes(loss) if n._backward is not None]
+        assert interior and all(n.grad is None for n in interior)
+        for name, p in graph.params.items():
+            assert np.array_equal(p.grad, kept[name]), name
+
 
 class TestParameterCounts:
     # regression pins for the shipped configurations
@@ -192,6 +254,26 @@ class TestBlstmProperties:
         out_rev = layers.blstm_forward(params, "l", Tensor(x[:, ::-1, :].copy()), 3).data
         swapped = np.concatenate([out_rev[..., 3:], out_rev[..., :3]], axis=-1)
         assert np.allclose(out, swapped[:, ::-1, :], atol=1e-12)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_numpy_reference_bit_for_bit(self, dtype):
+        params = {}
+        layers.add_blstm(params, np.random.default_rng(3), "l", 5, 4, dtype=dtype)
+        x = np.random.default_rng(4).normal(size=(3, 7, 5)).astype(dtype)
+        out = layers.blstm_forward(params, "l", Tensor(x), 4).data
+        arrays = {k: p.data for k, p in params.items()}
+        assert out.dtype == dtype
+        assert np.array_equal(out, numpy_blstm(x, arrays, 4))
+
+    def test_one_node_whatever_the_length(self):
+        params = {}
+        layers.add_blstm(params, np.random.default_rng(5), "l", 5, 4)
+        counts = []
+        for n_steps in (2, 40):
+            x = Tensor(random_features(batch=2, frames=n_steps, bands=5), requires_grad=True)
+            counts.append(len(graph_nodes(layers.blstm_forward(params, "l", x, 4))))
+        assert counts[0] == counts[1]
 
 
 class TestAttentionProperties:
@@ -275,6 +357,24 @@ class TestCheckpoints:
     def test_undecodable_header_rejected(self, tmp_path, header):
         path = tmp_path / "ckpt.bin"
         path.write_bytes(b"XEMO" + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
+        with pytest.raises(MalformedHeader):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [("config", [1]), ("extra", 1), ("epoch", "1"),
+                                             ("epoch", 1.5), ("epoch", True)])
+    def test_mistyped_header_field_rejected(self, tmp_path, field, value):
+        graph = build_model(
+            "blstm-att", {"blstm_layers": 1, "hidden": 4, "attention_dim": 2, "input_bands": 3},
+            seed=0,
+        )
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(graph, path, epoch=1)
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12 : 12 + n])
+        header[field] = value
+        encoded = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n :])
         with pytest.raises(MalformedHeader):
             load_checkpoint(path)
 
