@@ -279,4 +279,4 @@ class FeatureStore:
         return values
 
     def batch(self, utt_ids) -> np.ndarray:
-        return np.stack([self.get(u) for u in utt_ids]).astype(np.float32)
+        return np.stack([self.get(u) for u in utt_ids], dtype=np.float32)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointMismatch, IoFailure, MalformedHeader
+from ..errors import BadConfig, CheckpointMismatch, IoFailure, MalformedHeader
 from ..ioutil import atomic_write_bytes
 from .models import ModelGraph, build_model, config_to_dict
 from .ops import BnStats
@@ -46,7 +46,9 @@ class CheckpointData:
 def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict | None = None,
                     state: dict | None = None) -> None:
     """Write the graph's parameters and batch-norm statistics, plus the
-    arrays in `state`, as one atomic file."""
+    arrays in `state`, as one atomic file. `extra` must be a dict."""
+    if extra is not None and not isinstance(extra, dict):
+        raise BadConfig(f"checkpoint extra must be a dict, got {type(extra).__name__}")
     entries = [(name, "param", graph.params[name].data) for name in sorted(graph.params)]
     entries += [
         (f"{name}.{part}", "bn", getattr(graph.bn_stats[name], part))

@@ -11,6 +11,7 @@ attention pooling, linear classifier.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -73,9 +74,10 @@ class BlstmAttConfig:
 class ModelGraph:
     """Named parameters plus a forward topology and a train/eval mode.
 
-    Mode switches only dropout and batch-norm behavior; parameter values are
-    untouched. A graph belongs to one training run at a time; eval-mode
-    inference on frozen parameters is safe to share.
+    Mode switches dropout and batch-norm behavior, and an eval-mode forward
+    builds no autodiff graph; parameter values are untouched. A graph
+    belongs to one training run at a time; eval-mode inference on frozen
+    parameters is safe to share.
     """
 
     def __init__(self, arch: str, config, params: dict, bn_stats: dict):
@@ -102,7 +104,11 @@ class ModelGraph:
         return config_digest({"arch": self.arch, "config": config_to_dict(self.config)})
 
     def forward(self, feats: np.ndarray, dropout_rng=None) -> Tensor:
-        return architecture(self.arch).forward(self, feats, dropout_rng)
+        graph = self
+        if self.mode == "eval":  # constant parameter views: no op records a backward
+            graph = copy.copy(self)
+            graph.params = {name: Tensor(p.data) for name, p in self.params.items()}
+        return architecture(self.arch).forward(graph, feats, dropout_rng)
 
 
 def _check_input(feats: np.ndarray, input_bands: int) -> np.ndarray:

@@ -315,21 +315,22 @@ def _same_padding(size: int, kernel: int, stride: int):
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    # xp: [B, C, Hp, Wp] -> [B, oh*ow, C*kh*kw]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride][:, :, :oh, :ow]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        xp.shape[0], oh * ow, xp.shape[1] * kh * kw
-    )
-    return np.ascontiguousarray(cols)
+    """Columns [B, C*kh*kw, oh*ow] of the padded input xp [B, C, Hp, Wp]:
+    one strided slice copy per kernel offset (Chellapilla et al., 2006)."""
+    batch, ch = xp.shape[:2]
+    cols = np.empty((batch, ch, kh, kw, oh, ow), dtype=xp.dtype)
+    for i, j in np.ndindex(kh, kw):
+        cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(batch, ch * kh * kw, oh * ow)
 
 
 def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     """Cross-correlation with zero "same" padding.
 
     x: [batch, in_ch, H, W], w: [out_ch, in_ch, kh, kw], b: [out_ch].
-    Forward: one GEMM over im2col columns. Backward: `dw` is one GEMM against
-    those columns; `dx` is col2im, kh*kw strided slice-adds into the padding.
+    Forward: one GEMM, w [out_ch, C*kh*kw] @ im2col columns, already
+    channel-first. Backward: `dw` is one GEMM against those columns; `dx` is
+    col2im, kh*kw strided slice-adds into the padding.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
@@ -340,26 +341,25 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     ow, pl, pr = _same_padding(wd, kw, stride)
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
     cols = _im2col(xp, kh, kw, stride, oh, ow)
-    wf = w.data.reshape(out_ch, -1)
-    out_data = cols @ wf.T
+    out_data = w.data.reshape(out_ch, -1) @ cols  # [batch, out_ch, oh*ow]
     if b is not None:
-        out_data = out_data + b.data
-    out_data = out_data.transpose(0, 2, 1).reshape(batch, out_ch, oh, ow)
+        out_data += b.data[:, None]
 
     parents = (x, w) if b is None else (x, w, b)
     req = any(p.requires_grad for p in parents)
-    out = Tensor(out_data, req, parents=parents)
+    out = Tensor(out_data.reshape(batch, out_ch, oh, ow), req, parents=parents)
     if req:
         def _bw(g):
-            gf = g.reshape(batch, out_ch, oh * ow).transpose(0, 2, 1).reshape(-1, out_ch)
+            g3 = g.reshape(batch, out_ch, oh * ow)
             if b is not None and b.requires_grad:
-                b.accumulate(gf.sum(axis=0))
+                b.accumulate(g3.sum(axis=(0, 2)), fresh=True)
             if w.requires_grad:
-                dw = gf.T @ cols.reshape(-1, wf.shape[1])  # [out_ch, C*kh*kw]
-                w.accumulate(dw.reshape(w.shape))
+                dw = (g3 @ cols.transpose(0, 2, 1)).sum(axis=0)  # [out_ch, C*kh*kw]
+                w.accumulate(dw.reshape(w.shape), fresh=True)
             if x.requires_grad:
                 # col2im channel-last, so each offset adds whole channel runs;
                 # offsets run last to first: every cell sums in output order
+                gf = g3.transpose(0, 2, 1).reshape(-1, out_ch)
                 wk = w.data.transpose(0, 2, 3, 1).reshape(out_ch, -1)
                 dcols = (gf @ wk).reshape(batch, oh, ow, kh, kw, in_ch)
                 dxp = np.zeros((batch, xp.shape[2], xp.shape[3], in_ch), dtype=x.dtype)
@@ -367,7 +367,7 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
                     cell = np.s_[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
                     dxp[cell] += dcols[:, :, :, i, j]
                 dx = dxp[:, pt : pt + h, pl : pl + wd].transpose(0, 3, 1, 2)
-                x.accumulate(np.ascontiguousarray(dx))
+                x.accumulate(np.ascontiguousarray(dx), fresh=True)
 
         out._backward = _bw
     return out
@@ -396,7 +396,7 @@ def max_pool2d(x, size: int = 2) -> Tensor:
                 hit = (x.data[cell] == out_data) & free
                 free ^= hit
                 dx[cell] = np.where(hit, g, 0)
-            x.accumulate(dx)
+            x.accumulate(dx, fresh=True)
         out._backward = _bw
     return out
 

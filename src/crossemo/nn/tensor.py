@@ -1,12 +1,13 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
-Each op builds a Tensor node holding the forward value, its parent nodes
-and a backward closure. `Tensor.backward()` topologically sorts the graph
-(iteratively, so graphs of any depth are fine) and accumulates gradients
-into `.grad`. Only leaves keep theirs: an interior node's gradient is
-dropped as soon as its closure has passed it on. Gradients keep the dtype
-of the forward data, so checks can run in float64 while training runs in
-float32.
+Each op builds a Tensor node holding the forward value. Parents and a
+backward closure are recorded only when the node needs a gradient, so a
+forward on constants builds no graph and each activation dies with its last
+use. `Tensor.backward()` topologically sorts the graph (iteratively, so
+graphs of any depth are fine) and accumulates gradients into `.grad`. Only
+leaves keep theirs: an interior node's gradient is dropped as soon as its
+closure has passed it on. Gradients keep the dtype of the forward data, so
+checks can run in float64 while training runs in float32.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class Tensor:
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(parents)
+        self._parents = tuple(parents) if requires_grad else ()
         self._backward = backward
 
     @property
@@ -41,9 +42,11 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate(self, g):
+    def accumulate(self, g, fresh: bool = False):
+        """Add `g` into `.grad`. `fresh=True` hands over an array the op has
+        just allocated and keeps no other reference to: it is stored uncopied."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(g, self.dtype) if fresh else np.array(g, self.dtype)
         else:
             self.grad += g
 

@@ -65,6 +65,14 @@ def conv2d_inputs(rng):
     }
 
 
+def conv2d_no_bias_case(tensors):
+    return ops.conv2d(tensors["x"], tensors["w"], None, stride=1)
+
+
+def conv2d_no_bias_inputs(rng):
+    return {"x": rng.normal(size=(2, 2, 5, 4)), "w": rng.normal(size=(3, 2, 3, 3))}
+
+
 def strided_conv2d_case(tensors):
     return ops.conv2d(tensors["x"], tensors["w"], tensors["b"], stride=2)
 
@@ -178,6 +186,7 @@ def check_maxpool(seed: int) -> float:
 
 GRADIENT_SUITE = {
     "conv2d": lambda seed: check_op(conv2d_inputs, conv2d_case, seed),
+    "conv2d_no_bias": lambda seed: check_op(conv2d_no_bias_inputs, conv2d_no_bias_case, seed),
     "conv2d_stride2": lambda seed: check_op(strided_conv2d_inputs, strided_conv2d_case, seed),
     "dense": lambda seed: check_op(dense_inputs, dense_case, seed),
     "blstm": lambda seed: check_op(blstm_inputs, blstm_case, seed),

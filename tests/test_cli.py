@@ -3,6 +3,7 @@ synthetic corpus with the desk-scale model and one epoch."""
 
 import ast
 import json
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from crossemo import corpus, features
 from crossemo.cli import main
 from crossemo.features import compute_features
 from crossemo.ioutil import write_json
-from crossemo.nn.checkpoint import graph_from_checkpoint, load_checkpoint, save_checkpoint
 from crossemo.synth import SynthCorpusSpec, derive_shifted_corpus, generate_corpus
 
 
@@ -144,8 +144,15 @@ def test_eval_truncated_checkpoint_exits_2(tiny, trained, tmp_path, capsys):
 
 
 def test_eval_checkpoint_with_mistyped_extra_exits_2(tiny, trained, tmp_path, capsys):
-    graph = graph_from_checkpoint(load_checkpoint(trained / "checkpoint_last.bin"))
-    save_checkpoint(graph, tmp_path / "bad.bin", epoch=1, extra=1)
+    # save_checkpoint refuses such an extra, so patch it into the header bytes
+    raw = (trained / "checkpoint_last.bin").read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12 : 12 + n])
+    header["extra"] = 1
+    encoded = json.dumps(header).encode("utf-8")
+    (tmp_path / "bad.bin").write_bytes(
+        raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n :]
+    )
     capsys.readouterr()
     assert run("eval", "--checkpoint", tmp_path / "bad.bin", "--manifests", tiny["shift"],
                "--out", tmp_path / "eval") == 2

@@ -24,6 +24,7 @@ from crossemo.nn.checkpoint import (
 from crossemo.nn.models import (
     BlstmAttConfig,
     CnnBlstmAttConfig,
+    architecture,
     build_blstm_att,
     build_cnn_blstm_att,
     build_model,
@@ -120,6 +121,25 @@ class TestDeterminismAndModes:
         a = graph.forward(x).data
         b = graph.forward(x).data
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("builder,cfg", [(build_cnn_blstm_att, DESK_CNN),
+                                             (build_blstm_att, DESK_BLSTM)],
+                             ids=["cnn-desk", "blstm-desk"])
+    def test_eval_forward_builds_no_graph(self, builder, cfg):
+        graph = builder(cfg, seed=6)
+        graph.set_mode("eval")
+        grads = {}
+        for name, p in graph.params.items():
+            p.grad = grads[name] = np.full(p.shape, 7.0, dtype=p.dtype)
+        x = random_features(seed=6)
+        logits = graph.forward(x)
+        assert logits._parents == () and logits._backward is None
+        # the same eval forward run on the parameters themselves records a graph
+        built = architecture(graph.arch).forward(graph, x, None)
+        assert built._parents and built._backward is not None
+        assert np.array_equal(logits.data, built.data)
+        for name, p in graph.params.items():
+            assert p.grad is grads[name] and np.all(p.grad == 7.0), name
 
     def test_same_seed_same_parameters(self):
         a = build_cnn_blstm_att(DESK_CNN, seed=5)
@@ -377,6 +397,17 @@ class TestCheckpoints:
         path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n :])
         with pytest.raises(MalformedHeader):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [1, [1], "classes"], ids=["int", "list", "str"])
+    def test_save_rejects_non_dict_extra(self, tmp_path, extra):
+        graph = build_model(
+            "blstm-att", {"blstm_layers": 1, "hidden": 4, "attention_dim": 2, "input_bands": 3},
+            seed=0,
+        )
+        path = tmp_path / "ckpt.bin"
+        with pytest.raises(BadConfig):
+            save_checkpoint(graph, path, epoch=1, extra=extra)
+        assert not path.exists()
 
     def test_build_model_dispatch(self):
         g = build_model("blstm-att", {"hidden": 8, "attention_dim": 4}, seed=0)

@@ -38,6 +38,43 @@ class TestConv:
             ops.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), None)
 
 
+def sliding_window_conv2d(x, w, b, stride):
+    """Oracle: conv2d's forward through sliding-window im2col columns
+    [B, oh*ow, C*kh*kw] against the flattened kernel, then a transpose back
+    to channel-first."""
+    batch, in_ch, h, wd = x.shape
+    out_ch, _, kh, kw = w.shape
+    oh, ow = -(-h // stride), -(-wd // stride)
+    pad_h = max(0, (oh - 1) * stride + kh - h)
+    pad_w = max(0, (ow - 1) * stride + kw - wd)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_h // 2, pad_h - pad_h // 2),
+                    (pad_w // 2, pad_w - pad_w // 2)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride][:, :, :oh, :ow]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, oh * ow, in_ch * kh * kw)
+    out = cols @ w.reshape(out_ch, -1).T
+    if b is not None:
+        out = out + b
+    return out.transpose(0, 2, 1).reshape(batch, out_ch, oh, ow)
+
+
+class TestConvForward:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 4)], ids=["3x3", "2x4"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_sliding_window_reference(self, stride, kernel, bias, dtype, tol):
+        rng = np.random.default_rng(stride)
+        x = rng.normal(size=(2, 3, 9, 7)).astype(dtype)
+        w = rng.normal(size=(4, 3) + kernel).astype(dtype)
+        b = rng.normal(size=4).astype(dtype) if bias else None
+        got = ops.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), stride).data
+        want = sliding_window_conv2d(x, w, b, stride)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
 def scatter_conv2d_grads(x, w, g, stride):
     """Oracle: conv2d's input, weight and bias gradients with the input
     gradient scattered through `np.add.at` over flat im2col indices."""
@@ -201,6 +238,27 @@ class TestPlumbing:
             y = ops.add(y, Tensor(np.array([0.0])))
         y.backward(np.ones(1))
         assert x.grad[0] == 1.0
+
+    def test_fresh_gradient_handed_over(self):
+        t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        g = np.ones(3, dtype=np.float32)
+        t.accumulate(g, fresh=True)
+        assert t.grad is g
+        t.accumulate(np.ones(3))
+        assert np.array_equal(t.grad, np.full(3, 2.0, dtype=np.float32))
+
+    def test_shared_gradient_copied(self):
+        # add hands the same array to both parents; neither may keep it
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        ops.add(a, b).backward(np.ones(3))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_constant_nodes_keep_no_parents(self):
+        x = Tensor(np.ones((2, 1, 4, 4)))
+        w = Tensor(np.ones((2, 1, 3, 3)))
+        out = ops.relu(ops.conv2d(x, w, Tensor(np.zeros(2))))
+        assert out._parents == () and out._backward is None
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
