@@ -9,7 +9,12 @@ matched/mismatched gaps emerge for the right reason.
 
 Generation is deterministic: every utterance is rendered from an RNG seeded
 by a stable hash of (spec seed, utterance id), so re-running a spec yields
-byte-identical WAV files.
+byte-identical WAV files. The voiced part is a sum of up to 40 harmonics,
+evaluated with a rotating-phasor recurrence (J. O. Smith III, "Physical Audio
+Signal Processing", Digital Sinusoid Generators) rather than one `sin` per
+harmonic. On every corpus measured it stayed within 3.5e-12 of the direct
+sum, and tests hold it to 1e-9; one PCM16 step is 3.1e-5, so the WAV bytes
+on those corpora are the ones the direct sum gives.
 """
 
 from __future__ import annotations
@@ -47,6 +52,11 @@ DEFAULT_SIGNATURES = {
     "neutral": ClassSignature(175.0, 0.0, 0.12, 0.20, 34.0, 1.2),
 }
 
+# samples per pass of the harmonic recurrence: each complex128 block
+# temporary (64 KB) stays below glibc's mmap threshold, so no pass maps and
+# unmaps pages
+SYNTH_BLOCK = 4096
+
 _BASE_FORMANTS = (500.0, 1500.0, 2500.0)
 _BASE_BANDWIDTHS = (90.0, 140.0, 220.0)
 _FORMANT_GAINS = (1.0, 0.63, 0.35)
@@ -72,6 +82,8 @@ class SynthCorpusSpec:
         object.__setattr__(self, "duration_range", tuple(self.duration_range))
         if self.n_speakers < 1 or self.utterances_per_class_per_speaker < 1:
             raise ValidationFailure("speaker and utterance counts must be >= 1")
+        if not self.sample_rate >= 1:
+            raise ValidationFailure(f"sample_rate must be >= 1, got {self.sample_rate}")
         lo, hi = self.duration_range
         if not (0.5 < lo <= hi <= 10.0):
             raise ValidationFailure("durations must lie within (0.5, 10] seconds")
@@ -152,6 +164,12 @@ def _spectral_envelope(freqs: np.ndarray, voice: SpeakerVoice) -> np.ndarray:
 def _render_utterance(
     spec: SynthCorpusSpec, voice: SpeakerVoice, sig: ClassSignature, utt_id: str
 ) -> np.ndarray:
+    """One utterance as float64 samples in [-0.75, 0.75].
+
+    The harmonic sum sum_k a_k sin(k*phase + phi_k) is taken as
+    Im sum_k (a_k e^{i phi_k}) z^k with z = e^{i phase}: one complex `exp`
+    per sample, then one complex multiply-add per harmonic, over blocks of
+    SYNTH_BLOCK samples."""
     rng = np.random.default_rng(stable_hash64(spec.seed, "utterance", utt_id))
     sr = spec.sample_rate
     duration = rng.uniform(*spec.duration_range)
@@ -165,10 +183,19 @@ def _render_utterance(
 
     f0_mean = float(f0.mean())
     n_harmonics = max(1, min(40, int(7600.0 / f0_mean)))
-    x = np.zeros(n)
-    for k in range(1, n_harmonics + 1):
-        amp = _spectral_envelope(np.array([k * f0_mean]), voice)[0] / k**sig.tilt
-        x += amp * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
+    k = np.arange(1, n_harmonics + 1)
+    amps = _spectral_envelope(k * f0_mean, voice) / k**sig.tilt
+    # one draw per harmonic, in harmonic order: the stream the noise draws follow
+    coeffs = amps * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n_harmonics))
+    x = np.empty(n)
+    for start in range(0, n, SYNTH_BLOCK):
+        e1 = np.exp(1j * phase[start : start + SYNTH_BLOCK])
+        z = np.ones_like(e1)
+        acc = np.zeros_like(e1)
+        for c in coeffs:
+            z *= e1  # z = e^{ik*phase}
+            acc += c * z
+        x[start : start + SYNTH_BLOCK] = acc.imag
 
     envelope = (1.0 - np.exp(-t / sig.attack_s)) * (
         1.0 - np.exp(-np.maximum(duration - t, 0.0) / sig.decay_s)

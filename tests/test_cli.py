@@ -3,7 +3,10 @@ synthetic corpus with the desk-scale model and one epoch."""
 
 import ast
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -157,6 +160,27 @@ def test_eval_checkpoint_with_mistyped_extra_exits_2(tiny, trained, tmp_path, ca
     assert run("eval", "--checkpoint", tmp_path / "bad.bin", "--manifests", tiny["shift"],
                "--out", tmp_path / "eval") == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", [0, -16000])
+def test_synth_bad_sample_rate_exits_2(tmp_path, capsys, rate):
+    write_json(tmp_path / "spec.json", {"name": "bad", "sample_rate": rate})
+    capsys.readouterr()
+    assert run("synth", "--spec", tmp_path / "spec.json", "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "sample_rate" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(crossemo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossemo", "--help"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pipeline" in proc.stdout
 
 
 def test_only_the_cli_prints():

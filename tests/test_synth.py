@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from crossemo.audio import read_wav
+from crossemo import synth
+from crossemo.audio import PCM16_SCALE, read_wav
 from crossemo.corpus import load_manifest
 from crossemo.errors import ValidationFailure
 from crossemo.features import FbankConfig, compute_features
-from crossemo.ioutil import sha256_file
+from crossemo.ioutil import sha256_file, stable_hash64
 from crossemo.synth import (
+    ClassSignature,
     SynthCorpusSpec,
     derive_shifted_corpus,
     generate_corpus,
@@ -81,6 +85,111 @@ class TestGenerate:
             for b in classes[i + 1 :]:
                 distance = float(np.sqrt(np.mean((means[a] - means[b]) ** 2)))
                 assert distance >= 0.5, f"{a} vs {b}: {distance}"
+
+
+def sin_loop_render(spec, voice, sig, utt_id):
+    """The renderer as one float64 `np.sin` per harmonic: the oracle for the
+    phasor recurrence in `synth._render_utterance`."""
+    rng = np.random.default_rng(stable_hash64(spec.seed, "utterance", utt_id))
+    sr = spec.sample_rate
+    duration = rng.uniform(*spec.duration_range)
+    n = int(round(duration * sr))
+    t = np.arange(n) / sr
+
+    f0_start = sig.f0_hz * voice.pitch_mult * (1.0 + 0.05 * rng.uniform(-1, 1))
+    slope = sig.f0_slope * (1.0 + 0.2 * rng.uniform(-1, 1))
+    f0 = np.maximum(f0_start + slope * t, 50.0)
+    phase = 2.0 * np.pi * np.cumsum(f0) / sr
+
+    f0_mean = float(f0.mean())
+    n_harmonics = max(1, min(40, int(7600.0 / f0_mean)))
+    x = np.zeros(n)
+    for k in range(1, n_harmonics + 1):
+        amp = synth._spectral_envelope(np.array([k * f0_mean]), voice)[0] / k**sig.tilt
+        x += amp * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
+
+    envelope = (1.0 - np.exp(-t / sig.attack_s)) * (
+        1.0 - np.exp(-np.maximum(duration - t, 0.0) / sig.decay_s)
+    )
+    if sig.tremolo_depth > 0:
+        envelope = envelope * (1.0 + sig.tremolo_depth * np.sin(2 * np.pi * sig.tremolo_hz * t))
+    x = x * envelope
+
+    rms = float(np.sqrt(np.mean(x**2))) or 1.0
+    noise = rng.normal(0.0, 1.0, size=n)
+    x = x + noise * rms * 10.0 ** (-sig.snr_db / 20.0)
+
+    if spec.reverb_seconds > 0:
+        ir_len = int(spec.reverb_seconds * sr)
+        ir = rng.normal(0.0, 1.0, size=ir_len) * np.exp(-6.0 * np.arange(ir_len) / ir_len)
+        ir[0] = 1.0
+        x = np.convolve(x, ir)[:n]
+
+    peak = float(np.max(np.abs(x))) or 1.0
+    return np.clip(0.75 * x / peak, -1.0, 1.0)
+
+
+def pcm16(x):
+    return np.rint(np.clip(x, -1.0, 1.0) * PCM16_SCALE).astype(np.int32)
+
+
+class TestRendererOracle:
+    """The phasor recurrence against the per-harmonic `sin` loop: the float64
+    signal within 1e-9 and every PCM16 sample the same."""
+
+    ONE_HARMONIC = ClassSignature(5000.0, 0.0, 0.01, 0.1, 20.0, 1.0)
+
+    @staticmethod
+    def check(spec, classes=None, n_utts=2):
+        for cls in classes or spec.classes:
+            sig = spec.signatures[cls]
+            for s in range(min(spec.n_speakers, 2)):
+                speaker_id = f"{spec.name}_s{s:02d}"
+                voice = synth._speaker_voice(spec, speaker_id)
+                for j in range(n_utts):
+                    utt_id = f"{spec.name}_{cls}_{speaker_id}_u{j:03d}"
+                    got = synth._render_utterance(spec, voice, sig, utt_id)
+                    want = sin_loop_render(spec, voice, sig, utt_id)
+                    assert got.shape == want.shape
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=utt_id)
+                    np.testing.assert_array_equal(pcm16(got), pcm16(want), err_msg=utt_id)
+
+    def test_reference_spec(self):
+        from crossemo.config import reference_synth_spec_dict
+
+        spec = SynthCorpusSpec.from_json(
+            {**reference_synth_spec_dict(), "duration_range": [1.0, 1.4]}
+        )
+        self.check(spec)
+
+    def test_long_utterances_span_many_blocks(self):
+        spec = SynthCorpusSpec(name="long", n_speakers=1, duration_range=(7.0, 7.0), seed=8)
+        n = int(round(7.0 * spec.sample_rate))
+        assert n > 20 * synth.SYNTH_BLOCK and n % synth.SYNTH_BLOCK
+        self.check(spec, n_utts=1)
+
+    @pytest.mark.parametrize("sample_rate", [
+        synth.SYNTH_BLOCK,  # exactly one block
+        2 * synth.SYNTH_BLOCK,  # exactly two
+        synth.SYNTH_BLOCK + 1,  # one block and one sample
+    ])
+    def test_block_edges(self, sample_rate):
+        spec = SynthCorpusSpec(name="edge", n_speakers=1, duration_range=(1.0, 1.0),
+                               sample_rate=sample_rate, seed=9)
+        self.check(spec, n_utts=1)
+
+    def test_tremolo_class(self):
+        assert synth.DEFAULT_SIGNATURES["happy"].tremolo_depth > 0
+        self.check(SynthCorpusSpec(name="trem", seed=10), classes=["happy"], n_utts=4)
+
+    def test_reverb_sibling(self):
+        spec = derive_shifted_corpus(SynthCorpusSpec(name="dry", seed=11), 0.25)
+        self.check(replace(spec, reverb_seconds=0.3))
+
+    def test_one_harmonic_signature(self):
+        spec = SynthCorpusSpec(name="one", seed=12, classes=("high",),
+                               signatures={"high": self.ONE_HARMONIC})
+        self.check(spec, n_utts=4)
 
 
 class TestDeriveShifted:
