@@ -34,8 +34,6 @@ PCM16_SCALE = 32768.0
 # shortest usable result: one analysis frame of the downstream front-end
 MIN_RESULT_SAMPLES = 416
 
-EFFECT_KINDS = ("speed", "volume", "tempo", "bass", "treble", "overdrive")
-
 BASS_CORNER_HZ = 100.0
 TREBLE_CORNER_HZ = 3000.0
 SHELF_Q = 0.707
@@ -82,9 +80,9 @@ class EffectSpec:
     factor: float
 
     def __post_init__(self):
-        if self.kind not in EFFECT_KINDS:
+        if self.kind not in EFFECTS:
             raise UnsupportedEncoding(
-                f"unknown effect {self.kind!r}; expected one of {EFFECT_KINDS}"
+                f"unknown effect {self.kind!r}; expected one of {tuple(EFFECTS)}"
             )
 
 
@@ -342,18 +340,17 @@ def shelf_gain_db(factor: float) -> float:
     return float(np.clip(12.0 * (factor - 1.05) / 0.45, -12.0, 12.0))
 
 
+# effect kind -> f(buffer, factor); the one place an effect name is resolved
+EFFECTS = {
+    "speed": apply_speed,
+    "volume": apply_volume,
+    "tempo": apply_tempo,
+    "bass": lambda buffer, factor: apply_shelf(buffer, "bass", shelf_gain_db(factor)),
+    "treble": lambda buffer, factor: apply_shelf(buffer, "treble", shelf_gain_db(factor)),
+    "overdrive": apply_overdrive,
+}
+
+
 def apply_effect(buffer: AudioBuffer, spec: EffectSpec) -> AudioBuffer:
-    """Dispatch an EffectSpec onto the matching effect function."""
-    if spec.kind == "speed":
-        return apply_speed(buffer, spec.factor)
-    if spec.kind == "volume":
-        return apply_volume(buffer, spec.factor)
-    if spec.kind == "tempo":
-        return apply_tempo(buffer, spec.factor)
-    if spec.kind == "bass":
-        return apply_shelf(buffer, "bass", shelf_gain_db(spec.factor))
-    if spec.kind == "treble":
-        return apply_shelf(buffer, "treble", shelf_gain_db(spec.factor))
-    if spec.kind == "overdrive":
-        return apply_overdrive(buffer, spec.factor)
-    raise UnsupportedEncoding(f"unknown effect kind {spec.kind!r}")
+    """Apply `spec` through its kind's entry in EFFECTS (EffectSpec admits no other kind)."""
+    return EFFECTS[spec.kind](buffer, spec.factor)

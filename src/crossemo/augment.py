@@ -1,10 +1,10 @@
 """Deterministic augmentation plans and their rendering.
 
-A recipe names a list of effect variants; a plan binds every (utterance,
-variant) pair to a concrete factor drawn by a stable hash of
-(base_seed, utterance_id, variant_index, range). Rendering materializes one
-WAV per entry and returns an expanded manifest whose augmented records
-inherit all metadata from their source.
+A recipe is a tuple of effect kinds, one per variant (RECIPE_VARIANTS); a
+plan binds every (utterance, variant) pair to a concrete factor drawn from
+FACTOR_RANGE by a stable hash of (base_seed, utterance_id, variant_index,
+range). Rendering materializes one WAV per entry and returns an expanded
+manifest whose augmented records inherit all metadata from their source.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from pathlib import Path
 from .audio import EffectSpec, apply_effect, read_wav, write_wav
 from .corpus import CorpusManifest, save_manifest
 from .errors import BadRange, CrossEmoError, UnknownRecipe
-from .ioutil import atomic_write_text, read_json, stable_hash64, write_json
+from .ioutil import atomic_write_text, stable_hash64, write_json
 
-DEFAULT_FACTOR_RANGE = (0.6, 1.5)
+FACTOR_RANGE = (0.6, 1.5)
 
-# variant lists per recipe; "7vars" covers all six effects plus a second
-# independent speed draw
+# effect kinds per recipe, one per variant; "7vars" covers all six effects
+# plus a second independent speed draw
 RECIPE_VARIANTS = {
     "speed": ("speed",),
     "volume": ("volume",),
@@ -29,34 +29,14 @@ RECIPE_VARIANTS = {
 }
 
 
-@dataclass(frozen=True)
-class VariantTemplate:
-    kind: str
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class AugmentRecipe:
-    name: str
-    variants: tuple
-
-    @property
-    def expansion(self) -> int:
-        """Total data multiple: originals plus one copy per variant."""
-        return 1 + len(self.variants)
-
-
-def get_recipe(name: str, factor_range=DEFAULT_FACTOR_RANGE) -> AugmentRecipe:
+def get_recipe(name: str) -> tuple:
+    """The effect kinds of recipe `name`, one per variant: its entry in
+    RECIPE_VARIANTS. An unknown name raises UnknownRecipe."""
     if name not in RECIPE_VARIANTS:
         raise UnknownRecipe(
             f"unknown recipe {name!r}; valid recipes: {', '.join(sorted(RECIPE_VARIANTS))}"
         )
-    lo, hi = float(factor_range[0]), float(factor_range[1])
-    if not lo < hi:
-        raise BadRange(f"factor range must satisfy lo < hi, got [{lo}, {hi}]")
-    variants = tuple(VariantTemplate(kind, lo, hi) for kind in RECIPE_VARIANTS[name])
-    return AugmentRecipe(name=name, variants=variants)
+    return RECIPE_VARIANTS[name]
 
 
 def draw_factor(base_seed: int, utterance_id: str, variant_index: int, factor_range) -> float:
@@ -101,31 +81,9 @@ class AugmentPlan:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "AugmentPlan":
-        entries = tuple(
-            PlanEntry(
-                source_id=e["source_id"],
-                variant_index=int(e["variant_index"]),
-                effect=EffectSpec(e["effect"], float(e["factor"])),
-                output_path=e["output_path"],
-            )
-            for e in obj["entries"]
-        )
-        return cls(
-            recipe=obj["recipe"],
-            base_seed=int(obj["base_seed"]),
-            out_dir=obj["out_dir"],
-            entries=entries,
-        )
-
 
 def save_plan(plan: AugmentPlan, path: str | Path) -> None:
     write_json(path, plan.to_json())
-
-
-def load_plan(path: str | Path) -> AugmentPlan:
-    return AugmentPlan.from_json(read_json(path))
 
 
 def augmented_id(source_id: str, recipe: str, variant_index: int) -> str:
@@ -133,31 +91,21 @@ def augmented_id(source_id: str, recipe: str, variant_index: int) -> str:
 
 
 def plan_augmentation(
-    manifest: CorpusManifest,
-    recipe: AugmentRecipe | str,
-    base_seed: int,
-    out_dir: str | Path,
+    manifest: CorpusManifest, recipe: str, base_seed: int, out_dir: str | Path
 ) -> AugmentPlan:
-    """One entry per (record, variant); |entries| = |records| * |variants|."""
-    if isinstance(recipe, str):
-        recipe = get_recipe(recipe)
+    """One entry per (record, variant of the named recipe), so |entries| =
+    |records| * len(get_recipe(recipe)); each factor is a draw_factor in
+    FACTOR_RANGE."""
+    kinds = get_recipe(recipe)
     out_dir = str(out_dir)
     entries = []
     for record in manifest.records:
-        for k, template in enumerate(recipe.variants):
-            factor = draw_factor(base_seed, record.id, k, (template.lo, template.hi))
-            name = augmented_id(record.id, recipe.name, k)
-            entries.append(
-                PlanEntry(
-                    source_id=record.id,
-                    variant_index=k,
-                    effect=EffectSpec(template.kind, factor),
-                    output_path=str(Path(out_dir) / f"{name}.wav"),
-                )
-            )
-    return AugmentPlan(
-        recipe=recipe.name, base_seed=base_seed, out_dir=out_dir, entries=tuple(entries)
-    )
+        for k, kind in enumerate(kinds):
+            factor = draw_factor(base_seed, record.id, k, FACTOR_RANGE)
+            path = str(Path(out_dir) / f"{augmented_id(record.id, recipe, k)}.wav")
+            entries.append(PlanEntry(source_id=record.id, variant_index=k,
+                                     effect=EffectSpec(kind, factor), output_path=path))
+    return AugmentPlan(recipe=recipe, base_seed=base_seed, out_dir=out_dir, entries=tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ MANIFEST_SCHEMA_VERSION = 1
 
 STYLES = ("acted", "elicited-scripted", "elicited-improvised", "natural")
 EMOTIONS_4 = ("angry", "happy", "sad", "neutral")
-EMOTIONS_3 = ("angry", "happy", "sad")
 MOSEI_EMOTIONS = ("anger", "disgust", "fear", "happiness", "sadness", "surprise")
 MOSEI_TARGETS = {"anger": "angry", "happiness": "happy", "sadness": "sad"}
 
@@ -353,27 +352,35 @@ FOLD_OPTION_DEFAULTS = {
 }
 
 
+# strategy -> (builder(manifest, opts), the record field whose values a fold
+# keeps apart, or None); lambdas look each builder up at call time, so a
+# wrapped builder is seen
+FOLD_STRATEGIES = {
+    "speaker-rotation": (
+        lambda m, o: make_folds_speaker_rotation(m, o.n_folds, o.test_speakers),
+        "speaker",
+    ),
+    "session-holdout": (lambda m, o: make_folds_session_holdout(m, o.reverse_sessions), "session"),
+    "proportional": (
+        lambda m, o: make_folds_proportional(m, o.n_folds, o.test_fraction, o.seed),
+        None,
+    ),
+    "split-80-20": (lambda m, o: make_split_80_20(m, o.seed), None),
+}
+
+
 def make_fold_plan(manifest: CorpusManifest, strategy: str, **opts) -> FoldPlan:
-    """Build and validate the plan of a named strategy. `opts` override
-    FOLD_OPTION_DEFAULTS; each strategy reads the ones it needs."""
+    """Build and validate the plan of a strategy named in FOLD_STRATEGIES.
+    `opts` override FOLD_OPTION_DEFAULTS; each builder reads the ones it needs."""
     unknown = sorted(set(opts) - set(FOLD_OPTION_DEFAULTS))
     if unknown:
         raise ValidationFailure(f"unknown fold options {unknown}")
-    o = SimpleNamespace(**{**FOLD_OPTION_DEFAULTS, **opts})
-    # lambdas look each builder up at call time, so a wrapped builder is seen
-    builders = {
-        "speaker-rotation": lambda: make_folds_speaker_rotation(
-            manifest, o.n_folds, o.test_speakers
-        ),
-        "session-holdout": lambda: make_folds_session_holdout(manifest, o.reverse_sessions),
-        "proportional": lambda: make_folds_proportional(
-            manifest, o.n_folds, o.test_fraction, o.seed
-        ),
-        "split-80-20": lambda: make_split_80_20(manifest, o.seed),
-    }
-    if strategy not in builders:
-        raise ValidationFailure(f"unknown fold strategy {strategy!r}; valid: {list(builders)}")
-    plan = builders[strategy]()
+    if strategy not in FOLD_STRATEGIES:
+        raise ValidationFailure(
+            f"unknown fold strategy {strategy!r}; valid: {list(FOLD_STRATEGIES)}"
+        )
+    build, _ = FOLD_STRATEGIES[strategy]
+    plan = build(manifest, SimpleNamespace(**{**FOLD_OPTION_DEFAULTS, **opts}))
     validate_fold_plan(plan, manifest)
     return plan
 
@@ -432,8 +439,10 @@ def filter_style(manifest: CorpusManifest, style: str) -> CorpusManifest:
 
 def validate_fold_plan(plan: FoldPlan, manifest: CorpusManifest) -> None:
     """Re-check a plan before training: within-fold disjointness, id
-    existence, strategy-specific speaker/session separation, and the rule
-    that augmented records never sit on the test side."""
+    existence, no augmented record on the test side, and no value on both
+    sides of the field FOLD_STRATEGIES keeps apart for the plan's strategy
+    (speaker or session; a strategy outside the table has none)."""
+    _, apart = FOLD_STRATEGIES.get(plan.strategy, (None, None))
     for k, fold in enumerate(plan.folds):
         train, test = set(fold.train_ids), set(fold.test_ids)
         if train & test:
@@ -444,13 +453,8 @@ def validate_fold_plan(plan: FoldPlan, manifest: CorpusManifest) -> None:
         for utt_id in test:
             if manifest.get(utt_id).augmented:
                 raise LeakageError(f"fold {k}: augmented record {utt_id!r} in test set")
-        if plan.strategy == "speaker-rotation":
-            tr = {manifest.get(u).speaker for u in train}
-            te = {manifest.get(u).speaker for u in test}
+        if apart is not None:
+            tr = {getattr(manifest.get(u), apart) for u in train}
+            te = {getattr(manifest.get(u), apart) for u in test}
             if tr & te:
-                raise ValidationFailure(f"fold {k}: speakers shared across sides")
-        if plan.strategy == "session-holdout":
-            tr = {manifest.get(u).session for u in train}
-            te = {manifest.get(u).session for u in test}
-            if tr & te:
-                raise ValidationFailure(f"fold {k}: sessions shared across sides")
+                raise ValidationFailure(f"fold {k}: {apart}s shared across sides")

@@ -112,9 +112,25 @@ class BadConfig(ValidationFailure):
     pass
 
 
+# annotation -> the JSON value types it takes; a bool is never a number here
+_SCALAR_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _type_ok(value, annotation) -> bool:
+    """Whether `value` fits a field annotated `annotation` (a type or its
+    text); only the scalars above, each optionally `| None`, are checked."""
+    name = getattr(annotation, "__name__", str(annotation))
+    base = name.removesuffix(" | None")
+    if base not in _SCALAR_TYPES:
+        return True
+    if value is None:
+        return base != name  # only `X | None` takes null
+    return isinstance(value, _SCALAR_TYPES[base]) and (base == "bool") == isinstance(value, bool)
+
+
 def from_fields(cls, obj: dict, what: str):
-    """Build the dataclass `cls` from `obj`; a key that names none of its
-    fields, or a required field (one without a default) that `obj` lacks,
+    """Build the dataclass `cls` from `obj`; an unknown key, a missing
+    required field (one without a default) or a mistyped scalar value
     raises BadConfig instead of the constructor's TypeError."""
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
@@ -123,6 +139,9 @@ def from_fields(cls, obj: dict, what: str):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise BadConfig(f"missing {what} keys: {', '.join(missing)}")
+    for f in fields(cls):
+        if f.name in obj and not _type_ok(obj[f.name], f.type):
+            raise BadConfig(f"{what} key {f.name!r} must be {f.type}, got {obj[f.name]!r}")
     return cls(**obj)
 
 

@@ -17,7 +17,7 @@ and names the one being displayed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -131,15 +131,10 @@ class MetricSet:
     overall_accuracy: float
 
     def to_json(self) -> dict:
-        return {
-            "ua_eq1": self.ua_eq1,
-            "wa_eq2": self.wa_eq2,
-            "mean_class_recall": self.mean_class_recall,
-            "overall_accuracy": self.overall_accuracy,
-        }
+        return asdict(self)
 
 
-METRIC_KEYS = ("ua_eq1", "wa_eq2", "mean_class_recall", "overall_accuracy")
+METRIC_KEYS = tuple(f.name for f in fields(MetricSet))
 
 
 def metric_set(cm: ConfusionMatrix) -> MetricSet:

@@ -1,8 +1,9 @@
 """Log-Mel filterbank front-end.
 
-Pipeline: fix_length -> extract_fbank -> znorm_per_file. Under a fixed
-FbankConfig every utterance yields the same feature shape (775 x 23 at the
-default settings), z-normalized over all cells of the file.
+Pipeline: fix_length -> extract_fbank -> znorm_per_file; the last two return
+plain n_frames x n_bands float64 arrays. Under a fixed FbankConfig every
+utterance yields the same shape (775 x 23 at the default settings),
+z-normalized over all cells of the file.
 """
 
 from __future__ import annotations
@@ -64,18 +65,6 @@ class FbankConfig:
         return from_fields(cls, obj, "features")
 
 
-@dataclass
-class FeatureMatrix:
-    """n_frames x n_bands grid of log-Mel energies."""
-
-    values: np.ndarray
-    normalized: bool = False
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
 def frame_count(n_samples: int, window: int, shift: int) -> int:
     """Number of full analysis frames: floor((N - W)/H) + 1 for N >= W."""
     if n_samples < window:
@@ -122,9 +111,9 @@ def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
     return bank
 
 
-def extract_fbank(buffer: AudioBuffer, cfg: FbankConfig) -> FeatureMatrix:
+def extract_fbank(buffer: AudioBuffer, cfg: FbankConfig) -> np.ndarray:
     """Hamming-windowed frames -> power spectrum -> Mel energies -> natural
-    log with a floor. No pre-emphasis, no dithering."""
+    log with a floor, n_frames x n_bands. No pre-emphasis, no dithering."""
     if buffer.sample_rate != cfg.sample_rate:
         raise SampleRateMismatch(
             f"buffer at {buffer.sample_rate} Hz, config expects {cfg.sample_rate} Hz"
@@ -140,32 +129,27 @@ def extract_fbank(buffer: AudioBuffer, cfg: FbankConfig) -> FeatureMatrix:
     spectrum = np.fft.rfft(frames * ham, n=cfg.fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     mel_energy = power @ mel_filterbank(cfg).T
-    values = np.log(np.maximum(mel_energy, cfg.log_floor))
-    return FeatureMatrix(values, normalized=False)
+    return np.log(np.maximum(mel_energy, cfg.log_floor))
 
 
-def znorm_per_file(features: FeatureMatrix, per_band: bool = False) -> FeatureMatrix:
+def znorm_per_file(features: np.ndarray, per_band: bool = False) -> np.ndarray:
     """Subtract the file-global mean and divide by the file-global population
-    std (per band instead when `per_band`). A constant input maps to zeros."""
-    x = features.values.astype(np.float64)
+    std (per band instead when `per_band`) into a new float64 array. A
+    constant input maps to zeros."""
+    x = np.array(features, dtype=np.float64)
     if per_band:
         mean = x.mean(axis=0, keepdims=True)
         std = x.std(axis=0, keepdims=True)
-        out = np.where(std < 1e-12, 0.0, (x - mean) / np.where(std < 1e-12, 1.0, std))
-    else:
-        mean = x.mean()
-        std = x.std()
-        if std < 1e-12:
-            out = np.zeros_like(x)
-        else:
-            out = (x - mean) / std
-    return FeatureMatrix(out, normalized=True)
+        return np.where(std < 1e-12, 0.0, (x - mean) / np.where(std < 1e-12, 1.0, std))
+    std = x.std()
+    if std < 1e-12:
+        return np.zeros_like(x)
+    return (x - x.mean()) / std
 
 
-def compute_features(buffer: AudioBuffer, cfg: FbankConfig) -> FeatureMatrix:
+def compute_features(buffer: AudioBuffer, cfg: FbankConfig) -> np.ndarray:
     """Full front-end: fix_length -> extract_fbank -> znorm_per_file."""
-    fixed = fix_length(buffer, cfg)
-    raw = extract_fbank(fixed, cfg)
+    raw = extract_fbank(fix_length(buffer, cfg), cfg)
     return znorm_per_file(raw, per_band=cfg.per_band_norm)
 
 
@@ -272,7 +256,7 @@ class FeatureStore:
         if record is None:
             raise IoFailure(f"utterance {utt_id!r} not present in the manifest")
         buffer = self._read_wav(record.audio_path)
-        values = compute_features(buffer, self.cfg).values.astype(np.float32)
+        values = compute_features(buffer, self.cfg).astype(np.float32)
         if self._cache is not None:
             self._cache.put(utt_id, values)
         self._memo[utt_id] = values

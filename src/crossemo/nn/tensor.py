@@ -20,12 +20,12 @@ from ..errors import ShapeMismatch
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
+    def __init__(self, data, requires_grad: bool = False, parents=()):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents) if requires_grad else ()
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self):
@@ -64,21 +64,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={self.requires_grad})"
-
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, other)
-
-    def __mul__(self, other):
-        from . import ops
-
-        return ops.mul(self, other)
-
-    def __matmul__(self, other):
-        from . import ops
-
-        return ops.matmul(self, other)
 
 
 def _topo_order(root: Tensor):

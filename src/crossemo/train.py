@@ -61,9 +61,6 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ValidationFailure("epochs, batch_size, learning_rate must be positive")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""

@@ -1,20 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from crossemo.audio import read_wav, write_wav, AudioBuffer
+from crossemo.audio import EFFECTS, EffectSpec, read_wav, write_wav, AudioBuffer
 from crossemo.augment import (
     RECIPE_VARIANTS,
     apply_plan,
     augmented_id,
     draw_factor,
     get_recipe,
-    load_plan,
     plan_augmentation,
     save_plan,
 )
 from crossemo.corpus import CorpusManifest, UtteranceRecord
-from crossemo.errors import BadRange, UnknownRecipe
-from crossemo.ioutil import sha256_file
+from crossemo.errors import BadRange, UnknownRecipe, UnsupportedEncoding
+from crossemo.ioutil import read_json, sha256_file
 from conftest import make_manifest, tone
 
 
@@ -24,9 +25,9 @@ class TestRecipes:
         [("speed", 1, 2), ("volume", 1, 2), ("2sp-2vol", 4, 5), ("7vars", 7, 8)],
     )
     def test_recipe_shapes(self, name, n_variants, expansion):
-        recipe = get_recipe(name)
-        assert len(recipe.variants) == n_variants
-        assert recipe.expansion == expansion
+        kinds = get_recipe(name)
+        assert len(kinds) == n_variants
+        assert 1 + len(kinds) == expansion  # originals plus one copy per variant
 
     def test_7vars_covers_all_effects(self):
         kinds = set(RECIPE_VARIANTS["7vars"])
@@ -35,6 +36,14 @@ class TestRecipes:
     def test_unknown_recipe(self):
         with pytest.raises(UnknownRecipe, match="valid recipes"):
             get_recipe("9vars")
+
+    def test_every_recipe_kind_is_an_effect(self):
+        for name, kinds in RECIPE_VARIANTS.items():
+            assert set(kinds) <= set(EFFECTS), name
+
+    def test_effect_outside_the_table_is_rejected(self):
+        with pytest.raises(UnsupportedEncoding):
+            EffectSpec("chorus", 1.0)
 
 
 class TestDrawFactor:
@@ -96,7 +105,15 @@ class TestPlanAugmentation:
         b = plan_augmentation(manifest, "2sp-2vol", 99, tmp_path / "out")
         assert a == b
         save_plan(a, tmp_path / "plan.json")
-        assert load_plan(tmp_path / "plan.json") == a
+        assert read_json(tmp_path / "plan.json") == a.to_json()
+
+    def test_plan_json_bytes_are_pinned(self, tmp_path):
+        # SHA-256 of the plan.json written before recipes became plain tuples
+        # of effect kinds: it pins every factor drawn from FACTOR_RANGE
+        plan = plan_augmentation(make_manifest(10), "7vars", 99, "aug")
+        save_plan(plan, tmp_path / "plan.json")
+        digest = hashlib.sha256((tmp_path / "plan.json").read_bytes()).hexdigest()
+        assert digest == "15734a4699c45fe656314da2995d2f581254beb2a99559bfefa61a988427af84"
 
 
 class TestApplyPlan:

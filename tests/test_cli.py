@@ -172,6 +172,16 @@ def test_synth_bad_sample_rate_exits_2(tmp_path, capsys, rate):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("sample_rate", "16000"), ("n_speakers", True)])
+def test_synth_mistyped_field_exits_2(tmp_path, capsys, key, value):
+    write_json(tmp_path / "spec.json", {"name": "bad", key: value})
+    capsys.readouterr()
+    assert run("synth", "--spec", tmp_path / "spec.json", "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(crossemo.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -237,6 +247,25 @@ def test_train_misspelled_key(prepared, tmp_path, section):
         "profile": "desk-scale", **prepared, **section, "out_dir": str(tmp_path / "run"),
     })
     assert run("train", "--config", tmp_path / "bad.json") == 2
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "epochs", "3"),
+    ("train", "batch_size", 8.5),
+    ("train", "early_stop_patience", True),
+    ("features", "n_bands", "23"),
+    ("features", "per_band_norm", 1),
+    ("model", "n_classes", "4"),
+])
+def test_train_mistyped_value_exits_2(prepared, tmp_path, capsys, section, key, value):
+    write_json(tmp_path / "bad.json", {
+        "profile": "desk-scale", **prepared, section: {key: value},
+        "out_dir": str(tmp_path / "run"),
+    })
+    capsys.readouterr()
+    assert run("train", "--config", tmp_path / "bad.json") == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def pipeline_config(tiny, out_dir, **overrides) -> dict:

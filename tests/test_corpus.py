@@ -399,6 +399,31 @@ class TestFoldPlanValidation:
         with pytest.raises(LeakageError):
             validate_fold_plan(plan, manifest)
 
+    # u0000..u0003: speakers s0 s1 s0 s1, sessions S0 S0 S1 S1
+    SEPARATION = CorpusManifest(
+        "sep", tuple(make_record(i, speaker=f"s{i % 2}", session=f"S{i // 2}") for i in range(4))
+    )
+    SPEAKERS_SHARED = Fold(("u0000", "u0001"), ("u0002", "u0003"))  # sessions apart
+    SESSIONS_SHARED = Fold(("u0000", "u0002"), ("u0001", "u0003"))  # speakers apart
+    BOTH_SHARED = Fold(("u0000", "u0003"), ("u0001", "u0002"))
+
+    def test_speaker_rotation_keeps_speakers_apart(self):
+        with pytest.raises(ValidationFailure, match="speakers shared"):
+            validate_fold_plan(
+                FoldPlan("speaker-rotation", (self.SPEAKERS_SHARED,)), self.SEPARATION
+            )
+        validate_fold_plan(FoldPlan("speaker-rotation", (self.SESSIONS_SHARED,)), self.SEPARATION)
+
+    def test_session_holdout_keeps_sessions_apart(self):
+        with pytest.raises(ValidationFailure, match="sessions shared"):
+            validate_fold_plan(
+                FoldPlan("session-holdout", (self.SESSIONS_SHARED,)), self.SEPARATION
+            )
+        validate_fold_plan(FoldPlan("session-holdout", (self.SPEAKERS_SHARED,)), self.SEPARATION)
+
+    def test_strategy_outside_the_table_has_no_separation_check(self):
+        validate_fold_plan(FoldPlan("custom", (self.BOTH_SHARED,)), self.SEPARATION)
+
 
 class TestMakeFoldPlan:
     # 40 records over 8 speakers, 4 sessions and 4 classes

@@ -75,7 +75,7 @@ class TestGenerate:
         means = {}
         for cls in spec.classes:
             vecs = [
-                compute_features(read_wav(r.audio_path), desk_fbank).values.mean(axis=0)
+                compute_features(read_wav(r.audio_path), desk_fbank).mean(axis=0)
                 for r in manifest.records
                 if r.emotion == cls
             ]

@@ -8,11 +8,13 @@ import pytest
 
 from crossemo.corpus import CorpusManifest, Fold
 from crossemo.errors import (
+    BadConfig,
     DivergedLoss,
     EmptyTrainSet,
     LeakageError,
     TooFewPerClass,
     ValidationFailure,
+    from_fields,
 )
 from crossemo.nn.checkpoint import load_checkpoint, graph_from_checkpoint
 from crossemo.nn.models import build_cnn_blstm_att
@@ -345,3 +347,10 @@ class TestTrainModel:
             TrainConfig(validation_fraction=0.9)
         with pytest.raises(ValidationFailure):
             TrainConfig(plateau_patience=0)
+
+
+def test_config_fields_take_null_when_optional_and_an_int_for_a_float():
+    cfg = from_fields(TrainConfig, {"early_stop_patience": None, "learning_rate": 1}, "train")
+    assert cfg.early_stop_patience is None and cfg.learning_rate == 1
+    with pytest.raises(BadConfig, match="epochs"):
+        from_fields(TrainConfig, {"epochs": None}, "train")
