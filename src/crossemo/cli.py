@@ -83,7 +83,7 @@ def cmd_augment(args) -> int:
 
 def _run_training(cfg, store=None, resume: bool = False):
     """Train one fold of `cfg`, reading features from `store` (by default a
-    new one over `cfg.manifest`). Returns (fold, graph, result)."""
+    new one over `cfg.manifest`). Returns (manifest, fold, graph, result)."""
     from .corpus import load_fold_plan, load_manifest, validate_fold_plan
     from .features import FeatureStore
     from .nn.models import build_model
@@ -110,36 +110,50 @@ def _run_training(cfg, store=None, resume: bool = False):
         graph, manifest, fold, store, cfg.train, cfg.out_dir,
         resume=resume, fold_index=cfg.fold_index,
     )
-    return fold, graph, result
+    return manifest, fold, graph, result
 
 
-def _evaluate(graph, classes, manifest, store, out_dir: Path, train_tag: str, fold: int,
-              restrict_classes: bool, checkpoint: str, checkpoint_epoch: int):
-    """Score `graph`, loaded from `checkpoint`, on one test manifest. Writes
-    metrics_<tag>.json (the run record plus confusion and provenance) and
-    predictions_<tag>.csv into `out_dir`, and returns the run record."""
+def _eval_sets(paths, features, restrict_classes: bool) -> list:
+    """(manifest, feature store, restrict_classes) for each manifest path;
+    every manifest is loaded before any is scored."""
+    from .corpus import load_manifest
+    from .features import FeatureStore
+
+    manifests = [load_manifest(path) for path in paths]
+    return [(m, FeatureStore(m, features), restrict_classes) for m in manifests]
+
+
+def _evaluate(graph, classes, sets, out_dir: Path, train_tag: str, fold: int,
+              checkpoint: str, checkpoint_epoch: int) -> list:
+    """Score `graph`, loaded from `checkpoint`, on each (manifest, store,
+    restrict_classes) of `sets`. Writes metrics_<tag>.json (the run record
+    plus confusion and provenance) and predictions_<tag>.csv per manifest
+    into `out_dir`, and returns the run records."""
     from .evaluation import evaluate_model, predictions_to_csv
     from .report import RunRecord
 
-    result = evaluate_model(graph, classes, manifest, store, restrict_classes=restrict_classes)
-    tag = manifest.name
-    record = RunRecord(train_tag=train_tag, test_tag=tag, fold=fold, metrics=result.metrics)
-    write_json(out_dir / f"metrics_{tag}.json", {
-        **record.to_json(),
-        "checkpoint": checkpoint,
-        "checkpoint_epoch": checkpoint_epoch,
-        "restrict_classes": result.restricted,
-        "classes": list(result.confusion.classes),
-        "confusion": result.confusion.counts.tolist(),
-    })
-    atomic_write_text(out_dir / f"predictions_{tag}.csv", predictions_to_csv(result))
-    print(
-        f"[crossemo] {tag}: ua_eq1 {result.metrics.ua_eq1:.2f} "
-        f"wa_eq2 {result.metrics.wa_eq2:.2f} "
-        f"mean_class_recall {result.metrics.mean_class_recall:.2f} "
-        f"overall {result.metrics.overall_accuracy:.2f}"
-    )
-    return record
+    records = []
+    for manifest, store, restrict_classes in sets:
+        result = evaluate_model(graph, classes, manifest, store, restrict_classes=restrict_classes)
+        tag = manifest.name
+        record = RunRecord(train_tag=train_tag, test_tag=tag, fold=fold, metrics=result.metrics)
+        write_json(out_dir / f"metrics_{tag}.json", {
+            **record.to_json(),
+            "checkpoint": checkpoint,
+            "checkpoint_epoch": checkpoint_epoch,
+            "restrict_classes": result.restricted,
+            "classes": list(result.confusion.classes),
+            "confusion": result.confusion.counts.tolist(),
+        })
+        atomic_write_text(out_dir / f"predictions_{tag}.csv", predictions_to_csv(result))
+        print(
+            f"[crossemo] {tag}: ua_eq1 {result.metrics.ua_eq1:.2f} "
+            f"wa_eq2 {result.metrics.wa_eq2:.2f} "
+            f"mean_class_recall {result.metrics.mean_class_recall:.2f} "
+            f"overall {result.metrics.overall_accuracy:.2f}"
+        )
+        records.append(record)
+    return records
 
 
 def cmd_train(args) -> int:
@@ -147,19 +161,21 @@ def cmd_train(args) -> int:
 
     raw = load_json_config(args.config)
     cfg = resolve_experiment_config(raw, base_dir=Path(args.config).parent)
-    _, _, result = _run_training(cfg, resume=args.resume)
+    eval_sets = _eval_sets(cfg.eval_manifests, cfg.features, cfg.restrict_classes)
+    manifest, _, graph, result = _run_training(cfg, resume=args.resume)
     print(
         f"[crossemo] trained {len(result.history)} epoch records; "
         f"best val_ua {result.best_val_ua:.2f} at epoch {result.best_epoch}"
     )
+    _evaluate(graph, result.classes, eval_sets, Path(cfg.out_dir), manifest.name,
+              cfg.fold_index, result.last_checkpoint, result.history[-1]["epoch"])
     print(cfg.out_dir)
     return 0
 
 
 def cmd_eval(args) -> int:
     from .config import load_json_config
-    from .corpus import load_manifest
-    from .features import FbankConfig, FeatureStore
+    from .features import FbankConfig
     from .nn.checkpoint import graph_from_checkpoint, load_checkpoint
 
     if not Path(args.checkpoint).exists():
@@ -182,13 +198,9 @@ def cmd_eval(args) -> int:
         feat_cfg = FbankConfig.from_json(read_json(run_cfg_path)["features"])
 
     out_dir = Path(args.out) if args.out else _out_root() / "eval"
-    for manifest_path in args.manifests:
-        manifest = load_manifest(manifest_path)
-        _evaluate(
-            graph, classes, manifest, FeatureStore(manifest, feat_cfg), out_dir,
-            data.extra["train_tag"], data.extra["fold"], args.restrict_classes,
-            str(args.checkpoint), data.epoch,
-        )
+    sets = _eval_sets(args.manifests, feat_cfg, args.restrict_classes)
+    _evaluate(graph, classes, sets, out_dir, data.extra["train_tag"], data.extra["fold"],
+              str(args.checkpoint), data.epoch)
     print(out_dir)
     return 0
 
@@ -225,6 +237,7 @@ def cmd_pipeline(args) -> int:
     from . import corpus
     from .augment import augment_corpus
     from .config import load_json_config, resolve_experiment_config
+    from .errors import check_keys
     from .features import FeatureStore
     from .report import build_cross_matrix, save_report
     from .synth import SynthCorpusSpec, generate_corpus
@@ -234,6 +247,18 @@ def cmd_pipeline(args) -> int:
     # paths in `raw` are relative to base_dir; joining keeps an absolute one as it is
     run_dir = Path(raw.get("out_dir", _out_root() / "pipeline"))
     out_dir = base_dir / run_dir
+    manifest_file = "manifest.augmented.jsonl" if "augment" in raw else "manifest.jsonl"
+    # the pipeline's own sections aside, the config is one `crossemo train`
+    # reads over the files written below; it is checked before any work
+    run_raw = {
+        k: v for k, v in raw.items() if k not in ("synth", "folds", "augment", "fold_indices")
+    }
+    run_raw["manifest"] = str(run_dir / manifest_file)
+    run_raw["fold_plan"] = str(run_dir / "folds.json")
+    run_raw["out_dir"] = str(run_dir)
+    cfg = resolve_experiment_config(run_raw, base_dir=base_dir)
+    augment = raw.get("augment", {})
+    check_keys(augment, {"recipe": "str", "seed": "int"}, "augment")
 
     manifest_path = raw.get("manifest")
     if "synth" in raw:
@@ -250,58 +275,31 @@ def cmd_pipeline(args) -> int:
         manifest, folds_cfg.pop("strategy", "split-80-20"), **folds_cfg
     )
     corpus.save_manifest(manifest, out_dir / "manifest.jsonl")
-
-    train_manifest = manifest
-    manifest_file = "manifest.jsonl"
-    if "augment" in raw:
-        manifest_file = "manifest.augmented.jsonl"
-        train_manifest, _ = augment_corpus(
-            manifest,
-            raw["augment"].get("recipe", "2sp-2vol"),
-            raw["augment"].get("seed", 0),
-            out_dir / "augment",
-            out_dir / manifest_file,
-        )
-        # augmented copies join the train side of every fold their source
-        # trains in; test ids stay original
-        folds = []
-        for f in plan.folds:
-            train = set(f.train_ids)
-            extra = (r.id for r in train_manifest.records if r.augmented and r.source_id in train)
-            folds.append(corpus.Fold(tuple(f.train_ids) + tuple(extra), f.test_ids))
-        plan = replace(plan, folds=tuple(folds))
     corpus.save_fold_plan(plan, out_dir / "folds.json")
+    if "augment" in raw:
+        # the plan names originals; training adds each copy where its source fits
+        manifest, _ = augment_corpus(
+            manifest, augment.get("recipe", "2sp-2vol"), augment.get("seed", 0),
+            out_dir / "augment", out_dir / manifest_file,
+        )
 
-    run_raw = {
-        k: v for k, v in raw.items() if k not in ("synth", "folds", "augment", "fold_indices")
-    }
-    run_raw["manifest"] = str(run_dir / manifest_file)
-    run_raw["fold_plan"] = str(run_dir / "folds.json")
-    run_raw["out_dir"] = str(run_dir)
-    cfg = resolve_experiment_config(run_raw, base_dir=base_dir)
     # one store per manifest, shared by every fold: each utterance's
     # features are computed once per pipeline
-    store = FeatureStore(train_manifest, cfg.features, cfg.feature_cache)
-    eval_sets = []
-    for eval_path in cfg.eval_manifests:
-        em = corpus.load_manifest(eval_path)
-        eval_sets.append((em, FeatureStore(em, cfg.features), cfg.restrict_classes))
+    store = FeatureStore(manifest, cfg.features, cfg.feature_cache)
+    eval_sets = _eval_sets(cfg.eval_manifests, cfg.features, cfg.restrict_classes)
 
     runs = []
     for fold_index in raw.get("fold_indices", list(range(len(plan.folds)))):
         fold_cfg = replace(cfg, fold_index=fold_index, out_dir=str(out_dir / f"fold{fold_index}"))
-        fold, graph, result = _run_training(fold_cfg, store)
+        _, fold, graph, result = _run_training(fold_cfg, store)
 
         # matched: the fold's own test side, scored over every trained class
         matched = corpus.CorpusManifest(
-            name=manifest.name, records=tuple(train_manifest.get(u) for u in fold.test_ids)
+            name=manifest.name, records=tuple(manifest.get(u) for u in fold.test_ids)
         )
-        for test_manifest, test_store, restrict in [(matched, store, False), *eval_sets]:
-            runs.append(_evaluate(
-                graph, result.classes, test_manifest, test_store, Path(fold_cfg.out_dir),
-                manifest.name, fold_index, restrict,
-                result.last_checkpoint, result.history[-1]["epoch"],
-            ))
+        runs += _evaluate(graph, result.classes, [(matched, store, False), *eval_sets],
+                          Path(fold_cfg.out_dir), manifest.name, fold_index,
+                          result.last_checkpoint, result.history[-1]["epoch"])
 
     report = build_cross_matrix(runs)
     paths = save_report(report, out_dir / "report")

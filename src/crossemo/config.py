@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ValidationFailure, from_fields
+from .errors import ValidationFailure, check_keys, from_fields
 from .features import FbankConfig
 from .nn.models import config_from_dict
 from .train import TrainConfig
@@ -20,7 +20,8 @@ PROFILES = {
 
 
 def strip_json_comments(text: str) -> str:
-    """Remove // line comments and /* */ block comments outside strings."""
+    """Remove // line comments and /* */ block comments outside strings. An
+    unterminated block comment raises ValidationFailure."""
     out = []
     i = 0
     n = len(text)
@@ -47,10 +48,10 @@ def strip_json_comments(text: str) -> str:
                 i += 1
             continue
         if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            i += 2
-            while i + 1 < n and not (text[i] == "*" and text[i + 1] == "/"):
-                i += 1
-            i += 2
+            end = text.find("*/", i + 2)
+            if end < 0:
+                raise ValidationFailure(f"unterminated /* comment at offset {i}")
+            i = end + 2
             continue
         out.append(ch)
         i += 1
@@ -104,7 +105,7 @@ class ExperimentConfig:
     arch: str
     model: object
     train: TrainConfig
-    eval_manifests: tuple
+    eval_manifests: tuple[str, ...]
     restrict_classes: bool
     out_dir: str
     seed: int
@@ -115,7 +116,8 @@ class ExperimentConfig:
 
 def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     """Merge an optional named profile under the user's overrides and build
-    the typed configs. Relative paths resolve against `base_dir`."""
+    the typed configs. Every key must name an ExperimentConfig field (or
+    `profile`) and fit its type. Relative paths resolve against `base_dir`."""
     base_dir = Path(base_dir)
     merged: dict = {}
     if "profile" in raw:
@@ -124,6 +126,7 @@ def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> Experime
             # a profile's model keys belong to the profile's architecture
             merged.pop("model", None)
     merged = _deep_merge(merged, {k: v for k, v in raw.items() if k != "profile"})
+    check_keys(merged, {f.name: f.type for f in fields(ExperimentConfig)}, "config")
 
     for required in ("manifest", "fold_plan", "out_dir"):
         if required not in merged:
@@ -132,7 +135,7 @@ def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> Experime
     def respath(p):  # joining keeps an absolute path as it is
         return str(base_dir / p)
 
-    seed = int(merged.get("seed", 0))
+    seed = merged.get("seed", 0)
     features = FbankConfig.from_json(merged.get("features", {}))
     arch = merged.get("arch", "cnn-blstm-att")
     model = config_from_dict(arch, merged.get("model", {}))
@@ -142,7 +145,7 @@ def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> Experime
     return ExperimentConfig(
         manifest=respath(merged["manifest"]),
         fold_plan=respath(merged["fold_plan"]),
-        fold_index=int(merged.get("fold_index", 0)),
+        fold_index=merged.get("fold_index", 0),
         features=features,
         feature_cache=(
             respath(merged["feature_cache"]) if merged.get("feature_cache") else None
@@ -151,7 +154,7 @@ def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> Experime
         model=model,
         train=train,
         eval_manifests=tuple(respath(p) for p in merged.get("eval_manifests", [])),
-        restrict_classes=bool(merged.get("restrict_classes", False)),
+        restrict_classes=merged.get("restrict_classes", False),
         out_dir=respath(merged["out_dir"]),
         seed=seed,
     )

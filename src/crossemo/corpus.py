@@ -370,8 +370,8 @@ FOLD_STRATEGIES = {
 
 
 def make_fold_plan(manifest: CorpusManifest, strategy: str, **opts) -> FoldPlan:
-    """Build and validate the plan of a strategy named in FOLD_STRATEGIES.
-    `opts` override FOLD_OPTION_DEFAULTS; each builder reads the ones it needs."""
+    """Build and validate the plan of a strategy named in FOLD_STRATEGIES over
+    the originals of `manifest`; `opts` override FOLD_OPTION_DEFAULTS."""
     unknown = sorted(set(opts) - set(FOLD_OPTION_DEFAULTS))
     if unknown:
         raise ValidationFailure(f"unknown fold options {unknown}")
@@ -380,7 +380,8 @@ def make_fold_plan(manifest: CorpusManifest, strategy: str, **opts) -> FoldPlan:
             f"unknown fold strategy {strategy!r}; valid: {list(FOLD_STRATEGIES)}"
         )
     build, _ = FOLD_STRATEGIES[strategy]
-    plan = build(manifest, SimpleNamespace(**{**FOLD_OPTION_DEFAULTS, **opts}))
+    originals = CorpusManifest(manifest.name, (r for r in manifest.records if not r.augmented))
+    plan = build(originals, SimpleNamespace(**{**FOLD_OPTION_DEFAULTS, **opts}))
     validate_fold_plan(plan, manifest)
     return plan
 
@@ -437,24 +438,28 @@ def filter_style(manifest: CorpusManifest, style: str) -> CorpusManifest:
     return CorpusManifest(name=f"{manifest.name}.{style}", records=kept)
 
 
+def check_fold(fold: Fold, manifest: CorpusManifest, apart=None, where="fold") -> None:
+    """The rules every fold keeps: disjoint sides naming known original
+    records only (an augmented copy follows its source, so no plan names
+    one), and no value of the record field `apart`, if any, on both sides."""
+    train, test = set(fold.train_ids), set(fold.test_ids)
+    if train & test:
+        raise LeakageError(f"{where}: train/test ids overlap")
+    for utt_id in (*fold.train_ids, *fold.test_ids):
+        if utt_id not in manifest:
+            raise ValidationFailure(f"{where}: unknown id {utt_id!r}")
+        if manifest.get(utt_id).augmented:
+            raise LeakageError(f"{where}: augmented record {utt_id!r} named by the plan")
+    if apart is not None:
+        tr = {getattr(manifest.get(u), apart) for u in train}
+        te = {getattr(manifest.get(u), apart) for u in test}
+        if tr & te:
+            raise ValidationFailure(f"{where}: {apart}s shared across sides")
+
+
 def validate_fold_plan(plan: FoldPlan, manifest: CorpusManifest) -> None:
-    """Re-check a plan before training: within-fold disjointness, id
-    existence, no augmented record on the test side, and no value on both
-    sides of the field FOLD_STRATEGIES keeps apart for the plan's strategy
-    (speaker or session; a strategy outside the table has none)."""
+    """check_fold on every fold, keeping apart the field FOLD_STRATEGIES
+    names for the plan's strategy (a strategy outside the table has none)."""
     _, apart = FOLD_STRATEGIES.get(plan.strategy, (None, None))
     for k, fold in enumerate(plan.folds):
-        train, test = set(fold.train_ids), set(fold.test_ids)
-        if train & test:
-            raise ValidationFailure(f"fold {k}: train/test ids overlap")
-        for utt_id in train | test:
-            if utt_id not in manifest:
-                raise ValidationFailure(f"fold {k}: unknown id {utt_id!r}")
-        for utt_id in test:
-            if manifest.get(utt_id).augmented:
-                raise LeakageError(f"fold {k}: augmented record {utt_id!r} in test set")
-        if apart is not None:
-            tr = {getattr(manifest.get(u), apart) for u in train}
-            te = {getattr(manifest.get(u), apart) for u in test}
-            if tr & te:
-                raise ValidationFailure(f"fold {k}: {apart}s shared across sides")
+        check_fold(fold, manifest, apart, f"fold {k}")

@@ -118,30 +118,44 @@ _SCALAR_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (
 
 def _type_ok(value, annotation) -> bool:
     """Whether `value` fits a field annotated `annotation` (a type or its
-    text); only the scalars above, each optionally `| None`, are checked."""
-    name = getattr(annotation, "__name__", str(annotation))
+    text). Checked are the scalars above, each optionally `| None`, and
+    tuples of them, `tuple[X, ...]` or fixed-length, given as JSON arrays."""
+    name = annotation.__name__ if isinstance(annotation, type) else str(annotation)
     base = name.removesuffix(" | None")
+    if value is None and base != name:
+        return True  # `X | None` takes null
+    if base.startswith("tuple[") and base.endswith("]"):
+        items = base[len("tuple["):-1].split(", ")
+        if not isinstance(value, (list, tuple)):
+            return False
+        if items[-1] == "...":
+            items = items[:1] * len(value)
+        return len(items) == len(value) and all(map(_type_ok, value, items))
     if base not in _SCALAR_TYPES:
         return True
-    if value is None:
-        return base != name  # only `X | None` takes null
     return isinstance(value, _SCALAR_TYPES[base]) and (base == "bool") == isinstance(value, bool)
 
 
-def from_fields(cls, obj: dict, what: str):
-    """Build the dataclass `cls` from `obj`; an unknown key, a missing
-    required field (one without a default) or a mistyped scalar value
-    raises BadConfig instead of the constructor's TypeError."""
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+def check_keys(obj: dict, types: dict, what: str) -> None:
+    """Raise BadConfig on a key of `obj` that `types` (name -> annotation)
+    does not name, or on a value that does not fit its annotation."""
+    unknown = sorted(set(obj) - set(types))
     if unknown:
         raise BadConfig(f"unknown {what} keys: {', '.join(unknown)}")
+    for name, value in obj.items():
+        if not _type_ok(value, types[name]):
+            raise BadConfig(f"{what} key {name!r} must be {types[name]}, got {value!r}")
+
+
+def from_fields(cls, obj: dict, what: str):
+    """Build the dataclass `cls` from `obj`; an unknown key, a mistyped
+    value or a missing required field (one without a default) raises
+    BadConfig instead of the constructor's TypeError."""
+    check_keys(obj, {f.name: f.type for f in fields(cls)}, what)
     missing = [f.name for f in fields(cls) if f.name not in obj
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise BadConfig(f"missing {what} keys: {', '.join(missing)}")
-    for f in fields(cls):
-        if f.name in obj and not _type_ok(obj[f.name], f.type):
-            raise BadConfig(f"{what} key {f.name!r} must be {f.type}, got {obj[f.name]!r}")
     return cls(**obj)
 
 

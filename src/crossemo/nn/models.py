@@ -28,13 +28,13 @@ ARCH_BLSTM = "blstm-att"
 
 @dataclass(frozen=True)
 class CnnBlstmAttConfig:
-    conv_channels: tuple = (32, 32, 64, 64, 128, 128)
+    conv_channels: tuple[int, ...] = (32, 32, 64, 64, 128, 128)
     conv_kernel: int = 3
     conv_stride: int = 1
-    pool_after: tuple = (2, 4, 6)  # 1-indexed conv layers followed by 2x2 max-pool
+    pool_after: tuple[int, ...] = (2, 4, 6)  # 1-indexed conv layers followed by 2x2 max-pool
     conv_batchnorm: bool = False
     blstm_hidden: int = 512
-    fc_sizes: tuple = (512, 512, 256, 128)
+    fc_sizes: tuple[int, ...] = (512, 512, 256, 128)
     dropout: float = 0.2
     attention_dim: int = 128
     n_classes: int = 4

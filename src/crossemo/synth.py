@@ -67,8 +67,8 @@ class SynthCorpusSpec:
     name: str
     n_speakers: int = 4
     utterances_per_class_per_speaker: int = 10
-    classes: tuple = EMOTIONS_4
-    duration_range: tuple = (1.0, 1.4)
+    classes: tuple[str, ...] = EMOTIONS_4
+    duration_range: tuple[float, float] = (1.0, 1.4)
     seed: int = 0
     speaker_timbre_spread: float = 0.08
     timbre_scale: float = 1.0
@@ -106,10 +106,6 @@ class SynthCorpusSpec:
                 c: from_fields(ClassSignature, s, "synth signature")
                 for c, s in obj["signatures"].items()
             }
-        if "classes" in obj:
-            obj["classes"] = tuple(obj["classes"])
-        if "duration_range" in obj:
-            obj["duration_range"] = tuple(obj["duration_range"])
         return from_fields(cls, obj, "synth")
 
 

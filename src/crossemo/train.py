@@ -1,5 +1,10 @@
 """Adam training loop with plateau learning-rate reduction.
 
+A fold plan names original records only. Training carves validation from
+the fold's train side and fits on the rest plus each augmented copy of the
+manifest whose source it holds: a copy of a validation or test utterance
+never trains.
+
 A run is deterministic given (config, seed): per-epoch shuffles and dropout
 masks are seeded from (seed, epoch), so an epoch-boundary resume replays
 exactly the stream a straight run would have produced. Each epoch is
@@ -18,13 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusManifest, Fold
+from .corpus import CorpusManifest, Fold, check_fold
 from .errors import (
     CheckpointMismatch,
     DivergedLoss,
     EmptyTrainSet,
     ShapeMismatch,
-    LeakageError,
     TooFewPerClass,
     ValidationFailure,
 )
@@ -158,22 +162,6 @@ class TrainResult:
     val_ids: tuple
 
 
-def _leakage_check(manifest: CorpusManifest, fold: Fold) -> None:
-    test = set(fold.test_ids)
-    for utt_id in test:
-        if manifest.get(utt_id).augmented:
-            raise LeakageError(f"augmented record {utt_id!r} on the test side")
-    for utt_id in fold.train_ids:
-        if utt_id in test:
-            raise LeakageError(f"{utt_id!r} appears in both train and test")
-        record = manifest.get(utt_id)
-        if record.augmented and record.source_id in test:
-            raise LeakageError(
-                f"augmented record {utt_id!r} derives from test utterance "
-                f"{record.source_id!r}"
-            )
-
-
 def predict_ids(graph: ModelGraph, store, ids, classes, batch_size: int = 64):
     """Eval-mode argmax predictions: list of (id, predicted class)."""
     return [
@@ -193,34 +181,28 @@ def train_model(
     resume: bool = False,
     fold_index: int = 0,
 ) -> TrainResult:
-    """Train `graph` on the fold's train side. The fold's test side is only
-    consulted by the leakage guard and never enters fitting or validation.
-    Checkpoints record the classes, the manifest name as train tag and
-    `fold_index`, which is all an evaluation needs to file its run record."""
+    """Train `graph` on the fold's train side and the augmented copies of its
+    fit part; the test side is only checked by check_fold. Checkpoints record
+    the classes, the manifest name as train tag and `fold_index`, which is
+    all an evaluation needs to file its run record."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not fold.train_ids:
         raise EmptyTrainSet("fold has no training utterances")
-    _leakage_check(manifest, fold)
+    check_fold(fold, manifest)
 
     labels = manifest.labels_by_id()
-    for utt_id in fold.train_ids:
+    train = set(fold.train_ids)
+    copies = sorted(r.id for r in manifest.records if r.augmented and r.source_id in train)
+    for utt_id in (*fold.train_ids, *copies):
         if labels.get(utt_id) is None:
             raise ValidationFailure(f"record {utt_id!r} has no emotion label")
 
-    originals = tuple(u for u in fold.train_ids if not manifest.get(u).augmented)
-    fit_ids, val_ids = carve_validation(
-        originals, labels, cfg.validation_fraction, cfg.seed
-    )
+    fit_ids, val_ids = carve_validation(fold.train_ids, labels, cfg.validation_fraction, cfg.seed)
     val_set = set(val_ids)
-    # augmented copies of validation utterances stay out of the fit side
-    fit_ids = tuple(fit_ids) + tuple(
-        u
-        for u in fold.train_ids
-        if manifest.get(u).augmented and manifest.get(u).source_id not in val_set
-    )
+    fit_ids += tuple(u for u in copies if manifest.get(u).source_id not in val_set)
 
-    classes = tuple(sorted({labels[u] for u in fold.train_ids}))
+    classes = tuple(sorted({labels[u] for u in (*fold.train_ids, *copies)}))
     class_index = {c: i for i, c in enumerate(classes)}
 
     adam = AdamState(graph.params)
@@ -317,6 +299,6 @@ def train_model(
         classes=classes,
         best_checkpoint=best_path,
         last_checkpoint=last_path,
-        fit_ids=tuple(fit_ids),
-        val_ids=tuple(val_ids),
+        fit_ids=fit_ids,
+        val_ids=val_ids,
     )

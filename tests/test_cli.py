@@ -172,7 +172,12 @@ def test_synth_bad_sample_rate_exits_2(tmp_path, capsys, rate):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key, value", [("sample_rate", "16000"), ("n_speakers", True)])
+@pytest.mark.parametrize("key, value", [
+    ("sample_rate", "16000"),
+    ("n_speakers", True),
+    ("duration_range", ["1.0", 1.4]),
+    ("duration_range", [1.0, 1.2, 1.4]),
+])
 def test_synth_mistyped_field_exits_2(tmp_path, capsys, key, value):
     write_json(tmp_path / "spec.json", {"name": "bad", key: value})
     capsys.readouterr()
@@ -256,6 +261,8 @@ def test_train_misspelled_key(prepared, tmp_path, section):
     ("features", "n_bands", "23"),
     ("features", "per_band_norm", 1),
     ("model", "n_classes", "4"),
+    ("model", "pool_after", ["1"]),
+    ("model", "fc_sizes", 16),
 ])
 def test_train_mistyped_value_exits_2(prepared, tmp_path, capsys, section, key, value):
     write_json(tmp_path / "bad.json", {
@@ -266,6 +273,54 @@ def test_train_mistyped_value_exits_2(prepared, tmp_path, capsys, section, key, 
     assert run("train", "--config", tmp_path / "bad.json") == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("train", {"eval_manifest": []}),
+    ("train", {"sede": 3}),
+    ("train", {"seed": 2.7}),
+    ("train", {"seed": "3"}),
+    ("train", {"seed": True}),
+    ("train", {"fold_index": "x"}),
+    ("train", {"restrict_classes": "no"}),
+    ("pipeline", {"sede": 3}),
+    ("pipeline", {"augment": {"recip": "volume"}}),
+    ("pipeline", {"augment": {"recipe": "volume", "seed": "0"}}),
+], ids=["eval_manifest", "sede", "seed-float", "seed-str", "seed-bool", "fold_index-str",
+        "restrict_classes-str", "pipeline-sede", "augment-recip", "augment-seed-str"])
+def test_top_level_config_key_exits_2(tiny, prepared, tmp_path, capsys, command, overrides):
+    out = tmp_path / "run"
+    base = pipeline_config(tiny, out) if command == "pipeline" else {
+        "profile": "desk-scale", **prepared, "train": {"epochs": 1}, "out_dir": str(out),
+    }
+    write_json(tmp_path / "bad.json", {**base, **overrides})
+    capsys.readouterr()
+    assert run(command, "--config", tmp_path / "bad.json") == 2
+    err = capsys.readouterr().err
+    key = next(iter(overrides))
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_scores_eval_manifests(tiny, prepared, trained, tmp_path):
+    write_json(tmp_path / "train.json", {
+        "profile": "desk-scale", **prepared, "train": {"epochs": 1},
+        "eval_manifests": [str(tiny["shift"])], "out_dir": str(tmp_path / "run"),
+    })
+    assert run("train", "--config", tmp_path / "train.json") == 0
+    # the same record and predictions `crossemo eval` writes for the last checkpoint
+    assert run("eval", "--checkpoint", tmp_path / "run" / "checkpoint_last.bin",
+               "--manifests", tiny["shift"], "--out", tmp_path / "eval") == 0
+    for name in ("metrics_tiny-shift.json", "predictions_tiny-shift.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "eval" / name).read_bytes()
+
+    write_json(tmp_path / "missing.json", {
+        "profile": "desk-scale", **prepared, "train": {"epochs": 1},
+        "eval_manifests": [str(tmp_path / "does-not-exist.jsonl")],
+        "out_dir": str(tmp_path / "run2"),
+    })
+    assert run("train", "--config", tmp_path / "missing.json") == 3
+    assert not (tmp_path / "run2" / "checkpoint_last.bin").exists()
 
 
 def pipeline_config(tiny, out_dir, **overrides) -> dict:
@@ -350,3 +405,39 @@ def test_pipeline_config_paths_relative_to_its_directory(tiny, tmp_path, monkeyp
     assert run("pipeline", "--config", "cfg/pipe.json") == 0
     assert (tmp_path / "cfg" / "run" / "corpus-tiny" / "manifest.jsonl").exists()
     assert (tmp_path / "cfg" / "run" / "fold0" / "metrics_tiny.json").exists()
+
+
+def test_prepare_augment_train_chain_equals_pipeline(tmp_path):
+    # the plan names originals; `train` adds the augmented copies itself, so
+    # the chain of subcommands trains exactly what the pipeline trains
+    synth = {"name": "tiny", "n_speakers": 2, "utterances_per_class_per_speaker": 2,
+             "duration_range": [0.6, 0.7], "seed": 3}
+    write_json(tmp_path / "spec.json", synth)
+    assert run("synth", "--spec", tmp_path / "spec.json", "--out", tmp_path / "corpus") == 0
+    assert run("prepare", "--manifest", tmp_path / "corpus" / "manifest.jsonl",
+               "--strategy", "split-80-20", "--seed", 1, "--out", tmp_path / "prep") == 0
+    assert run("augment", "--manifest", tmp_path / "prep" / "manifest.jsonl",
+               "--recipe", "2sp-2vol", "--seed", 5, "--out", tmp_path / "aug") == 0
+    # preparing the augmented manifest plans its originals
+    assert run("prepare", "--manifest", tmp_path / "aug" / "manifest.jsonl",
+               "--strategy", "split-80-20", "--seed", 1, "--out", tmp_path / "prep-aug") == 0
+    assert (tmp_path / "prep-aug" / "folds.json").read_bytes() == (
+        tmp_path / "prep" / "folds.json"
+    ).read_bytes()
+    write_json(tmp_path / "train.json", {
+        "profile": "desk-scale", "manifest": str(tmp_path / "aug" / "manifest.jsonl"),
+        "fold_plan": str(tmp_path / "prep" / "folds.json"), "train": {"epochs": 2},
+        "out_dir": str(tmp_path / "chain"),
+    })
+    assert run("train", "--config", tmp_path / "train.json") == 0
+
+    write_json(tmp_path / "pipe.json", {
+        "profile": "desk-scale", "synth": synth,
+        "folds": {"strategy": "split-80-20", "seed": 1},
+        "augment": {"recipe": "2sp-2vol", "seed": 5},
+        "train": {"epochs": 2}, "out_dir": str(tmp_path / "pipe"),
+    })
+    assert run("pipeline", "--config", tmp_path / "pipe.json") == 0
+    history = (tmp_path / "chain" / "history.jsonl").read_bytes()
+    assert len(history.splitlines()) == 2
+    assert history == (tmp_path / "pipe" / "fold0" / "history.jsonl").read_bytes()

@@ -212,6 +212,24 @@ class TestTrainModel:
             train_model(h.graph(), manifest, fold, h.store,
                         TrainConfig(epochs=1, seed=0), tmp_path / "run")
 
+    def test_augmented_copies_follow_their_source(self, tmp_path, desk_fbank, desk_model_config):
+        from crossemo.features import FeatureStore
+
+        h = TrainHarness(tmp_path, desk_fbank, desk_model_config)
+        copies = tuple(
+            replace(r, id=f"{r.id}__volume__v0", augmented=True, source_id=r.id)
+            for r in h.manifest.records
+        )
+        manifest = CorpusManifest(h.manifest.name, h.manifest.records + copies)
+        fold = Fold(h.ids[:-4], h.ids[-4:])
+        result = train_model(h.graph(), manifest, fold, FeatureStore(manifest, desk_fbank),
+                             TrainConfig(epochs=1, batch_size=8, seed=0), tmp_path / "run")
+        # copies of the fit side join it in id order; those of validation and
+        # test utterances never train
+        fit = tuple(u for u in result.fit_ids if u in fold.train_ids)
+        assert sorted(fit + result.val_ids) == sorted(fold.train_ids)
+        assert result.fit_ids == fit + tuple(sorted(f"{u}__volume__v0" for u in fit))
+
     def test_history_schema_and_determinism(self, tmp_path, desk_fbank, desk_model_config):
         h = TrainHarness(tmp_path, desk_fbank, desk_model_config)
         cfg = TrainConfig(epochs=3, learning_rate=0.003, batch_size=8, seed=9)
