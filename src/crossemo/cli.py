@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -46,9 +46,9 @@ def cmd_prepare(args) -> int:
         manifest, discards = result.manifest, result.discarded
 
     # fold options left off the command line are absent here and take
-    # make_fold_plan's defaults
-    opts = {k: v for k, v in vars(args).items() if k in corpus.FOLD_OPTION_DEFAULTS}
-    plan = corpus.make_fold_plan(manifest, args.strategy, **opts)
+    # FoldOptions' defaults
+    names = {f.name for f in fields(corpus.FoldOptions)}
+    plan = corpus.make_fold_plan(manifest, **{k: v for k, v in vars(args).items() if k in names})
 
     out_dir = Path(args.out) if args.out else _out_root() / "prepare"
     corpus.save_manifest(manifest, out_dir / "manifest.jsonl")
@@ -195,7 +195,10 @@ def cmd_eval(args) -> int:
                 "no --features-config given and no config.resolved.json next to "
                 "the checkpoint"
             )
-        feat_cfg = FbankConfig.from_json(read_json(run_cfg_path)["features"])
+        resolved = read_json(run_cfg_path)
+        if not isinstance(resolved, dict) or "features" not in resolved:
+            raise ValidationFailure(f"{run_cfg_path} has no features section")
+        feat_cfg = FbankConfig.from_json(resolved["features"])
 
     out_dir = Path(args.out) if args.out else _out_root() / "eval"
     sets = _eval_sets(args.manifests, feat_cfg, args.restrict_classes)
@@ -215,7 +218,7 @@ def cmd_report(args) -> int:
         for path in sorted(globmod.glob(pattern)):
             try:
                 runs.append(RunRecord.from_json(read_json(path)))
-            except (ValueError, ValidationFailure) as exc:
+            except ValidationFailure as exc:
                 raise ValidationFailure(f"{path}: {exc}") from exc
     if not runs:
         raise ValidationFailure(f"no run files matched {args.runs}")
@@ -236,33 +239,31 @@ def cmd_pipeline(args) -> int:
     from one config file."""
     from . import corpus
     from .augment import augment_corpus
-    from .config import load_json_config, resolve_experiment_config
-    from .errors import check_keys
+    from .config import PipelineSections, load_json_config, resolve_experiment_config
+    from .errors import from_fields
     from .features import FeatureStore
     from .report import build_cross_matrix, save_report
-    from .synth import SynthCorpusSpec, generate_corpus
+    from .synth import generate_corpus
 
     raw = load_json_config(args.config)
     base_dir = Path(args.config).parent
+    own = {f.name for f in fields(PipelineSections)}
+    sections = from_fields(PipelineSections, {k: v for k, v in raw.items() if k in own}, "pipeline")
     # paths in `raw` are relative to base_dir; joining keeps an absolute one as it is
-    run_dir = Path(raw.get("out_dir", _out_root() / "pipeline"))
+    run_dir = Path(_out_root() / "pipeline" if sections.out_dir is None else sections.out_dir)
     out_dir = base_dir / run_dir
-    manifest_file = "manifest.augmented.jsonl" if "augment" in raw else "manifest.jsonl"
-    # the pipeline's own sections aside, the config is one `crossemo train`
-    # reads over the files written below; it is checked before any work
-    run_raw = {
-        k: v for k, v in raw.items() if k not in ("synth", "folds", "augment", "fold_indices")
-    }
+    augment = sections.augment
+    manifest_file = "manifest.jsonl" if augment is None else "manifest.augmented.jsonl"
+    # the rest of the config is one `crossemo train` reads over the files
+    # written below; it is checked before any work
+    run_raw = {k: v for k, v in raw.items() if k not in own}
     run_raw["manifest"] = str(run_dir / manifest_file)
     run_raw["fold_plan"] = str(run_dir / "folds.json")
     run_raw["out_dir"] = str(run_dir)
     cfg = resolve_experiment_config(run_raw, base_dir=base_dir)
-    augment = raw.get("augment", {})
-    check_keys(augment, {"recipe": "str", "seed": "int"}, "augment")
 
-    manifest_path = raw.get("manifest")
-    if "synth" in raw:
-        spec = SynthCorpusSpec.from_json(raw["synth"])
+    manifest_path = sections.manifest
+    if (spec := sections.synth) is not None:
         corpus_dir = run_dir / f"corpus-{spec.name}"
         generate_corpus(spec, base_dir / corpus_dir)
         manifest_path = corpus_dir / "manifest.jsonl"
@@ -270,17 +271,13 @@ def cmd_pipeline(args) -> int:
         raise ValidationFailure("pipeline config needs either 'synth' or 'manifest'")
 
     manifest = corpus.load_manifest(base_dir / manifest_path)
-    folds_cfg = dict(raw.get("folds", {}))
-    plan = corpus.make_fold_plan(
-        manifest, folds_cfg.pop("strategy", "split-80-20"), **folds_cfg
-    )
+    plan = corpus.make_fold_plan(manifest, **asdict(sections.folds))
     corpus.save_manifest(manifest, out_dir / "manifest.jsonl")
     corpus.save_fold_plan(plan, out_dir / "folds.json")
-    if "augment" in raw:
+    if augment is not None:
         # the plan names originals; training adds each copy where its source fits
         manifest, _ = augment_corpus(
-            manifest, augment.get("recipe", "2sp-2vol"), augment.get("seed", 0),
-            out_dir / "augment", out_dir / manifest_file,
+            manifest, augment.recipe, augment.seed, out_dir / "augment", out_dir / manifest_file,
         )
 
     # one store per manifest, shared by every fold: each utterance's
@@ -289,7 +286,8 @@ def cmd_pipeline(args) -> int:
     eval_sets = _eval_sets(cfg.eval_manifests, cfg.features, cfg.restrict_classes)
 
     runs = []
-    for fold_index in raw.get("fold_indices", list(range(len(plan.folds)))):
+    fold_indices = sections.fold_indices
+    for fold_index in range(len(plan.folds)) if fold_indices is None else fold_indices:
         fold_cfg = replace(cfg, fold_index=fold_index, out_dir=str(out_dir / f"fold{fold_index}"))
         _, fold, graph, result = _run_training(fold_cfg, store)
 

@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .errors import ValidationFailure, check_keys, from_fields
+from .corpus import FoldOptions
+from .errors import ValidationFailure, from_fields
 from .features import FbankConfig
-from .nn.models import config_from_dict
+from .ioutil import parse_json
+from .nn.models import ARCH_CNN, config_from_dict
+from .synth import SynthCorpusSpec
 from .train import TrainConfig
 
 PROFILES = {
@@ -63,14 +66,14 @@ def load_json_config(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationFailure(f"cannot read config {path}: {exc}") from exc
-    try:
-        return json.loads(strip_json_comments(text))
-    except json.JSONDecodeError as exc:
-        raise ValidationFailure(f"config {path} is not valid JSON: {exc}") from exc
+    obj = parse_json(strip_json_comments(text), f"config {path}")
+    if not isinstance(obj, dict):
+        raise ValidationFailure(f"config {path} must hold a JSON object")
+    return obj
 
 
 def load_profile(name: str) -> dict:
-    if name not in PROFILES:
+    if not isinstance(name, str) or name not in PROFILES:
         raise ValidationFailure(
             f"unknown profile {name!r}; available: {', '.join(sorted(PROFILES))}"
         )
@@ -99,25 +102,44 @@ class ExperimentConfig:
 
     manifest: str
     fold_plan: str
-    fold_index: int
-    features: FbankConfig
-    feature_cache: str | None
-    arch: str
-    model: object
-    train: TrainConfig
-    eval_manifests: tuple[str, ...]
-    restrict_classes: bool
     out_dir: str
-    seed: int
+    fold_index: int = 0
+    features: FbankConfig = field(default_factory=FbankConfig)
+    feature_cache: str | None = None
+    arch: str = ARCH_CNN
+    model: object = field(default_factory=dict)  # a config of `arch`, once resolved
+    train: TrainConfig = field(default_factory=TrainConfig)
+    eval_manifests: tuple[str, ...] = ()
+    restrict_classes: bool = False
+    seed: int = 0
 
     def resolved_json(self) -> dict:
         return {"schema_version": 1, **asdict(self)}
 
 
+@dataclass(frozen=True)
+class AugmentOptions:
+    recipe: str = "2sp-2vol"
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class PipelineSections:
+    """A pipeline config's own keys; the rest is the train config of each
+    fold, whose `manifest` and `fold_plan` the pipeline writes in `out_dir`."""
+
+    synth: SynthCorpusSpec | None = None
+    manifest: str | None = None
+    folds: FoldOptions = field(default_factory=FoldOptions)
+    augment: AugmentOptions | None = None
+    fold_indices: tuple[int, ...] | None = None
+    out_dir: str | None = None
+
+
 def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
-    """Merge an optional named profile under the user's overrides and build
-    the typed configs. Every key must name an ExperimentConfig field (or
-    `profile`) and fit its type. Relative paths resolve against `base_dir`."""
+    """Merge an optional named profile under the user's overrides and read
+    the result as an ExperimentConfig, the model section as a config of its
+    architecture. Relative paths resolve against `base_dir`."""
     base_dir = Path(base_dir)
     merged: dict = {}
     if "profile" in raw:
@@ -126,35 +148,18 @@ def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> Experime
             # a profile's model keys belong to the profile's architecture
             merged.pop("model", None)
     merged = _deep_merge(merged, {k: v for k, v in raw.items() if k != "profile"})
-    check_keys(merged, {f.name: f.type for f in fields(ExperimentConfig)}, "config")
-
-    for required in ("manifest", "fold_plan", "out_dir"):
-        if required not in merged:
-            raise ValidationFailure(f"config missing required field {required!r}")
+    cfg = from_fields(ExperimentConfig, merged, "config")
 
     def respath(p):  # joining keeps an absolute path as it is
         return str(base_dir / p)
 
-    seed = merged.get("seed", 0)
-    features = FbankConfig.from_json(merged.get("features", {}))
-    arch = merged.get("arch", "cnn-blstm-att")
-    model = config_from_dict(arch, merged.get("model", {}))
-    train_fields = dict(merged.get("train", {}))
-    train_fields.setdefault("seed", seed)
-    train = from_fields(TrainConfig, train_fields, "train")
-    return ExperimentConfig(
-        manifest=respath(merged["manifest"]),
-        fold_plan=respath(merged["fold_plan"]),
-        fold_index=merged.get("fold_index", 0),
-        features=features,
-        feature_cache=(
-            respath(merged["feature_cache"]) if merged.get("feature_cache") else None
-        ),
-        arch=arch,
-        model=model,
-        train=train,
-        eval_manifests=tuple(respath(p) for p in merged.get("eval_manifests", [])),
-        restrict_classes=merged.get("restrict_classes", False),
-        out_dir=respath(merged["out_dir"]),
-        seed=seed,
+    return replace(
+        cfg,
+        manifest=respath(cfg.manifest),
+        fold_plan=respath(cfg.fold_plan),
+        feature_cache=respath(cfg.feature_cache) if cfg.feature_cache else None,
+        model=config_from_dict(cfg.arch, cfg.model),
+        train=replace(cfg.train, seed=merged.get("train", {}).get("seed", cfg.seed)),
+        eval_manifests=tuple(respath(p) for p in cfg.eval_manifests),
+        out_dir=respath(cfg.out_dir),
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,8 +24,9 @@ from .errors import (
     TooFewSpeakers,
     UnknownStyle,
     ValidationFailure,
+    from_fields,
 )
-from .ioutil import read_jsonl, stable_hash64, write_jsonl
+from .ioutil import read_json, read_jsonl, stable_hash64, write_json, write_jsonl
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -80,6 +80,8 @@ class UtteranceRecord:
         for name in _REQUIRED_FIELDS:
             if name not in obj:
                 raise MissingField(f"record missing required field {name!r}: {obj}")
+        if not isinstance(obj.get("augmented", False), bool):
+            raise ValidationFailure(f"record {obj['id']!r}: augmented must be true or false")
         return cls(
             id=str(obj["id"]),
             audio_path=str(obj["audio_path"]),
@@ -89,7 +91,7 @@ class UtteranceRecord:
             session=None if obj.get("session") is None else str(obj["session"]),
             raw_labels=dict(obj.get("raw_labels", {})),
             emotion=obj.get("emotion"),
-            augmented=bool(obj.get("augmented", False)),
+            augmented=obj.get("augmented", False),
             source_id=obj.get("source_id"),
         )
 
@@ -137,6 +139,8 @@ def load_manifest(path: str | Path, name: str | None = None) -> CorpusManifest:
     header_name = None
     records = []
     for row in rows:
+        if not isinstance(row, dict):
+            raise ValidationFailure(f"{path}: manifest row {row!r} is not an object")
         if "manifest_schema" in row and "id" not in row:
             if int(row["manifest_schema"]) != MANIFEST_SCHEMA_VERSION:
                 raise ValidationFailure(
@@ -218,14 +222,14 @@ def map_labels_mosei(manifest: CorpusManifest) -> LabelMapResult:
 
 @dataclass(frozen=True)
 class Fold:
-    train_ids: tuple
-    test_ids: tuple
+    train_ids: tuple[str, ...]
+    test_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class FoldPlan:
     strategy: str
-    folds: tuple
+    folds: tuple[Fold, ...]
     seed: int | None = None
 
     def to_json(self) -> dict:
@@ -241,21 +245,14 @@ class FoldPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FoldPlan":
-        folds = tuple(
-            Fold(tuple(f["train_ids"]), tuple(f["test_ids"])) for f in obj["folds"]
-        )
-        return cls(strategy=obj["strategy"], folds=folds, seed=obj.get("seed"))
+        return from_fields(cls, obj, "fold plan", ignore=("schema_version",))
 
 
 def save_fold_plan(plan: FoldPlan, path: str | Path) -> None:
-    from .ioutil import write_json
-
     write_json(path, plan.to_json())
 
 
 def load_fold_plan(path: str | Path) -> FoldPlan:
-    from .ioutil import read_json
-
     return FoldPlan.from_json(read_json(path))
 
 
@@ -343,16 +340,25 @@ def make_split_80_20(manifest: CorpusManifest, seed: int = 0) -> FoldPlan:
     return FoldPlan(strategy="split-80-20", folds=plan.folds, seed=seed)
 
 
-FOLD_OPTION_DEFAULTS = {
-    "n_folds": 5,
-    "test_speakers": 5,
-    "test_fraction": 0.2,
-    "reverse_sessions": False,
-    "seed": 0,
-}
+@dataclass(frozen=True)
+class FoldOptions:
+    """A strategy named in FOLD_STRATEGIES and the options its builder reads."""
+
+    strategy: str = "split-80-20"
+    n_folds: int = 5
+    test_speakers: int = 5
+    test_fraction: float = 0.2
+    reverse_sessions: bool = False
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.strategy not in FOLD_STRATEGIES:
+            raise ValidationFailure(
+                f"unknown fold strategy {self.strategy!r}; valid: {list(FOLD_STRATEGIES)}"
+            )
 
 
-# strategy -> (builder(manifest, opts), the record field whose values a fold
+# strategy -> (builder(manifest, FoldOptions), the record field whose values a fold
 # keeps apart, or None); lambdas look each builder up at call time, so a
 # wrapped builder is seen
 FOLD_STRATEGIES = {
@@ -371,17 +377,11 @@ FOLD_STRATEGIES = {
 
 def make_fold_plan(manifest: CorpusManifest, strategy: str, **opts) -> FoldPlan:
     """Build and validate the plan of a strategy named in FOLD_STRATEGIES over
-    the originals of `manifest`; `opts` override FOLD_OPTION_DEFAULTS."""
-    unknown = sorted(set(opts) - set(FOLD_OPTION_DEFAULTS))
-    if unknown:
-        raise ValidationFailure(f"unknown fold options {unknown}")
-    if strategy not in FOLD_STRATEGIES:
-        raise ValidationFailure(
-            f"unknown fold strategy {strategy!r}; valid: {list(FOLD_STRATEGIES)}"
-        )
-    build, _ = FOLD_STRATEGIES[strategy]
+    the originals of `manifest`; `opts` name other FoldOptions fields."""
+    options = from_fields(FoldOptions, {"strategy": strategy, **opts}, "folds")
+    build, _ = FOLD_STRATEGIES[options.strategy]
     originals = CorpusManifest(manifest.name, (r for r in manifest.records if not r.augmented))
-    plan = build(originals, SimpleNamespace(**{**FOLD_OPTION_DEFAULTS, **opts}))
+    plan = build(originals, options)
     validate_fold_plan(plan, manifest)
     return plan
 

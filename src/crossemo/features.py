@@ -8,7 +8,6 @@ z-normalized over all cells of the file.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from .audio import AudioBuffer
 from .errors import EmptyAudio, IoFailure, SampleRateMismatch, ValidationFailure, from_fields
-from .ioutil import write_json
+from .ioutil import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,8 @@ class FeatureCache:
         self._index: dict[str, tuple[int, int, int]] = {}
         if self.sidecar_path.exists():
             try:
-                sidecar = json.loads(self.sidecar_path.read_text())
-            except json.JSONDecodeError:
+                sidecar = read_json(self.sidecar_path)
+            except ValidationFailure:
                 sidecar = None
             if sidecar == cfg.to_json() and self.bin_path.exists():
                 self._load_index()

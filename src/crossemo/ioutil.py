@@ -8,6 +8,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import ValidationFailure
+
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write via a temp file in the same directory plus rename, so readers
@@ -33,9 +35,17 @@ def write_json(path: str | Path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def parse_json(data: str | bytes, where):
+    """The JSON value in `data`; malformed JSON raises ValidationFailure
+    naming `where`."""
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # incl. Unicode and JSON decode errors
+        raise ValidationFailure(f"{where} is not valid JSON: {exc}") from exc
+
+
 def read_json(path: str | Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return parse_json(Path(path).read_bytes(), path)
 
 
 def write_jsonl(path: str | Path, rows) -> None:
@@ -43,13 +53,9 @@ def write_jsonl(path: str | Path, rows) -> None:
 
 
 def read_jsonl(path: str | Path) -> list:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+    """The JSON value on each non-blank line of `path`."""
+    lines = Path(path).read_bytes().split(b"\n")
+    return [parse_json(line, f"{path} line {n}") for n, line in enumerate(lines, 1) if line.strip()]
 
 
 def stable_hash64(*parts) -> int:

@@ -41,9 +41,6 @@ class CnnBlstmAttConfig:
     input_bands: int = 23
 
     def __post_init__(self):
-        object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
-        object.__setattr__(self, "pool_after", tuple(self.pool_after))
-        object.__setattr__(self, "fc_sizes", tuple(self.fc_sizes))
         if not self.conv_channels or not self.fc_sizes:
             raise BadConfig("need at least one conv layer and one fc layer")
         if self.n_classes < 2:

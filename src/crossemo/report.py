@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationFailure
+from .errors import ValidationFailure, from_fields
 from .evaluation import METRIC_KEYS, MetricSet, aggregate_folds
 from .ioutil import atomic_write_text, write_json
 
@@ -30,7 +30,7 @@ class RunRecord:
     test_tag: str
     fold: int
     metrics: MetricSet
-    train_components: tuple = ()
+    train_components: tuple[str, ...] = ()
 
     def is_matched(self) -> bool:
         return self.test_tag == self.train_tag or self.test_tag in self.train_components
@@ -46,25 +46,11 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, obj) -> "RunRecord":
-        """Inverse of `to_json`; other keys are ignored. A missing or
-        mistyped field raises ValidationFailure."""
-        try:
-            record = cls(
-                train_tag=obj["train_tag"],
-                test_tag=obj["test_tag"],
-                fold=obj["fold"],
-                metrics=MetricSet(**{k: float(obj["metrics"][k]) for k in METRIC_KEYS}),
-                train_components=tuple(obj.get("train_components", ())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationFailure(f"malformed run record: {exc!r}") from exc
-        texts = (record.train_tag, record.test_tag) + record.train_components
-        if (not all(isinstance(t, str) for t in texts) or type(record.fold) is not int
-                or not isinstance(obj.get("train_components", []), list)):
-            raise ValidationFailure(
-                "run record: tags must be strings, train_components a list, fold an integer"
-            )
-        return record
+        """Inverse of `to_json`, skipping the other keys of the metrics file
+        `crossemo eval` writes. An unknown, missing or mistyped field raises
+        ValidationFailure."""
+        return from_fields(cls, obj, "run record", ignore=(
+            "checkpoint", "checkpoint_epoch", "restrict_classes", "classes", "confusion"))
 
 
 @dataclass

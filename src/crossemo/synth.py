@@ -75,11 +75,11 @@ class SynthCorpusSpec:
     pitch_scale: float = 1.0
     reverb_seconds: float = 0.0
     sample_rate: int = 16000
-    signatures: dict = field(default_factory=lambda: dict(DEFAULT_SIGNATURES))
+    signatures: dict[str, ClassSignature] = field(
+        default_factory=lambda: dict(DEFAULT_SIGNATURES)
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "duration_range", tuple(self.duration_range))
         if self.n_speakers < 1 or self.utterances_per_class_per_speaker < 1:
             raise ValidationFailure("speaker and utterance counts must be >= 1")
         if not self.sample_rate >= 1:
@@ -100,12 +100,6 @@ class SynthCorpusSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthCorpusSpec":
-        obj = dict(obj)
-        if "signatures" in obj:
-            obj["signatures"] = {
-                c: from_fields(ClassSignature, s, "synth signature")
-                for c, s in obj["signatures"].items()
-            }
         return from_fields(cls, obj, "synth")
 
 

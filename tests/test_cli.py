@@ -441,3 +441,76 @@ def test_prepare_augment_train_chain_equals_pipeline(tmp_path):
     history = (tmp_path / "chain" / "history.jsonl").read_bytes()
     assert len(history.splitlines()) == 2
     assert history == (tmp_path / "pipe" / "fold0" / "history.jsonl").read_bytes()
+
+
+MALFORMED = {
+    # train config sections
+    "train-int": ("train", {"train": 5}),
+    "features-int": ("train", {"features": 5}),
+    "model-int": ("train", {"model": 5}),
+    "profile-list": ("train", {"profile": ["desk-scale"]}),
+    # pipeline config sections
+    "folds-int": ("pipeline", {"folds": 5}),
+    "folds-seed-str": ("pipeline", {"folds": {"seed": "3"}}),
+    "n_folds-str": ("pipeline", {"folds": {"strategy": "proportional", "n_folds": "2"}}),
+    "fold_indices-str": ("pipeline", {"fold_indices": "0"}),
+    "fold_indices-float": ("pipeline", {"fold_indices": [0.0]}),
+    "augment-int": ("pipeline", {"augment": 5}),
+    "synth-int": ("pipeline", {"synth": 5}),
+    "out_dir-int": ("pipeline", {"out_dir": 5}),
+    # files the subcommands read
+    "folds-json-corrupt": ("file", None),
+    "folds-json-empty": ("file", None),
+    "manifest-corrupt": ("file", None),
+    "manifest-augmented-str": ("file", None),
+    "resolved-without-features": ("file", None),
+}
+
+
+def corrupt_file_argv(case, tiny, prepared, trained, tmp_path) -> list:
+    """Write the damaged file of `case` and return the command that reads it."""
+    if case.startswith("folds-json"):
+        (tmp_path / "folds.json").write_text("{not json" if case.endswith("corrupt") else "{}")
+        write_json(tmp_path / "bad.json", {
+            "profile": "desk-scale", **prepared, "fold_plan": str(tmp_path / "folds.json"),
+            "train": {"epochs": 1}, "out_dir": str(tmp_path / "run"),
+        })
+        return ["train", "--config", tmp_path / "bad.json"]
+    if case.startswith("manifest"):
+        lines = Path(tiny["manifest"]).read_text().splitlines()  # a header, then records
+        row = json.loads(lines[1])
+        if case.endswith("corrupt"):
+            lines[2] = lines[2][: len(lines[2]) // 2]
+        else:
+            lines[1] = json.dumps({**row, "augmented": "false"})
+        (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
+        return ["prepare", "--manifest", tmp_path / "m.jsonl", "--strategy", "split-80-20",
+                "--out", tmp_path / "prep"]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "checkpoint_last.bin").write_bytes((trained / "checkpoint_last.bin").read_bytes())
+    resolved = json.loads((trained / "config.resolved.json").read_text())
+    del resolved["features"]
+    write_json(run_dir / "config.resolved.json", resolved)
+    return ["eval", "--checkpoint", run_dir / "checkpoint_last.bin",
+            "--manifests", tiny["shift"], "--out", tmp_path / "eval"]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_config_exits_2(tiny, prepared, trained, tmp_path, capsys, case):
+    command, overrides = MALFORMED[case]
+    out = tmp_path / "run"
+    if command == "file":
+        argv = corrupt_file_argv(case, tiny, prepared, trained, tmp_path)
+    else:
+        base = pipeline_config(tiny, out) if command == "pipeline" else {
+            "profile": "desk-scale", **prepared, "train": {"epochs": 1}, "out_dir": str(out),
+        }
+        write_json(tmp_path / "bad.json", {**base, **overrides})
+        argv = [command, "--config", tmp_path / "bad.json"]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if command != "file":  # a config is read before any work starts
+        assert not out.exists()

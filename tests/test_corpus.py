@@ -118,6 +118,23 @@ class TestManifestIo:
         with pytest.raises(UnknownStyle):
             load_manifest(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("5", "not an object"), ("null", "not an object"), ('["u0000"]', "not an object"),
+        ("{not json", "line 2 is not valid JSON"),
+    ])
+    def test_row_that_is_not_an_object_rejected(self, tmp_path, line, message):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(make_record(0).to_json()) + "\n" + line + "\n")
+        with pytest.raises(ValidationFailure, match=message):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_augmented_must_be_a_boolean(self, tmp_path, value):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**make_record(0).to_json(), "augmented": value}) + "\n")
+        with pytest.raises(ValidationFailure, match="augmented"):
+            load_manifest(path)
+
     def test_save_load_round_trip(self, tmp_path):
         manifest = make_manifest(8)
         save_manifest(manifest, tmp_path / "m.jsonl")
