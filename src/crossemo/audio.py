@@ -287,27 +287,21 @@ def _wsola(x: np.ndarray, factor: float, window: int, search: int) -> np.ndarray
 
 
 def _shelf_coefficients(band: str, gain_db: float, sample_rate: int):
-    # audio-EQ-cookbook second-order shelving filters
+    # audio-EQ-cookbook second-order shelving filters: the treble shelf is the
+    # bass one with cos(w0), b1 and a1 negated (s = -1); a sign flip is exact
+    s = 1 if band == "bass" else -1
     corner = BASS_CORNER_HZ if band == "bass" else TREBLE_CORNER_HZ
     a_lin = 10.0 ** (gain_db / 40.0)
     w0 = 2.0 * math.pi * corner / sample_rate
     alpha = math.sin(w0) / (2.0 * SHELF_Q)
-    cosw = math.cos(w0)
+    cosw = s * math.cos(w0)
     two_rt = 2.0 * math.sqrt(a_lin) * alpha
-    if band == "bass":
-        b0 = a_lin * ((a_lin + 1) - (a_lin - 1) * cosw + two_rt)
-        b1 = 2 * a_lin * ((a_lin - 1) - (a_lin + 1) * cosw)
-        b2 = a_lin * ((a_lin + 1) - (a_lin - 1) * cosw - two_rt)
-        a0 = (a_lin + 1) + (a_lin - 1) * cosw + two_rt
-        a1 = -2 * ((a_lin - 1) + (a_lin + 1) * cosw)
-        a2 = (a_lin + 1) + (a_lin - 1) * cosw - two_rt
-    else:
-        b0 = a_lin * ((a_lin + 1) + (a_lin - 1) * cosw + two_rt)
-        b1 = -2 * a_lin * ((a_lin - 1) + (a_lin + 1) * cosw)
-        b2 = a_lin * ((a_lin + 1) + (a_lin - 1) * cosw - two_rt)
-        a0 = (a_lin + 1) - (a_lin - 1) * cosw + two_rt
-        a1 = 2 * ((a_lin - 1) - (a_lin + 1) * cosw)
-        a2 = (a_lin + 1) - (a_lin - 1) * cosw - two_rt
+    b0 = a_lin * ((a_lin + 1) - (a_lin - 1) * cosw + two_rt)
+    b1 = 2 * s * a_lin * ((a_lin - 1) - (a_lin + 1) * cosw)
+    b2 = a_lin * ((a_lin + 1) - (a_lin - 1) * cosw - two_rt)
+    a0 = (a_lin + 1) + (a_lin - 1) * cosw + two_rt
+    a1 = -2 * s * ((a_lin - 1) + (a_lin + 1) * cosw)
+    a2 = (a_lin + 1) + (a_lin - 1) * cosw - two_rt
     b = np.array([b0, b1, b2]) / a0
     a = np.array([1.0, a1 / a0, a2 / a0])
     return b, a

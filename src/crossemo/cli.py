@@ -272,6 +272,13 @@ def cmd_pipeline(args) -> int:
 
     manifest = corpus.load_manifest(base_dir / manifest_path)
     plan = corpus.make_fold_plan(manifest, **asdict(sections.folds))
+    every_fold = range(len(plan.folds))
+    fold_indices = every_fold if sections.fold_indices is None else sections.fold_indices
+    if len(set(fold_indices)) < len(fold_indices) or not set(fold_indices) <= set(every_fold):
+        raise ValidationFailure(
+            f"fold_indices {list(fold_indices)} must name distinct folds of the "
+            f"{len(plan.folds)} in the plan"
+        )
     corpus.save_manifest(manifest, out_dir / "manifest.jsonl")
     corpus.save_fold_plan(plan, out_dir / "folds.json")
     if augment is not None:
@@ -286,8 +293,7 @@ def cmd_pipeline(args) -> int:
     eval_sets = _eval_sets(cfg.eval_manifests, cfg.features, cfg.restrict_classes)
 
     runs = []
-    fold_indices = sections.fold_indices
-    for fold_index in range(len(plan.folds)) if fold_indices is None else fold_indices:
+    for fold_index in fold_indices:
         fold_cfg = replace(cfg, fold_index=fold_index, out_dir=str(out_dir / f"fold{fold_index}"))
         _, fold, graph, result = _run_training(fold_cfg, store)
 

@@ -28,7 +28,6 @@ class FbankConfig:
     sample_rate: int = 16000
     fft_size: int = 512
     log_floor: float = 1e-10
-    per_band_norm: bool = False  # sensitivity-study variant of the file-global z-norm
 
     def __post_init__(self):
         if not (self.window_ms > self.shift_ms > 0):
@@ -131,15 +130,10 @@ def extract_fbank(buffer: AudioBuffer, cfg: FbankConfig) -> np.ndarray:
     return np.log(np.maximum(mel_energy, cfg.log_floor))
 
 
-def znorm_per_file(features: np.ndarray, per_band: bool = False) -> np.ndarray:
+def znorm_per_file(features: np.ndarray) -> np.ndarray:
     """Subtract the file-global mean and divide by the file-global population
-    std (per band instead when `per_band`) into a new float64 array. A
-    constant input maps to zeros."""
+    std into a new float64 array. A constant input maps to zeros."""
     x = np.array(features, dtype=np.float64)
-    if per_band:
-        mean = x.mean(axis=0, keepdims=True)
-        std = x.std(axis=0, keepdims=True)
-        return np.where(std < 1e-12, 0.0, (x - mean) / np.where(std < 1e-12, 1.0, std))
     std = x.std()
     if std < 1e-12:
         return np.zeros_like(x)
@@ -149,7 +143,7 @@ def znorm_per_file(features: np.ndarray, per_band: bool = False) -> np.ndarray:
 def compute_features(buffer: AudioBuffer, cfg: FbankConfig) -> np.ndarray:
     """Full front-end: fix_length -> extract_fbank -> znorm_per_file."""
     raw = extract_fbank(fix_length(buffer, cfg), cfg)
-    return znorm_per_file(raw, per_band=cfg.per_band_norm)
+    return znorm_per_file(raw)
 
 
 class FeatureCache:

@@ -30,9 +30,7 @@ ARCH_BLSTM = "blstm-att"
 class CnnBlstmAttConfig:
     conv_channels: tuple[int, ...] = (32, 32, 64, 64, 128, 128)
     conv_kernel: int = 3
-    conv_stride: int = 1
     pool_after: tuple[int, ...] = (2, 4, 6)  # 1-indexed conv layers followed by 2x2 max-pool
-    conv_batchnorm: bool = False
     blstm_hidden: int = 512
     fc_sizes: tuple[int, ...] = (512, 512, 256, 128)
     dropout: float = 0.2
@@ -123,19 +121,7 @@ def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
     batch, n_steps, bands = feats.shape
     x = Tensor(feats.reshape(batch, 1, n_steps, bands))
     for i in range(len(cfg.conv_channels)):
-        x = ops.conv2d(
-            x, graph.params[f"conv{i}.w"], graph.params[f"conv{i}.b"], stride=cfg.conv_stride
-        )
-        if cfg.conv_batchnorm:
-            x = ops.batch_norm(
-                x,
-                graph.params[f"conv{i}.bn.gamma"],
-                graph.params[f"conv{i}.bn.beta"],
-                graph.bn_stats[f"conv{i}.bn"],
-                graph.mode,
-                feature_axis=1,
-            )
-        x = ops.relu(x)
+        x = ops.relu(ops.conv2d(x, graph.params[f"conv{i}.w"], graph.params[f"conv{i}.b"]))
         if (i + 1) in cfg.pool_after:
             x = ops.max_pool2d(x, 2)
     _, ch, t_out, b_out = x.shape
@@ -180,8 +166,6 @@ def build_cnn_blstm_att(cfg: CnnBlstmAttConfig, seed: int) -> ModelGraph:
     bands = cfg.input_bands
     for i, out_ch in enumerate(cfg.conv_channels):
         layers.add_conv(params, rng, f"conv{i}", in_ch, out_ch, cfg.conv_kernel)
-        if cfg.conv_batchnorm:
-            layers.add_batchnorm(params, stats, f"conv{i}.bn", out_ch)
         if (i + 1) in cfg.pool_after:
             bands //= 2
         in_ch = out_ch

@@ -9,8 +9,6 @@ take the mode explicitly; there is no global training flag.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import BadRate, BatchTooSmall, LabelOutOfRange, ShapeMismatch
@@ -262,47 +260,44 @@ def batch_norm(
     beta: Tensor,
     stats: BnStats,
     mode: str,
-    feature_axis: int = -1,
     momentum: float = 0.9,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Normalize per feature over all other axes. Train mode uses batch
-    statistics and updates the running ones; eval mode applies the running
-    statistics as a fixed affine map."""
+    """Normalize each feature column of a [rows, features] input over its
+    rows. Train mode uses batch statistics and updates the running ones; eval
+    mode applies the running statistics as a fixed affine map."""
     a = as_tensor(a)
-    axis = feature_axis % a.data.ndim
-    reduce_axes = tuple(i for i in range(a.data.ndim) if i != axis)
-    count = int(np.prod([a.shape[i] for i in reduce_axes]))
-    bshape = [1] * a.data.ndim
-    bshape[axis] = a.shape[axis]
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"batch norm expects [rows, features], got {a.shape}")
+    count = a.shape[0]
 
     if mode == "train":
         if count < 2:
             raise BatchTooSmall(f"batch norm needs >= 2 values per feature, got {count}")
-        mean = a.data.mean(axis=reduce_axes)
-        var = a.data.var(axis=reduce_axes)
+        mean = a.data.mean(axis=0)
+        var = a.data.var(axis=0)
         stats.mean[...] = momentum * stats.mean + (1.0 - momentum) * mean
         stats.var[...] = momentum * stats.var + (1.0 - momentum) * var
     else:
         mean = stats.mean.astype(a.dtype)
         var = stats.var.astype(a.dtype)
 
-    inv = (1.0 / np.sqrt(var + eps)).reshape(bshape).astype(a.dtype)
-    xhat = (a.data - mean.reshape(bshape)) * inv
-    out_data = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    inv = (1.0 / np.sqrt(var + eps)).astype(a.dtype)
+    xhat = (a.data - mean) * inv
+    out_data = gamma.data * xhat + beta.data
     req = a.requires_grad or gamma.requires_grad or beta.requires_grad
     out = Tensor(out_data, req, parents=(a, gamma, beta))
     if req:
         def _bw(g):
             if gamma.requires_grad:
-                gamma.accumulate((g * xhat).sum(axis=reduce_axes))
+                gamma.accumulate((g * xhat).sum(axis=0))
             if beta.requires_grad:
-                beta.accumulate(g.sum(axis=reduce_axes))
+                beta.accumulate(g.sum(axis=0))
             if a.requires_grad:
-                dxhat = g * gamma.data.reshape(bshape)
+                dxhat = g * gamma.data
                 if mode == "train":
-                    s1 = dxhat.sum(axis=reduce_axes, keepdims=True)
-                    s2 = (dxhat * xhat).sum(axis=reduce_axes, keepdims=True)
+                    s1 = dxhat.sum(axis=0)
+                    s2 = (dxhat * xhat).sum(axis=0)
                     a.accumulate(inv * (dxhat - s1 / count - xhat * s2 / count))
                 else:
                     a.accumulate(dxhat * inv)
@@ -310,49 +305,49 @@ def batch_norm(
     return out
 
 
-def _same_padding(size: int, kernel: int, stride: int):
-    out = math.ceil(size / stride)
-    total = max(0, (out - 1) * stride + kernel - size)
-    return out, total // 2, total - total // 2
+def _same_padding(kernel: int):
+    """Leading and trailing zeros that keep the output the input's size."""
+    total = kernel - 1
+    return total // 2, total - total // 2
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
     """Columns [B, C*kh*kw, oh*ow] of the padded input xp [B, C, Hp, Wp]:
-    one strided slice copy per kernel offset (Chellapilla et al., 2006)."""
+    one slice copy per kernel offset (Chellapilla et al., 2006)."""
     batch, ch = xp.shape[:2]
     cols = np.empty((batch, ch, kh, kw, oh, ow), dtype=xp.dtype)
     for i, j in np.ndindex(kh, kw):
-        cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+        cols[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
     return cols.reshape(batch, ch * kh * kw, oh * ow)
 
 
-def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
+def conv2d(x, w, b=None) -> Tensor:
     """Cross-correlation with zero "same" padding.
 
     x: [batch, in_ch, H, W], w: [out_ch, in_ch, kh, kw], b: [out_ch].
     Forward: one GEMM, w [out_ch, C*kh*kw] @ im2col columns, already
     channel-first. Backward: `dw` is one GEMM against those columns; `dx` is
-    col2im, kh*kw strided slice-adds into the padding.
+    col2im, kh*kw slice-adds into the padding.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"conv2d of {x.shape} with kernel {w.shape}")
     batch, in_ch, h, wd = x.shape
     out_ch, _, kh, kw = w.shape
-    oh, pt, pb = _same_padding(h, kh, stride)
-    ow, pl, pr = _same_padding(wd, kw, stride)
+    pt, pb = _same_padding(kh)
+    pl, pr = _same_padding(kw)
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
-    out_data = w.data.reshape(out_ch, -1) @ cols  # [batch, out_ch, oh*ow]
+    cols = _im2col(xp, kh, kw, h, wd)
+    out_data = w.data.reshape(out_ch, -1) @ cols  # [batch, out_ch, h*wd]
     if b is not None:
         out_data += b.data[:, None]
 
     parents = (x, w) if b is None else (x, w, b)
     req = any(p.requires_grad for p in parents)
-    out = Tensor(out_data.reshape(batch, out_ch, oh, ow), req, parents=parents)
+    out = Tensor(out_data.reshape(batch, out_ch, h, wd), req, parents=parents)
     if req:
         def _bw(g):
-            g3 = g.reshape(batch, out_ch, oh * ow)
+            g3 = g.reshape(batch, out_ch, h * wd)
             if b is not None and b.requires_grad:
                 b.accumulate(g3.sum(axis=(0, 2)), fresh=True)
             if w.requires_grad:
@@ -363,11 +358,10 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
                 # offsets run last to first: every cell sums in output order
                 gf = g3.transpose(0, 2, 1).reshape(-1, out_ch)
                 wk = w.data.transpose(0, 2, 3, 1).reshape(out_ch, -1)
-                dcols = (gf @ wk).reshape(batch, oh, ow, kh, kw, in_ch)
+                dcols = (gf @ wk).reshape(batch, h, wd, kh, kw, in_ch)
                 dxp = np.zeros((batch, xp.shape[2], xp.shape[3], in_ch), dtype=x.dtype)
                 for i, j in reversed(list(np.ndindex(kh, kw))):
-                    cell = np.s_[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
-                    dxp[cell] += dcols[:, :, :, i, j]
+                    dxp[:, i : i + h, j : j + wd] += dcols[:, :, :, i, j]
                 dx = dxp[:, pt : pt + h, pl : pl + wd].transpose(0, 3, 1, 2)
                 x.accumulate(np.ascontiguousarray(dx), fresh=True)
 

@@ -234,7 +234,8 @@ def save_report(report: CrossCorpusReport, out_dir: str | Path, metric: str = "u
         "csv": out_dir / "report.csv",
         "table": out_dir / "report.txt",
     }
+    table = render_table(report, metric)  # rejects an unknown metric before any write
     write_json(paths["json"], report_to_json(report))
     atomic_write_text(paths["csv"], report_to_csv(report, metric))
-    atomic_write_text(paths["table"], render_table(report, metric))
+    atomic_write_text(paths["table"], table)
     return {k: str(v) for k, v in paths.items()}

@@ -53,7 +53,6 @@ class TrainConfig:
     lr_floor: float = 1e-7
     validation_fraction: float = 0.1
     seed: int = 0
-    early_stop_patience: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.plateau_factor < 1.0:
@@ -210,7 +209,6 @@ def train_model(
     history: list = []
     best_val = -np.inf
     best_epoch = 0
-    stagnant = 0
     start_epoch = 1
 
     best_path = str(out_dir / "checkpoint_best.bin")
@@ -229,7 +227,7 @@ def train_model(
         adam.v = {name: data.state[f"v::{name}"] for name in graph.params}
         adam.t = run["adam_t"]
         plateau = PlateauState(**run["plateau"])
-        best_val, best_epoch, stagnant = run["best_val"], run["best_epoch"], run["stagnant"]
+        best_val, best_epoch = run["best_val"], run["best_epoch"]
         history = run["history"]
         start_epoch = data.epoch + 1
         # a crash between a commit and its history write left the view behind
@@ -278,19 +276,14 @@ def train_model(
         if metrics.ua_eq1 > best_val:
             best_val = metrics.ua_eq1
             best_epoch = epoch
-            stagnant = 0
             save_checkpoint(graph, best_path, epoch, extra)
-        else:
-            stagnant += 1
         plateau = plateau_update(plateau, metrics.ua_eq1, cfg)
         run = {"adam_t": adam.t, "plateau": asdict(plateau), "best_val": best_val,
-               "best_epoch": best_epoch, "stagnant": stagnant, "history": history}
+               "best_epoch": best_epoch, "history": history}
         moments = {f"m::{k}": a for k, a in adam.m.items()}
         moments.update({f"v::{k}": a for k, a in adam.v.items()})
         save_checkpoint(graph, last_path, epoch, {**extra, "run": run}, moments)
         write_jsonl(history_path, history)
-        if cfg.early_stop_patience is not None and stagnant >= cfg.early_stop_patience:
-            break
 
     return TrainResult(
         history=history,

@@ -54,7 +54,7 @@ def check_op(build_inputs, forward, seed: int) -> float:
 
 
 def conv2d_case(tensors):
-    return ops.conv2d(tensors["x"], tensors["w"], tensors["b"], stride=1)
+    return ops.conv2d(tensors["x"], tensors["w"], tensors["b"])
 
 
 def conv2d_inputs(rng):
@@ -66,23 +66,11 @@ def conv2d_inputs(rng):
 
 
 def conv2d_no_bias_case(tensors):
-    return ops.conv2d(tensors["x"], tensors["w"], None, stride=1)
+    return ops.conv2d(tensors["x"], tensors["w"], None)
 
 
 def conv2d_no_bias_inputs(rng):
     return {"x": rng.normal(size=(2, 2, 5, 4)), "w": rng.normal(size=(3, 2, 3, 3))}
-
-
-def strided_conv2d_case(tensors):
-    return ops.conv2d(tensors["x"], tensors["w"], tensors["b"], stride=2)
-
-
-def strided_conv2d_inputs(rng):
-    return {
-        "x": rng.normal(size=(2, 3, 7, 6)),
-        "w": rng.normal(size=(2, 3, 3, 3)),
-        "b": rng.normal(size=2),
-    }
 
 
 def dense_case(tensors):
@@ -187,7 +175,6 @@ def check_maxpool(seed: int) -> float:
 GRADIENT_SUITE = {
     "conv2d": lambda seed: check_op(conv2d_inputs, conv2d_case, seed),
     "conv2d_no_bias": lambda seed: check_op(conv2d_no_bias_inputs, conv2d_no_bias_case, seed),
-    "conv2d_stride2": lambda seed: check_op(strided_conv2d_inputs, strided_conv2d_case, seed),
     "dense": lambda seed: check_op(dense_inputs, dense_case, seed),
     "blstm": lambda seed: check_op(blstm_inputs, blstm_case, seed),
     "blstm_one_step": lambda seed: check_op(

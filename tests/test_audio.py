@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from crossemo.audio import (
+    BASS_CORNER_HZ,
     KAISER_BETA,
     RESAMPLE_BLOCK,
+    SHELF_Q,
     SINC_TAPS,
+    TREBLE_CORNER_HZ,
     AudioBuffer,
     EffectSpec,
     apply_effect,
@@ -18,6 +21,7 @@ from crossemo.audio import (
     apply_tempo,
     apply_volume,
     _kaiser_sinc_resample,
+    _shelf_coefficients,
     read_wav,
     shelf_gain_db,
     write_wav,
@@ -287,6 +291,42 @@ class TestShelf:
         assert shelf_gain_db(1.5) == pytest.approx(12.0)
         assert shelf_gain_db(0.6) == pytest.approx(-12.0)
         assert shelf_gain_db(5.0) == 12.0  # clamped
+
+    def test_coefficients_match_the_cookbook_per_band(self):
+        """The signed form equals the cookbook's separate bass and treble
+        formulas bit for bit over every augmentation factor and common rate."""
+        for band, corner in (("bass", BASS_CORNER_HZ), ("treble", TREBLE_CORNER_HZ)):
+            for rate in (8000, 16000, 22050, 44100):
+                for factor in np.linspace(0.6, 1.5, 2001):
+                    gain_db = shelf_gain_db(factor)
+                    b, a = _shelf_coefficients(band, gain_db, rate)
+                    want_b, want_a = cookbook_shelf(band, corner, gain_db, rate)
+                    assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
+
+
+def cookbook_shelf(band, corner, gain_db, sample_rate):
+    """Oracle: the audio-EQ-cookbook low- and high-shelf biquads as two
+    separate sets of formulas, normalised by a0."""
+    a_lin = 10.0 ** (gain_db / 40.0)
+    w0 = 2.0 * math.pi * corner / sample_rate
+    alpha = math.sin(w0) / (2.0 * SHELF_Q)
+    cosw = math.cos(w0)
+    two_rt = 2.0 * math.sqrt(a_lin) * alpha
+    if band == "bass":
+        b0 = a_lin * ((a_lin + 1) - (a_lin - 1) * cosw + two_rt)
+        b1 = 2 * a_lin * ((a_lin - 1) - (a_lin + 1) * cosw)
+        b2 = a_lin * ((a_lin + 1) - (a_lin - 1) * cosw - two_rt)
+        a0 = (a_lin + 1) + (a_lin - 1) * cosw + two_rt
+        a1 = -2 * ((a_lin - 1) + (a_lin + 1) * cosw)
+        a2 = (a_lin + 1) + (a_lin - 1) * cosw - two_rt
+    else:
+        b0 = a_lin * ((a_lin + 1) + (a_lin - 1) * cosw + two_rt)
+        b1 = -2 * a_lin * ((a_lin - 1) + (a_lin + 1) * cosw)
+        b2 = a_lin * ((a_lin + 1) + (a_lin - 1) * cosw - two_rt)
+        a0 = (a_lin + 1) - (a_lin - 1) * cosw + two_rt
+        a1 = 2 * ((a_lin - 1) - (a_lin + 1) * cosw)
+        a2 = (a_lin + 1) - (a_lin - 1) * cosw - two_rt
+    return np.array([b0, b1, b2]) / a0, np.array([1.0, a1 / a0, a2 / a0])
 
 
 class TestOverdrive:

@@ -146,20 +146,36 @@ def test_eval_truncated_checkpoint_exits_2(tiny, trained, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_eval_checkpoint_with_mistyped_extra_exits_2(tiny, trained, tmp_path, capsys):
-    # save_checkpoint refuses such an extra, so patch it into the header bytes
-    raw = (trained / "checkpoint_last.bin").read_bytes()
+def patch_header(src: Path, dst: Path, edit) -> None:
+    """Copy checkpoint `src` to `dst` with `edit` applied to its JSON header."""
+    raw = src.read_bytes()
     (n,) = struct.unpack_from("<I", raw, 8)
     header = json.loads(raw[12 : 12 + n])
-    header["extra"] = 1
+    edit(header)
     encoded = json.dumps(header).encode("utf-8")
-    (tmp_path / "bad.bin").write_bytes(
-        raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n :]
-    )
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n :])
+
+
+def test_eval_checkpoint_with_mistyped_extra_exits_2(tiny, trained, tmp_path, capsys):
+    # save_checkpoint refuses such an extra, so patch it into the header bytes
+    patch_header(trained / "checkpoint_last.bin", tmp_path / "bad.bin",
+                 lambda header: header.update(extra=1))
     capsys.readouterr()
     assert run("eval", "--checkpoint", tmp_path / "bad.bin", "--manifests", tiny["shift"],
                "--out", tmp_path / "eval") == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_removed_model_keys_exits_2(tiny, trained, tmp_path, capsys):
+    # a checkpoint written while the conv stack still had stride and batch-norm keys
+    patch_header(trained / "checkpoint_last.bin", tmp_path / "old.bin",
+                 lambda header: header["config"].update(conv_stride=1, conv_batchnorm=False))
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", tmp_path / "old.bin", "--manifests", tiny["shift"],
+               "--out", tmp_path / "eval") == 2
+    err = capsys.readouterr().err
+    assert "conv_batchnorm" in err and "conv_stride" in err and "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("rate", [0, -16000])
@@ -228,6 +244,10 @@ def test_train_eval_report(tiny, trained, tmp_path):
     write_json(tmp_path / "bad" / "metrics_tiny-shift.json", record)
     assert run("report", "--runs", tmp_path / "bad" / "metrics_*.json",
                "--out", tmp_path / "bad_report") == 2
+    # an unknown metric is rejected before any report file is written
+    assert run("report", "--runs", tmp_path / "eval" / "metrics_*.json", "--metric", "nope",
+               "--out", tmp_path / "nope_report") == 2
+    assert not (tmp_path / "nope_report").exists()
 
 
 def test_desk_profile_with_blstm_arch(prepared, tmp_path):
@@ -263,6 +283,11 @@ def test_train_misspelled_key(prepared, tmp_path, section):
     ("model", "n_classes", "4"),
     ("model", "pool_after", ["1"]),
     ("model", "fc_sizes", 16),
+    # keys that no longer exist, at the values they used to default to
+    ("model", "conv_batchnorm", False),
+    ("model", "conv_stride", 1),
+    ("features", "per_band_norm", False),
+    ("train", "early_stop_patience", None),
 ])
 def test_train_mistyped_value_exits_2(prepared, tmp_path, capsys, section, key, value):
     write_json(tmp_path / "bad.json", {
@@ -455,6 +480,8 @@ MALFORMED = {
     "n_folds-str": ("pipeline", {"folds": {"strategy": "proportional", "n_folds": "2"}}),
     "fold_indices-str": ("pipeline", {"fold_indices": "0"}),
     "fold_indices-float": ("pipeline", {"fold_indices": [0.0]}),
+    "fold_indices-out-of-range": ("pipeline", {"fold_indices": [0, 5]}),
+    "fold_indices-repeated": ("pipeline", {"fold_indices": [0, 0]}),
     "augment-int": ("pipeline", {"augment": 5}),
     "synth-int": ("pipeline", {"synth": 5}),
     "out_dir-int": ("pipeline", {"out_dir": 5}),

@@ -1,11 +1,22 @@
-"""JSON-with-comments parsing of config files."""
+"""JSON-with-comments parsing of config files, and the set of config fields."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from crossemo.config import load_json_config, strip_json_comments
+from crossemo.config import (
+    AugmentOptions,
+    ExperimentConfig,
+    PipelineSections,
+    load_json_config,
+    strip_json_comments,
+)
+from crossemo.corpus import FoldOptions
 from crossemo.errors import ValidationFailure
+from crossemo.features import FbankConfig
+from crossemo.nn.models import BlstmAttConfig, CnnBlstmAttConfig
+from crossemo.train import TrainConfig
 
 
 def test_line_and_block_comments_are_removed():
@@ -25,3 +36,38 @@ def test_unterminated_block_comment_is_a_validation_failure(tmp_path, text):
     (tmp_path / "c.json").write_text(text)
     with pytest.raises(ValidationFailure, match="unterminated"):
         load_json_config(tmp_path / "c.json")
+
+
+def field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+def test_config_surface_is_pinned():
+    # every settable config value; a new one fails here until it is reviewed
+    assert field_names(ExperimentConfig) == (
+        "manifest", "fold_plan", "out_dir", "fold_index", "features", "feature_cache", "arch",
+        "model", "train", "eval_manifests", "restrict_classes", "seed",
+    )
+    assert field_names(FbankConfig) == (
+        "window_ms", "shift_ms", "n_bands", "max_seconds", "sample_rate", "fft_size",
+        "log_floor",
+    )
+    assert field_names(CnnBlstmAttConfig) == (
+        "conv_channels", "conv_kernel", "pool_after", "blstm_hidden", "fc_sizes", "dropout",
+        "attention_dim", "n_classes", "input_bands",
+    )
+    assert field_names(BlstmAttConfig) == (
+        "blstm_layers", "hidden", "attention_dim", "n_classes", "input_bands",
+    )
+    assert field_names(TrainConfig) == (
+        "epochs", "learning_rate", "batch_size", "beta1", "beta2", "adam_eps",
+        "plateau_patience", "plateau_factor", "plateau_min_delta", "lr_floor",
+        "validation_fraction", "seed",
+    )
+    assert field_names(FoldOptions) == (
+        "strategy", "n_folds", "test_speakers", "test_fraction", "reverse_sessions", "seed",
+    )
+    assert field_names(AugmentOptions) == ("recipe", "seed")
+    assert field_names(PipelineSections) == (
+        "synth", "manifest", "folds", "augment", "fold_indices", "out_dir",
+    )

@@ -127,12 +127,6 @@ class TestZnorm:
         assert abs(out.mean()) < 1e-6
         assert abs(out.std() - 1.0) < 1e-6
 
-    def test_per_band_variant(self):
-        rng = np.random.default_rng(7)
-        out = znorm_per_file(rng.normal(size=(100, 5)), per_band=True)
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(out.std(axis=0), 1.0, atol=1e-9)
-
 
 class TestPipeline:
     @pytest.mark.parametrize("seconds", [0.05, 0.5, 3.3, 7.0, 9.5])
