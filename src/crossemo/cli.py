@@ -102,13 +102,10 @@ def _run_training(cfg, store=None, resume: bool = False):
     graph = build_model(cfg.arch, cfg.model, seed=cfg.seed)
     print(f"[crossemo] built {cfg.arch}: {graph.parameter_count():,} parameters")
 
-    write_json(
-        Path(cfg.out_dir) / "config.resolved.json",
-        {**cfg.resolved_json(), "package_version": __version__, "deterministic_mode": True},
-    )
+    resolved = {**cfg.resolved_json(), "package_version": __version__, "deterministic_mode": True}
     result = train_model(
         graph, manifest, fold, store, cfg.train, cfg.out_dir,
-        resume=resume, fold_index=cfg.fold_index,
+        resume=resume, fold_index=cfg.fold_index, run_config=resolved,
     )
     return manifest, fold, graph, result
 
@@ -174,35 +171,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .config import load_json_config
-    from .features import FbankConfig
+    from .errors import from_fields
     from .nn.checkpoint import graph_from_checkpoint, load_checkpoint
+    from .train import CheckpointExtra
 
     if not Path(args.checkpoint).exists():
         raise ValidationFailure(f"checkpoint not found: {args.checkpoint}")
     data = load_checkpoint(args.checkpoint)
     graph = graph_from_checkpoint(data)
-    if not data.extra.get("classes") or "train_tag" not in data.extra or "fold" not in data.extra:
-        raise ValidationFailure("checkpoint lacks its class list, train_tag or fold")
-    classes = tuple(data.extra["classes"])
-
-    if args.features_config:
-        feat_cfg = FbankConfig.from_json(load_json_config(args.features_config))
-    else:
-        run_cfg_path = Path(args.checkpoint).parent / "config.resolved.json"
-        if not run_cfg_path.exists():
-            raise ValidationFailure(
-                "no --features-config given and no config.resolved.json next to "
-                "the checkpoint"
-            )
-        resolved = read_json(run_cfg_path)
-        if not isinstance(resolved, dict) or "features" not in resolved:
-            raise ValidationFailure(f"{run_cfg_path} has no features section")
-        feat_cfg = FbankConfig.from_json(resolved["features"])
+    extra = from_fields(CheckpointExtra, data.extra, "checkpoint extra")
 
     out_dir = Path(args.out) if args.out else _out_root() / "eval"
-    sets = _eval_sets(args.manifests, feat_cfg, args.restrict_classes)
-    _evaluate(graph, classes, sets, out_dir, data.extra["train_tag"], data.extra["fold"],
+    sets = _eval_sets(args.manifests, extra.features, args.restrict_classes)
+    _evaluate(graph, extra.classes, sets, out_dir, extra.train_tag, extra.fold,
               str(args.checkpoint), data.epoch)
     print(out_dir)
     return 0
@@ -349,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on test manifests")
+    p = sub.add_parser("eval", help="evaluate a checkpoint on test manifests; the front-end, "
+                       "classes, train tag and fold are read from the checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifests", nargs="+", required=True)
-    p.add_argument("--features-config")
     p.add_argument("--restrict-classes", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)

@@ -82,6 +82,8 @@ class UtteranceRecord:
                 raise MissingField(f"record missing required field {name!r}: {obj}")
         if not isinstance(obj.get("augmented", False), bool):
             raise ValidationFailure(f"record {obj['id']!r}: augmented must be true or false")
+        if not isinstance(obj.get("raw_labels", {}), dict):
+            raise ValidationFailure(f"record {obj['id']!r}: raw_labels must be an object")
         return cls(
             id=str(obj["id"]),
             audio_path=str(obj["audio_path"]),
@@ -142,10 +144,9 @@ def load_manifest(path: str | Path, name: str | None = None) -> CorpusManifest:
         if not isinstance(row, dict):
             raise ValidationFailure(f"{path}: manifest row {row!r} is not an object")
         if "manifest_schema" in row and "id" not in row:
-            if int(row["manifest_schema"]) != MANIFEST_SCHEMA_VERSION:
-                raise ValidationFailure(
-                    f"unsupported manifest schema {row['manifest_schema']}"
-                )
+            schema = row["manifest_schema"]
+            if type(schema) is not int or schema != MANIFEST_SCHEMA_VERSION:
+                raise ValidationFailure(f"unsupported manifest schema {schema!r}")
             header_name = row.get("name")
             continue
         records.append(UtteranceRecord.from_json(row))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, read_wav
 from .errors import EmptyAudio, IoFailure, SampleRateMismatch, ValidationFailure, from_fields
 from .ioutil import read_json, write_json
 
@@ -228,9 +228,6 @@ class FeatureStore:
     utterance on demand, optionally backed by a FeatureCache."""
 
     def __init__(self, manifest, cfg: FbankConfig, cache_dir: str | Path | None = None):
-        from .audio import read_wav  # local import keeps module load cheap
-
-        self._read_wav = read_wav
         self.cfg = cfg
         self._records = {r.id: r for r in manifest.records}
         self._cache = FeatureCache(cache_dir, cfg) if cache_dir else None
@@ -248,7 +245,7 @@ class FeatureStore:
         record = self._records.get(utt_id)
         if record is None:
             raise IoFailure(f"utterance {utt_id!r} not present in the manifest")
-        buffer = self._read_wav(record.audio_path)
+        buffer = read_wav(record.audio_path)
         values = compute_features(buffer, self.cfg).astype(np.float32)
         if self._cache is not None:
             self._cache.put(utt_id, values)

@@ -1,14 +1,13 @@
 """Versioned binary checkpoints.
 
-Layout: magic "XEMO", u32 format version, u32 header length, JSON header
-(architecture tag, config, config digest, epoch, extra metadata, blob
-index), then raw little-endian float32 blobs in index order. Blobs cover
-every parameter (kind "param"), the batch-norm running statistics ("bn")
-and any caller state ("state"; training stores the Adam moments there as
-`m::<param>` and `v::<param>`). Training's last checkpoint also carries a
-"run" entry in the extra metadata: the Adam step count, the plateau state,
-the best-validation bookkeeping and the history rows so far, so one file
-holds everything a resume needs. Loading against an expected digest
+Layout: magic "XEMO", u32 format version, u32 header length, JSON header (a
+`CheckpointHeader`, written as its `asdict` and read through
+`errors.from_fields`), then raw little-endian float32 blobs in index order.
+Blobs cover every parameter (kind "param"), the graph's buffers ("bn") and
+any caller state ("state"; training stores the Adam moments there as
+`m::<param>` and `v::<param>`). The schema of `extra` in the checkpoints
+training writes is `train.CheckpointExtra`: all an evaluation needs and, in
+the last checkpoint, all a resume needs. Loading against an expected digest
 rejects mismatching configs.
 """
 
@@ -17,71 +16,68 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadConfig, CheckpointMismatch, IoFailure, MalformedHeader
+from ..errors import BadConfig, CheckpointMismatch, IoFailure, MalformedHeader, from_fields
 from ..ioutil import atomic_write_bytes
-from .models import ModelGraph, build_model, config_to_dict
-from .ops import BnStats
+from .models import ModelGraph, build_model
 
 MAGIC = b"XEMO"
 FORMAT_VERSION = 1
 
 
-@dataclass
-class CheckpointData:
+@dataclass(frozen=True)
+class BlobEntry:
+    name: str
+    kind: str
+    shape: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CheckpointHeader:
     arch: str
-    config: dict
-    digest: str
+    config: dict[str, object]
+    config_digest: str
     epoch: int
+    extra: dict[str, object]
+    index: tuple[BlobEntry, ...]
+
+
+@dataclass(frozen=True)
+class CheckpointData(CheckpointHeader):
+    """A loaded checkpoint: its header plus each kind of blob by name."""
+
     params: dict
     bn_stats: dict
-    extra: dict
     state: dict
 
 
 def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict | None = None,
                     state: dict | None = None) -> None:
-    """Write the graph's parameters and batch-norm statistics, plus the
-    arrays in `state`, as one atomic file. `extra` must be a dict."""
+    """Write the graph's parameters and buffers, plus the arrays in `state`,
+    as one atomic file. `extra` must be a dict."""
     if extra is not None and not isinstance(extra, dict):
         raise BadConfig(f"checkpoint extra must be a dict, got {type(extra).__name__}")
-    entries = [(name, "param", graph.params[name].data) for name in sorted(graph.params)]
-    entries += [
-        (f"{name}.{part}", "bn", getattr(graph.bn_stats[name], part))
-        for name in sorted(graph.bn_stats)
-        for part in ("mean", "var")
-    ]
-    entries += [(name, "state", state[name]) for name in sorted(state or {})]
-    blobs = []
-    index = []
-    for name, kind, arr in entries:
-        arr = arr.astype("<f4")
-        index.append({"name": name, "kind": kind, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
-    header = {
-        "arch": graph.arch,
-        "config": config_to_dict(graph.config),
-        "config_digest": graph.digest,
-        "epoch": int(epoch),
-        "extra": extra or {},
-        "index": index,
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(
-        [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes]
-        + blobs
-    )
+    kinds = (("param", {name: p.data for name, p in graph.params.items()}),
+             ("bn", graph.buffers), ("state", state or {}))
+    entries = [(kind, name, arrays[name].astype("<f4", copy=False))
+               for kind, arrays in kinds for name in sorted(arrays)]
+    index = tuple(BlobEntry(name, kind, arr.shape) for kind, name, arr in entries)
+    header = CheckpointHeader(graph.arch, asdict(graph.config), graph.digest, int(epoch),
+                              extra or {}, index)
+    header_bytes = json.dumps(asdict(header), sort_keys=True).encode("utf-8")
+    payload = b"".join([MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes]
+                       + [arr.tobytes() for _, _, arr in entries])
     atomic_write_bytes(path, payload)
 
 
 def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> CheckpointData:
-    """Read a checkpoint. A header that does not decode or has mistyped fields,
-    or a file size other than the one the header's blob index gives, raises
-    MalformedHeader."""
+    """Read a checkpoint. A header that does not decode or does not read as a
+    CheckpointHeader, or a file size other than the one the header's blob
+    index gives, raises MalformedHeader."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -92,70 +88,59 @@ def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> Check
     if version != FORMAT_VERSION:
         raise MalformedHeader(f"{path}: unsupported checkpoint version {version}")
     try:
-        header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-        index = [(e["name"], e["kind"], tuple(map(int, e["shape"]))) for e in header["index"]]
-        arch, config, digest = header["arch"], header["config"], header["config_digest"]
-        epoch, extra = header["epoch"], header.get("extra", {})
-    except (ValueError, KeyError, TypeError) as exc:  # incl. Unicode and JSON decode errors
-        raise MalformedHeader(f"{path}: undecodable checkpoint header ({exc!r})") from exc
-    if not (isinstance(config, dict) and isinstance(extra, dict) and type(epoch) is int):
-        raise MalformedHeader(f"{path}: checkpoint header needs object config and extra "
-                              f"and an integer epoch")
-    if any(d < 0 for _, _, shape in index for d in shape):
+        obj = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+        header = from_fields(CheckpointHeader, obj, "checkpoint header")
+    except (ValueError, BadConfig) as exc:  # incl. Unicode and JSON decode errors
+        raise MalformedHeader(f"{path}: malformed checkpoint header ({exc})") from exc
+    if any(d < 0 for entry in header.index for d in entry.shape):
         raise MalformedHeader(f"{path}: negative blob dimension in the index")
-    expected = 12 + header_len + sum(4 * math.prod(shape) for _, _, shape in index)
+    expected = 12 + header_len + sum(4 * math.prod(entry.shape) for entry in header.index)
     if expected != len(raw):
         raise MalformedHeader(f"{path}: {len(raw)} bytes, but its header describes {expected}")
-    if expect_digest is not None and digest != expect_digest:
-        raise CheckpointMismatch(f"{path}: config digest {digest} != expected {expect_digest}")
+    if expect_digest is not None and header.config_digest != expect_digest:
+        raise CheckpointMismatch(
+            f"{path}: config digest {header.config_digest} != expected {expect_digest}")
     offset = 12 + header_len
     blobs: dict = {"param": {}, "bn": {}, "state": {}}
-    for name, kind, shape in index:
-        if kind not in blobs:
-            raise MalformedHeader(f"{path}: unknown blob kind {kind!r}")
-        n = math.prod(shape)
+    for entry in header.index:
+        if entry.kind not in blobs:
+            raise MalformedHeader(f"{path}: unknown blob kind {entry.kind!r}")
+        n = math.prod(entry.shape)
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
-        blobs[kind][name] = arr.reshape(shape).copy()
+        blobs[entry.kind][entry.name] = arr.reshape(entry.shape).copy()
         offset += 4 * n
-    return CheckpointData(arch=arch, config=config, digest=digest, epoch=epoch,
-                          params=blobs["param"], bn_stats=blobs["bn"], extra=extra,
+    return CheckpointData(**vars(header), params=blobs["param"], bn_stats=blobs["bn"],
                           state=blobs["state"])
 
 
 def graph_from_checkpoint(data: CheckpointData) -> ModelGraph:
     """Rebuild a graph and load the stored parameters into it."""
     graph = build_model(data.arch, dict(data.config), seed=0)
-    if graph.digest != data.digest:
+    if graph.digest != data.config_digest:
         raise CheckpointMismatch(
-            f"rebuilt config digest {graph.digest} != stored {data.digest}"
-        )
+            f"rebuilt config digest {graph.digest} != stored {data.config_digest}")
     load_into_graph(graph, data)
     graph.set_mode("eval")
     return graph
 
 
+def check_arrays(kind: str, want: dict, have: dict) -> None:
+    """Raise CheckpointMismatch unless the stored arrays `have` carry exactly
+    the names of `want`, each at the shape of its counterpart there."""
+    if unexpected := sorted(set(have) - set(want)):
+        raise CheckpointMismatch(f"unexpected {kind} in checkpoint: {unexpected}")
+    if missing := sorted(set(want) - set(have)):
+        raise CheckpointMismatch(f"checkpoint lacks {kind}: {missing}")
+    for name, arr in have.items():
+        if arr.shape != want[name].shape:
+            raise CheckpointMismatch(f"{kind} {name!r}: shape {arr.shape} != {want[name].shape}")
+
+
 def load_into_graph(graph: ModelGraph, data: CheckpointData) -> None:
-    """Copy stored parameters and batch-norm state into an existing graph.
-    The checkpoint must hold exactly the graph's parameters and statistics."""
-    bn_names = {f"{base}.{part}" for base in graph.bn_stats for part in ("mean", "var")}
-    for kind, want, have in (
-        ("parameter", set(graph.params), set(data.params)),
-        ("batch-norm state", bn_names, set(data.bn_stats)),
-    ):
-        if have - want:
-            raise CheckpointMismatch(f"unexpected {kind} in checkpoint: {sorted(have - want)}")
-        if want - have:
-            raise CheckpointMismatch(f"checkpoint lacks {kind}: {sorted(want - have)}")
+    """Copy stored parameters and buffers into an existing graph. The
+    checkpoint must hold exactly the graph's arrays, each at its shape."""
+    check_arrays("parameter", graph.params, data.params)
+    check_arrays("buffer", graph.buffers, data.bn_stats)
     for name, arr in data.params.items():
-        if graph.params[name].shape != arr.shape:
-            raise CheckpointMismatch(
-                f"parameter {name!r}: shape {arr.shape} != {graph.params[name].shape}"
-            )
         graph.params[name].data = arr.astype(np.float32)
-    for name, arr in data.bn_stats.items():
-        base, part = name.rsplit(".", 1)
-        stats: BnStats = graph.bn_stats[base]
-        if part == "mean":
-            stats.mean = arr.astype(np.float32)
-        else:
-            stats.var = arr.astype(np.float32)
+    graph.buffers.update({name: arr.astype(np.float32) for name, arr in data.bn_stats.items()})

@@ -1,7 +1,8 @@
 """Parameterized layers: dense, BLSTM (one `ops.blstm` node), additive attention.
 
-Parameters live in a flat dict keyed by dotted names so checkpoints can
-serialize them without knowing the architecture. Init: Glorot uniform for
+Parameters, and the running statistics ("buffers") batch norm keeps next to
+them, live in flat dicts keyed by dotted names so checkpoints can serialize
+them without knowing the architecture. Init: Glorot uniform for
 weight matrices and kernels, zero biases, +1 on the LSTM forget gate.
 """
 
@@ -35,10 +36,11 @@ def add_conv(params: dict, rng, prefix: str, in_ch: int, out_ch: int, kernel: in
     params[f"{prefix}.b"] = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
 
 
-def add_batchnorm(params: dict, stats: dict, prefix: str, n_features: int, dtype=np.float32):
+def add_batchnorm(params: dict, buffers: dict, prefix: str, n_features: int, dtype=np.float32):
     params[f"{prefix}.gamma"] = Tensor(np.ones(n_features, dtype=dtype), requires_grad=True)
     params[f"{prefix}.beta"] = Tensor(np.zeros(n_features, dtype=dtype), requires_grad=True)
-    stats[prefix] = ops.BnStats(n_features, dtype=dtype)
+    buffers[f"{prefix}.mean"] = np.zeros(n_features, dtype=dtype)
+    buffers[f"{prefix}.var"] = np.ones(n_features, dtype=dtype)
 
 
 def add_lstm(params: dict, rng, prefix: str, n_in: int, hidden: int, dtype=np.float32):

@@ -67,7 +67,7 @@ class BlstmAttConfig:
 
 
 class ModelGraph:
-    """Named parameters plus a forward topology and a train/eval mode.
+    """Named parameters and buffers plus a forward topology and a train/eval mode.
 
     Mode switches dropout and batch-norm behavior, and an eval-mode forward
     builds no autodiff graph; parameter values are untouched. A graph
@@ -75,11 +75,11 @@ class ModelGraph:
     parameters is safe to share.
     """
 
-    def __init__(self, arch: str, config, params: dict, bn_stats: dict):
+    def __init__(self, arch: str, config, params: dict, buffers: dict):
         self.arch = arch
         self.config = config
         self.params = params
-        self.bn_stats = bn_stats
+        self.buffers = buffers
         self.mode = "train"
 
     def set_mode(self, mode: str) -> None:
@@ -96,7 +96,7 @@ class ModelGraph:
 
     @property
     def digest(self) -> str:
-        return config_digest({"arch": self.arch, "config": config_to_dict(self.config)})
+        return config_digest({"arch": self.arch, "config": asdict(self.config)})
 
     def forward(self, feats: np.ndarray, dropout_rng=None) -> Tensor:
         graph = self
@@ -137,7 +137,8 @@ def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
             flat,
             graph.params[f"fc{j}.bn.gamma"],
             graph.params[f"fc{j}.bn.beta"],
-            graph.bn_stats[f"fc{j}.bn"],
+            graph.buffers[f"fc{j}.bn.mean"],
+            graph.buffers[f"fc{j}.bn.var"],
             graph.mode,
         )
         flat = ops.relu(flat)
@@ -161,7 +162,7 @@ def _blstm_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
 def build_cnn_blstm_att(cfg: CnnBlstmAttConfig, seed: int) -> ModelGraph:
     rng = np.random.default_rng(seed)
     params: dict = {}
-    stats: dict = {}
+    buffers: dict = {}
     in_ch = 1
     bands = cfg.input_bands
     for i, out_ch in enumerate(cfg.conv_channels):
@@ -177,24 +178,23 @@ def build_cnn_blstm_att(cfg: CnnBlstmAttConfig, seed: int) -> ModelGraph:
     fc_in = 2 * cfg.blstm_hidden
     for j, width in enumerate(cfg.fc_sizes):
         layers.add_dense(params, rng, f"fc{j}", fc_in, width)
-        layers.add_batchnorm(params, stats, f"fc{j}.bn", width)
+        layers.add_batchnorm(params, buffers, f"fc{j}.bn", width)
         fc_in = width
     layers.add_attention(params, rng, "att", fc_in, cfg.attention_dim)
     layers.add_dense(params, rng, "classifier", fc_in, cfg.n_classes)
-    return ModelGraph(ARCH_CNN, cfg, params, stats)
+    return ModelGraph(ARCH_CNN, cfg, params, buffers)
 
 
 def build_blstm_att(cfg: BlstmAttConfig, seed: int) -> ModelGraph:
     rng = np.random.default_rng(seed)
     params: dict = {}
-    stats: dict = {}
     n_in = cfg.input_bands
     for i in range(cfg.blstm_layers):
         layers.add_blstm(params, rng, f"blstm{i}", n_in, cfg.hidden)
         n_in = 2 * cfg.hidden
     layers.add_attention(params, rng, "att", n_in, cfg.attention_dim)
     layers.add_dense(params, rng, "classifier", n_in, cfg.n_classes)
-    return ModelGraph(ARCH_BLSTM, cfg, params, stats)
+    return ModelGraph(ARCH_BLSTM, cfg, params, {})
 
 
 @dataclass(frozen=True)
@@ -218,11 +218,6 @@ def architecture(arch: str) -> Architecture:
 
 def config_from_dict(arch: str, cfg: dict):
     return from_fields(architecture(arch).config, cfg, f"{arch} model")
-
-
-def config_to_dict(cfg) -> dict:
-    """JSON form of a model config: tuples become lists."""
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
 
 
 def build_model(arch: str, cfg, seed: int) -> ModelGraph:

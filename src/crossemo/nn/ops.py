@@ -244,28 +244,19 @@ def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -
     return out
 
 
-class BnStats:
-    """Running batch-norm statistics (eval-mode normalizers)."""
-
-    __slots__ = ("mean", "var")
-
-    def __init__(self, n_features: int, dtype=np.float32):
-        self.mean = np.zeros(n_features, dtype=dtype)
-        self.var = np.ones(n_features, dtype=dtype)
-
-
 def batch_norm(
     a,
     gamma: Tensor,
     beta: Tensor,
-    stats: BnStats,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
     mode: str,
     momentum: float = 0.9,
     eps: float = 1e-5,
 ) -> Tensor:
     """Normalize each feature column of a [rows, features] input over its
-    rows. Train mode uses batch statistics and updates the running ones; eval
-    mode applies the running statistics as a fixed affine map."""
+    rows. Train mode uses batch statistics and updates `running_mean` and
+    `running_var` in place; eval mode applies them as a fixed affine map."""
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeMismatch(f"batch norm expects [rows, features], got {a.shape}")
@@ -276,11 +267,11 @@ def batch_norm(
             raise BatchTooSmall(f"batch norm needs >= 2 values per feature, got {count}")
         mean = a.data.mean(axis=0)
         var = a.data.var(axis=0)
-        stats.mean[...] = momentum * stats.mean + (1.0 - momentum) * mean
-        stats.var[...] = momentum * stats.var + (1.0 - momentum) * var
+        running_mean[...] = momentum * running_mean + (1.0 - momentum) * mean
+        running_var[...] = momentum * running_var + (1.0 - momentum) * var
     else:
-        mean = stats.mean.astype(a.dtype)
-        var = stats.var.astype(a.dtype)
+        mean = running_mean.astype(a.dtype)
+        var = running_var.astype(a.dtype)
 
     inv = (1.0 / np.sqrt(var + eps)).astype(a.dtype)
     xhat = (a.data - mean) * inv

@@ -18,7 +18,7 @@ val_wa, lr}. The best-validation checkpoint is kept next to it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,12 @@ from .errors import (
     ShapeMismatch,
     TooFewPerClass,
     ValidationFailure,
+    from_fields,
 )
 from .evaluation import batched_logits, confusion_from_predictions, metric_set
+from .features import FbankConfig
 from .ioutil import stable_hash64, write_json, write_jsonl
-from .nn.checkpoint import load_checkpoint, load_into_graph, save_checkpoint
+from .nn.checkpoint import check_arrays, load_checkpoint, load_into_graph, save_checkpoint
 from .nn.models import ModelGraph
 from .nn.ops import softmax_cross_entropy
 
@@ -72,6 +74,10 @@ class AdamState:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
+
+    def moments(self) -> dict:
+        """`m::<param>` and `v::<param>`, as a checkpoint stores them."""
+        return {f"{p}::{k}": a for p, d in (("m", self.m), ("v", self.v)) for k, a in d.items()}
 
 
 def adam_step(params: dict, state: AdamState, lr: float, cfg: TrainConfig) -> None:
@@ -116,6 +122,33 @@ def plateau_update(state: PlateauState, val_metric: float, cfg: TrainConfig) -> 
             lr=max(state.lr * cfg.plateau_factor, cfg.lr_floor), best=state.best, stall=0
         )
     return PlateauState(lr=state.lr, best=state.best, stall=stall)
+
+
+@dataclass(frozen=True)
+class RunState:
+    """What a resume continues from, besides the weights and Adam moments."""
+
+    adam_t: int
+    plateau: PlateauState
+    best_val: float
+    best_epoch: int
+    history: tuple[dict[str, float], ...]
+
+
+@dataclass(frozen=True)
+class CheckpointExtra:
+    """The `extra` of every checkpoint train_model writes: all an evaluation
+    needs, plus in the last checkpoint the run state a resume needs."""
+
+    classes: tuple[str, ...]
+    train_tag: str
+    fold: int
+    features: FbankConfig
+    run: RunState | None = None
+
+    def __post_init__(self):
+        if not self.classes:
+            raise ValidationFailure("checkpoint extra has an empty class list")
 
 
 def carve_validation(ids, labels_by_id: dict, fraction: float, seed: int):
@@ -179,11 +212,12 @@ def train_model(
     out_dir: str | Path,
     resume: bool = False,
     fold_index: int = 0,
+    run_config: dict | None = None,
 ) -> TrainResult:
     """Train `graph` on the fold's train side and the augmented copies of its
-    fit part; the test side is only checked by check_fold. Checkpoints record
-    the classes, the manifest name as train tag and `fold_index`, which is
-    all an evaluation needs to file its run record."""
+    fit part; the test side is only checked by check_fold. Checkpoints hold a
+    CheckpointExtra. `run_config` is written as config.resolved.json once a
+    resume is accepted, or before the first epoch of a fresh run."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not fold.train_ids:
@@ -214,24 +248,23 @@ def train_model(
     best_path = str(out_dir / "checkpoint_best.bin")
     last_path = str(out_dir / "checkpoint_last.bin")
     history_path = out_dir / "history.jsonl"
-    extra = {"classes": list(classes), "train_tag": manifest.name, "fold": fold_index}
+    extra = CheckpointExtra(classes, manifest.name, fold_index, store.cfg)
 
     if resume and Path(last_path).exists():
         data = load_checkpoint(last_path, expect_digest=graph.digest)
-        run = data.extra.get("run")
-        moment_names = {f"{part}::{name}" for part in "mv" for name in graph.params}
-        if run is None or set(data.state) != moment_names:
+        run = from_fields(CheckpointExtra, data.extra, "checkpoint extra").run
+        if run is None:
             raise CheckpointMismatch(f"{last_path} holds no training state to resume from")
         load_into_graph(graph, data)
-        adam.m = {name: data.state[f"m::{name}"] for name in graph.params}
-        adam.v = {name: data.state[f"v::{name}"] for name in graph.params}
-        adam.t = run["adam_t"]
-        plateau = PlateauState(**run["plateau"])
-        best_val, best_epoch = run["best_val"], run["best_epoch"]
-        history = run["history"]
+        check_arrays("optimizer state", adam.moments(), data.state)
+        adam.m, adam.v = ({k: data.state[f"{p}::{k}"] for k in graph.params} for p in "mv")
+        adam.t, plateau = run.adam_t, run.plateau
+        best_val, best_epoch, history = run.best_val, run.best_epoch, list(run.history)
         start_epoch = data.epoch + 1
         # a crash between a commit and its history write left the view behind
         write_jsonl(history_path, history)
+    if run_config is not None:
+        write_json(out_dir / "config.resolved.json", run_config)
 
     for epoch in range(start_epoch, cfg.epochs + 1):
         rng_shuffle = np.random.default_rng([cfg.seed, epoch, 0])
@@ -276,13 +309,10 @@ def train_model(
         if metrics.ua_eq1 > best_val:
             best_val = metrics.ua_eq1
             best_epoch = epoch
-            save_checkpoint(graph, best_path, epoch, extra)
+            save_checkpoint(graph, best_path, epoch, asdict(extra))
         plateau = plateau_update(plateau, metrics.ua_eq1, cfg)
-        run = {"adam_t": adam.t, "plateau": asdict(plateau), "best_val": best_val,
-               "best_epoch": best_epoch, "history": history}
-        moments = {f"m::{k}": a for k, a in adam.m.items()}
-        moments.update({f"v::{k}": a for k, a in adam.v.items()})
-        save_checkpoint(graph, last_path, epoch, {**extra, "run": run}, moments)
+        run = RunState(adam.t, plateau, best_val, best_epoch, tuple(history))
+        save_checkpoint(graph, last_path, epoch, asdict(replace(extra, run=run)), adam.moments())
         write_jsonl(history_path, history)
 
     return TrainResult(

@@ -1,9 +1,12 @@
 """The `crossemo` subcommands driven through `main([...])` on a tiny
 synthetic corpus with the desk-scale model and one epoch."""
 
+import argparse
 import ast
 import json
+import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,7 +17,7 @@ import pytest
 
 import crossemo
 from crossemo import corpus, features
-from crossemo.cli import main
+from crossemo.cli import build_parser, main
 from crossemo.features import compute_features
 from crossemo.ioutil import write_json
 from crossemo.synth import SynthCorpusSpec, derive_shifted_corpus, generate_corpus
@@ -176,6 +179,120 @@ def test_eval_checkpoint_with_removed_model_keys_exits_2(tiny, trained, tmp_path
     err = capsys.readouterr().err
     assert "conv_batchnorm" in err and "conv_stride" in err and "Traceback" not in err
     assert not (tmp_path / "eval").exists()
+
+
+def eval_damaged(tiny, trained, tmp_path, capsys, damage) -> str:
+    """`crossemo eval` of the trained last checkpoint as `damage(src, dst)`
+    copies it into a fresh run directory. Requires exit 2, no traceback and
+    no metrics written; returns stderr."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    shutil.copy(trained / "config.resolved.json", run_dir)  # as in a real run directory
+    damage(trained / "checkpoint_last.bin", run_dir / "checkpoint_last.bin")
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", run_dir / "checkpoint_last.bin",
+               "--manifests", tiny["shift"], "--out", tmp_path / "eval") == 2
+    assert not (tmp_path / "eval").exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("key, value", [("fold", "x"), ("train_tag", 5)])
+def test_eval_checkpoint_with_mistyped_extra_field_exits_2(tiny, trained, tmp_path, capsys,
+                                                           key, value):
+    err = eval_damaged(tiny, trained, tmp_path, capsys, lambda src, dst: patch_header(
+        src, dst, lambda header: header["extra"].update({key: value})))
+    assert f"checkpoint extra.{key}" in err
+
+
+def cut_blob(src: Path, dst: Path, name: str) -> None:
+    """Copy checkpoint `src` to `dst` with blob `name` cut to its first value,
+    of shape [1]."""
+    raw = src.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12 : 12 + n])
+    offset, blobs = 12 + n, []
+    for entry in header["index"]:
+        size = 4 * math.prod(entry["shape"])
+        blob = raw[offset : offset + size]
+        offset += size
+        if entry["name"] == name:
+            blob, entry["shape"] = blob[:4], [1]
+        blobs.append(blob)
+    encoded = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + b"".join(blobs))
+
+
+def test_eval_checkpoint_with_misshapen_statistic_exits_2(tiny, trained, tmp_path, capsys):
+    # a statistic of shape [1] would broadcast silently
+    err = eval_damaged(tiny, trained, tmp_path, capsys,
+                       lambda src, dst: cut_blob(src, dst, "fc0.bn.mean"))
+    assert "fc0.bn.mean" in err
+
+
+def resume_exit(prepared, run_dir: Path, capsys, **sections) -> tuple:
+    """`crossemo train --resume` of the desk-scale run in `run_dir` for two
+    epochs, with `sections` merged into its config: (exit code, stderr)."""
+    write_json(run_dir.parent / "resume.json", {
+        "profile": "desk-scale", **prepared, "train": {"epochs": 2}, "out_dir": str(run_dir),
+        **sections,
+    })
+    capsys.readouterr()
+    code = run("train", "--config", run_dir.parent / "resume.json", "--resume")
+    return code, capsys.readouterr().err
+
+
+def test_resume_with_misshapen_moment_exits_2(prepared, trained, tmp_path, capsys):
+    (tmp_path / "run").mkdir()
+    cut_blob(trained / "checkpoint_last.bin", tmp_path / "run" / "checkpoint_last.bin", "m::fc0.b")
+    code, err = resume_exit(prepared, tmp_path / "run", capsys)
+    assert code == 2 and "m::fc0.b" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda run_state: run_state.pop("plateau"),
+    lambda run_state: run_state.update(adam_t="3"),
+    lambda run_state: run_state.update(history=5),
+], ids=["no-plateau", "adam_t-str", "history-int"])
+def test_resume_with_malformed_run_state_exits_2(prepared, trained, tmp_path, capsys, edit):
+    (tmp_path / "run").mkdir()
+    patch_header(trained / "checkpoint_last.bin", tmp_path / "run" / "checkpoint_last.bin",
+                 lambda header: edit(header["extra"]["run"]))
+    code, err = resume_exit(prepared, tmp_path / "run", capsys)
+    assert code == 2 and "checkpoint extra.run" in err and "Traceback" not in err
+
+
+def test_refused_resume_keeps_the_resolved_config(prepared, trained, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in ("checkpoint_last.bin", "config.resolved.json"):
+        (run_dir / name).write_bytes((trained / name).read_bytes())
+    code, err = resume_exit(prepared, run_dir, capsys, model={"blstm_hidden": 16})
+    assert code == 2 and "digest" in err
+    assert (run_dir / "config.resolved.json").read_bytes() == (
+        trained / "config.resolved.json"
+    ).read_bytes()
+
+
+def test_cli_surface_is_pinned():
+    # every option of every subcommand; a new flag fails here until it is reviewed
+    def options(parser):
+        return tuple(s for action in parser._actions for s in action.option_strings)
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert options(parser) == ("-h", "--help", "--version")
+    assert {name: options(p)[2:] for name, p in sub.choices.items()} == {
+        "synth": ("--spec", "--out"),
+        "prepare": ("--manifest", "--label-map", "--strategy", "--n-folds", "--test-speakers",
+                    "--test-fraction", "--reverse-sessions", "--seed", "--out"),
+        "augment": ("--manifest", "--recipe", "--seed", "--out"),
+        "train": ("--config", "--resume"),
+        "eval": ("--checkpoint", "--manifests", "--restrict-classes", "--out"),
+        "report": ("--runs", "--metric", "--out"),
+        "pipeline": ("--config",),
+    }
 
 
 @pytest.mark.parametrize("rate", [0, -16000])
@@ -490,7 +607,18 @@ MALFORMED = {
     "folds-json-empty": ("file", None),
     "manifest-corrupt": ("file", None),
     "manifest-augmented-str": ("file", None),
-    "resolved-without-features": ("file", None),
+    "manifest-raw_labels-list": ("file", None),
+    "manifest-schema-str": ("file", None),
+    "manifest-schema-float": ("file", None),
+    "checkpoint-without-features": ("file", None),
+}
+
+# (line of the manifest file, keys merged into that line's JSON object)
+MANIFEST_EDITS = {
+    "manifest-augmented-str": (1, {"augmented": "false"}),
+    "manifest-raw_labels-list": (1, {"raw_labels": ["angry"]}),
+    "manifest-schema-str": (0, {"manifest_schema": "x"}),
+    "manifest-schema-float": (0, {"manifest_schema": 1.5}),
 }
 
 
@@ -505,21 +633,18 @@ def corrupt_file_argv(case, tiny, prepared, trained, tmp_path) -> list:
         return ["train", "--config", tmp_path / "bad.json"]
     if case.startswith("manifest"):
         lines = Path(tiny["manifest"]).read_text().splitlines()  # a header, then records
-        row = json.loads(lines[1])
         if case.endswith("corrupt"):
             lines[2] = lines[2][: len(lines[2]) // 2]
         else:
-            lines[1] = json.dumps({**row, "augmented": "false"})
+            line, edit = MANIFEST_EDITS[case]
+            lines[line] = json.dumps({**json.loads(lines[line]), **edit})
         (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
         return ["prepare", "--manifest", tmp_path / "m.jsonl", "--strategy", "split-80-20",
                 "--out", tmp_path / "prep"]
-    run_dir = tmp_path / "run"
-    run_dir.mkdir()
-    (run_dir / "checkpoint_last.bin").write_bytes((trained / "checkpoint_last.bin").read_bytes())
-    resolved = json.loads((trained / "config.resolved.json").read_text())
-    del resolved["features"]
-    write_json(run_dir / "config.resolved.json", resolved)
-    return ["eval", "--checkpoint", run_dir / "checkpoint_last.bin",
+    # a checkpoint written before its extra carried the front-end
+    patch_header(trained / "checkpoint_last.bin", tmp_path / "old.bin",
+                 lambda header: header["extra"].pop("features"))
+    return ["eval", "--checkpoint", tmp_path / "old.bin",
             "--manifests", tiny["shift"], "--out", tmp_path / "eval"]
 
 
