@@ -84,6 +84,9 @@ class UtteranceRecord:
             raise ValidationFailure(f"record {obj['id']!r}: augmented must be true or false")
         if not isinstance(obj.get("raw_labels", {}), dict):
             raise ValidationFailure(f"record {obj['id']!r}: raw_labels must be an object")
+        for name in ("emotion", "source_id"):
+            if not isinstance(obj.get(name), (str, type(None))):
+                raise ValidationFailure(f"record {obj['id']!r}: {name} must be a string")
         return cls(
             id=str(obj["id"]),
             audio_path=str(obj["audio_path"]),

@@ -1,7 +1,9 @@
 """Differentiable operations on Tensors.
 
 Each op adds one graph node; `blstm`, `conv2d` and `max_pool2d` are whole
-layers with hand-written backward passes. Everything here passes central
+layers with hand-written backward passes. `conv2d` builds its im2col
+columns one utterance at a time into a reused workspace and saves none of
+them; its backward builds them again. Everything here passes central
 finite-difference checks at float64 with relative error below 1e-4 (see the
 gradient suite in the tests). Ops with mode switches (dropout, batch norm)
 take the mode explicitly; there is no global training flag.
@@ -296,40 +298,50 @@ def batch_norm(
     return out
 
 
-def _same_padding(kernel: int):
-    """Leading and trailing zeros that keep the output the input's size."""
-    total = kernel - 1
-    return total // 2, total - total // 2
+def _same_padding(kernel: int) -> int:
+    """Leading zeros of "same" padding; the trailing side takes the rest of
+    kernel - 1, so the output keeps the input's size."""
+    return (kernel - 1) // 2
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
-    """Columns [B, C*kh*kw, oh*ow] of the padded input xp [B, C, Hp, Wp]:
-    one slice copy per kernel offset (Chellapilla et al., 2006)."""
-    batch, ch = xp.shape[:2]
-    cols = np.empty((batch, ch, kh, kw, oh, ow), dtype=xp.dtype)
-    for i, j in np.ndindex(kh, kw):
-        cols[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
-    return cols.reshape(batch, ch * kh * kw, oh * ow)
+def _im2col(x: np.ndarray, kh: int, kw: int):
+    """Yield `(n, cols)` for each utterance n of x [B, C, H, W]: its columns
+    [C*kh*kw, H*W] under "same" zero padding, one slice copy per kernel
+    offset (Chellapilla et al., 2006). Every utterance's columns are built
+    into the same workspace, so the caller uses them before the next."""
+    batch, ch, h, wd = x.shape
+    pt, pl = _same_padding(kh), _same_padding(kw)
+    xp = np.zeros((ch, h + kh - 1, wd + kw - 1), dtype=x.dtype)  # borders stay 0
+    cols = np.empty((ch, kh, kw, h, wd), dtype=x.dtype)
+    # views made once: per utterance only the copies run
+    offsets = [(cols[:, i, j], xp[:, i : i + h, j : j + wd]) for i, j in np.ndindex(kh, kw)]
+    for n in range(batch):
+        xp[:, pt : pt + h, pl : pl + wd] = x[n]
+        for dst, src in offsets:
+            np.copyto(dst, src)
+        yield n, cols.reshape(ch * kh * kw, h * wd)
 
 
 def conv2d(x, w, b=None) -> Tensor:
     """Cross-correlation with zero "same" padding.
 
     x: [batch, in_ch, H, W], w: [out_ch, in_ch, kh, kw], b: [out_ch].
-    Forward: one GEMM, w [out_ch, C*kh*kw] @ im2col columns, already
-    channel-first. Backward: `dw` is one GEMM against those columns; `dx` is
-    col2im, kh*kw slice-adds into the padding.
+    Forward: per utterance, one GEMM, w [out_ch, C*kh*kw] @ its im2col
+    columns, already channel-first. The columns are not saved: the backward
+    builds them again, per utterance, for `dw`, and adds each utterance's
+    `g @ cols.T` in utterance order. `dx` is col2im, kh*kw slice-adds into
+    one utterance's padding at a time. So nothing holds the whole batch's
+    columns, which are kh*kw times the input's size.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"conv2d of {x.shape} with kernel {w.shape}")
     batch, in_ch, h, wd = x.shape
     out_ch, _, kh, kw = w.shape
-    pt, pb = _same_padding(kh)
-    pl, pr = _same_padding(kw)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols = _im2col(xp, kh, kw, h, wd)
-    out_data = w.data.reshape(out_ch, -1) @ cols  # [batch, out_ch, h*wd]
+    w2 = w.data.reshape(out_ch, -1)
+    out_data = np.empty((batch, out_ch, h * wd), dtype=np.result_type(x.data, w.data))
+    for n, cols in _im2col(x.data, kh, kw):
+        np.matmul(w2, cols, out=out_data[n])
     if b is not None:
         out_data += b.data[:, None]
 
@@ -342,19 +354,27 @@ def conv2d(x, w, b=None) -> Tensor:
             if b is not None and b.requires_grad:
                 b.accumulate(g3.sum(axis=(0, 2)), fresh=True)
             if w.requires_grad:
-                dw = (g3 @ cols.transpose(0, 2, 1)).sum(axis=0)  # [out_ch, C*kh*kw]
+                dw = np.zeros(w2.shape, dtype=np.result_type(g, x.data))
+                for n, cols in _im2col(x.data, kh, kw):
+                    dw += g3[n] @ cols.T
                 w.accumulate(dw.reshape(w.shape), fresh=True)
             if x.requires_grad:
                 # col2im channel-last, so each offset adds whole channel runs;
                 # offsets run last to first: every cell sums in output order
-                gf = g3.transpose(0, 2, 1).reshape(-1, out_ch)
+                pt, pl = _same_padding(kh), _same_padding(kw)
                 wk = w.data.transpose(0, 2, 3, 1).reshape(out_ch, -1)
-                dcols = (gf @ wk).reshape(batch, h, wd, kh, kw, in_ch)
-                dxp = np.zeros((batch, xp.shape[2], xp.shape[3], in_ch), dtype=x.dtype)
-                for i, j in reversed(list(np.ndindex(kh, kw))):
-                    dxp[:, i : i + h, j : j + wd] += dcols[:, :, :, i, j]
-                dx = dxp[:, pt : pt + h, pl : pl + wd].transpose(0, 3, 1, 2)
-                x.accumulate(np.ascontiguousarray(dx), fresh=True)
+                dxp = np.empty((h + kh - 1, wd + kw - 1, in_ch), dtype=x.dtype)
+                dx = np.empty(x.shape, dtype=x.dtype)
+                dcols = np.empty((h, wd, kh, kw, in_ch), dtype=np.result_type(g, wk))
+                offsets = [(dxp[i : i + h, j : j + wd], dcols[:, :, i, j])
+                           for i, j in reversed(list(np.ndindex(kh, kw)))]
+                for n in range(batch):
+                    np.matmul(g3[n].T, wk, out=dcols.reshape(h * wd, -1))
+                    dxp.fill(0)
+                    for dst, src in offsets:
+                        dst += src
+                    dx[n] = dxp[pt : pt + h, pl : pl + wd].transpose(2, 0, 1)
+                x.accumulate(dx, fresh=True)
 
         out._backward = _bw
     return out

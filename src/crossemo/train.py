@@ -252,7 +252,14 @@ def train_model(
 
     if resume and Path(last_path).exists():
         data = load_checkpoint(last_path, expect_digest=graph.digest)
-        run = from_fields(CheckpointExtra, data.extra, "checkpoint extra").run
+        stored = from_fields(CheckpointExtra, data.extra, "checkpoint extra")
+        for name in ("classes", "fold", "features"):
+            if getattr(stored, name) != getattr(extra, name):
+                raise CheckpointMismatch(
+                    f"{last_path} was trained with {name} {getattr(stored, name)!r}, "
+                    f"not {getattr(extra, name)!r}"
+                )
+        run = stored.run
         if run is None:
             raise CheckpointMismatch(f"{last_path} holds no training state to resume from")
         load_into_graph(graph, data)

@@ -57,9 +57,9 @@ def conv2d_case(tensors):
     return ops.conv2d(tensors["x"], tensors["w"], tensors["b"])
 
 
-def conv2d_inputs(rng):
+def conv2d_inputs(rng, batch=2):
     return {
-        "x": rng.normal(size=(2, 2, 5, 4)),
+        "x": rng.normal(size=(batch, 2, 5, 4)),
         "w": rng.normal(size=(3, 2, 3, 3)),
         "b": rng.normal(size=3),
     }
@@ -175,6 +175,9 @@ def check_maxpool(seed: int) -> float:
 GRADIENT_SUITE = {
     "conv2d": lambda seed: check_op(conv2d_inputs, conv2d_case, seed),
     "conv2d_no_bias": lambda seed: check_op(conv2d_no_bias_inputs, conv2d_no_bias_case, seed),
+    "conv2d_batch3": lambda seed: check_op(
+        lambda rng: conv2d_inputs(rng, batch=3), conv2d_case, seed
+    ),
     "dense": lambda seed: check_op(dense_inputs, dense_case, seed),
     "blstm": lambda seed: check_op(blstm_inputs, blstm_case, seed),
     "blstm_one_step": lambda seed: check_op(

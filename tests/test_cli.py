@@ -275,6 +275,15 @@ def test_refused_resume_keeps_the_resolved_config(prepared, trained, tmp_path, c
     ).read_bytes()
 
 
+def test_resume_with_another_front_end_exits_2(prepared, trained, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "checkpoint_last.bin").write_bytes((trained / "checkpoint_last.bin").read_bytes())
+    code, err = resume_exit(prepared, run_dir, capsys, features={"max_seconds": 0.5})
+    assert code == 2 and "trained with features" in err and "Traceback" not in err
+    assert not (run_dir / "history.jsonl").exists()
+
+
 def test_cli_surface_is_pinned():
     # every option of every subcommand; a new flag fails here until it is reviewed
     def options(parser):
@@ -608,6 +617,8 @@ MALFORMED = {
     "manifest-corrupt": ("file", None),
     "manifest-augmented-str": ("file", None),
     "manifest-raw_labels-list": ("file", None),
+    "manifest-emotion-int": ("file", None),
+    "manifest-source_id-int": ("file", None),
     "manifest-schema-str": ("file", None),
     "manifest-schema-float": ("file", None),
     "checkpoint-without-features": ("file", None),
@@ -617,6 +628,8 @@ MALFORMED = {
 MANIFEST_EDITS = {
     "manifest-augmented-str": (1, {"augmented": "false"}),
     "manifest-raw_labels-list": (1, {"raw_labels": ["angry"]}),
+    "manifest-emotion-int": (1, {"emotion": 5}),
+    "manifest-source_id-int": (1, {"source_id": 5}),
     "manifest-schema-str": (0, {"manifest_schema": "x"}),
     "manifest-schema-float": (0, {"manifest_schema": 1.5}),
 }

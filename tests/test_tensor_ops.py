@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,42 @@ class TestConvGradients:
                              scatter_conv2d_grads(x.data, w.data, g)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+class TestConvPerUtterance:
+    def test_batch_equals_utterances_one_at_a_time(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 5, 11, 9)).astype(np.float32)
+        w = rng.normal(size=(7, 5, 3, 3)).astype(np.float32)
+        b = rng.normal(size=7).astype(np.float32)
+        g = rng.normal(size=(3, 7, 11, 9)).astype(np.float32)
+
+        def grads(n):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x[n], w, b))
+            out = ops.conv2d(xt, wt, bt)
+            out.backward(g[n])
+            return out.data, xt.grad, wt.grad, bt.grad
+
+        whole = grads(slice(None))
+        parts = [grads(slice(n, n + 1)) for n in range(3)]
+        assert np.array_equal(whole[0], np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(whole[1], np.concatenate([p[1] for p in parts]))
+        for k in (2, 3):  # dw and db: the utterances' gradients added in order
+            assert np.array_equal(whole[k], parts[0][k] + parts[1][k] + parts[2][k])
+
+    def test_forward_keeps_no_columns(self):
+        # the whole batch's im2col columns are kh*kw times the input's size
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(8, 32, 64, 23)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(32, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(x, w, b)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes <= held < 9 * x.data.nbytes
 
 
 class TestMaxPool:
