@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     EmptyAudio,
@@ -314,6 +313,7 @@ def apply_shelf(buffer: AudioBuffer, band: str, gain_db: float) -> AudioBuffer:
         raise UnsupportedEncoding(f"shelf band must be bass or treble, got {band!r}")
     if abs(gain_db) > 20.0:
         raise GainOutOfRange(f"|gain| must be <= 20 dB, got {gain_db}")
+    from scipy.signal import lfilter  # 1.3 s to import; only the shelves need it
     b, a = _shelf_coefficients(band, gain_db, buffer.sample_rate)
     y = lfilter(b, a, buffer.samples)
     return AudioBuffer(np.clip(y, -1.0, 1.0), buffer.sample_rate)

@@ -121,7 +121,7 @@ def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
     batch, n_steps, bands = feats.shape
     x = Tensor(feats.reshape(batch, 1, n_steps, bands))
     for i in range(len(cfg.conv_channels)):
-        x = ops.relu(ops.conv2d(x, graph.params[f"conv{i}.w"], graph.params[f"conv{i}.b"]))
+        x = ops.conv2d(x, graph.params[f"conv{i}.w"], graph.params[f"conv{i}.b"])
         if (i + 1) in cfg.pool_after:
             x = ops.max_pool2d(x, 2)
     _, ch, t_out, b_out = x.shape

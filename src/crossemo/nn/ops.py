@@ -1,9 +1,9 @@
 """Differentiable operations on Tensors.
 
 Each op adds one graph node; `blstm`, `conv2d` and `max_pool2d` are whole
-layers with hand-written backward passes. `conv2d` builds its im2col
-columns one utterance at a time into a reused workspace and saves none of
-them; its backward builds them again. Everything here passes central
+layers with hand-written backward passes. `conv2d` ends in its ReLU and
+builds its im2col columns one utterance at a time into a reused workspace,
+saving none; its backward builds them again. Everything here passes central
 finite-difference checks at float64 with relative error below 1e-4 (see the
 gradient suite in the tests). Ops with mode switches (dropout, batch norm)
 take the mode explicitly; there is no global training flag.
@@ -323,12 +323,15 @@ def _im2col(x: np.ndarray, kh: int, kw: int):
 
 
 def conv2d(x, w, b=None) -> Tensor:
-    """Cross-correlation with zero "same" padding.
+    """Cross-correlation with zero "same" padding, then bias and ReLU.
 
     x: [batch, in_ch, H, W], w: [out_ch, in_ch, kh, kw], b: [out_ch].
     Forward: per utterance, one GEMM, w [out_ch, C*kh*kw] @ its im2col
-    columns, already channel-first. The columns are not saved: the backward
-    builds them again, per utterance, for `dw`, and adds each utterance's
+    columns, already channel-first; bias and ReLU then run in place, so no
+    pre-activation copy exists. The backward masks `g` by `out > 0`, which
+    is `pre > 0` (the trick of in-place activated batch norm, Rota Bulò et
+    al., arXiv:1712.02616). The columns are not saved: the backward builds
+    them again, per utterance, for `dw`, and adds each utterance's
     `g @ cols.T` in utterance order. `dx` is col2im, kh*kw slice-adds into
     one utterance's padding at a time. So nothing holds the whole batch's
     columns, which are kh*kw times the input's size.
@@ -344,6 +347,7 @@ def conv2d(x, w, b=None) -> Tensor:
         np.matmul(w2, cols, out=out_data[n])
     if b is not None:
         out_data += b.data[:, None]
+    np.maximum(out_data, 0, out=out_data)
 
     parents = (x, w) if b is None else (x, w, b)
     req = any(p.requires_grad for p in parents)
@@ -351,6 +355,7 @@ def conv2d(x, w, b=None) -> Tensor:
     if req:
         def _bw(g):
             g3 = g.reshape(batch, out_ch, h * wd)
+            g3 *= out_data > 0  # in place: `g` is this node's own `.grad`
             if b is not None and b.requires_grad:
                 b.accumulate(g3.sum(axis=(0, 2)), fresh=True)
             if w.requires_grad:

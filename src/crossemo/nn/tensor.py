@@ -5,9 +5,11 @@ backward closure are recorded only when the node needs a gradient, so a
 forward on constants builds no graph and each activation dies with its last
 use. `Tensor.backward()` topologically sorts the graph (iteratively, so
 graphs of any depth are fine) and accumulates gradients into `.grad`. Only
-leaves keep theirs: an interior node's gradient is dropped as soon as its
-closure has passed it on. Gradients keep the dtype of the forward data, so
-checks can run in float64 while training runs in float32.
+leaves keep theirs: each interior node drops its gradient, closure and
+parents once its closure has run, so an activation dies with the last
+closure that reads it, and the graph is gone when backward returns.
+Gradients keep the dtype of the forward data, so checks can run in float64
+while training runs in float32.
 """
 
 from __future__ import annotations
@@ -57,10 +59,12 @@ class Tensor:
             grad = np.ones_like(self.data)
         order = _topo_order(self)
         self.accumulate(grad)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None  # nothing reads an interior gradient
+            node._backward, node._parents = None, ()  # its saved arrays go with it
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={self.requires_grad})"

@@ -297,7 +297,6 @@ def train_model(
                 )
             loss.backward()
             adam_step(graph.params, adam, plateau.lr, cfg)
-            del logits, loss  # the step's graph must not live through the next forward
             losses.append(loss_value)
 
         preds = predict_ids(graph, store, val_ids, classes)

@@ -65,6 +65,14 @@ def conv2d_inputs(rng, batch=2):
     }
 
 
+def conv2d_mostly_off_inputs(rng):
+    """A bias of -1 on small weights: the ReLU switches most cells off."""
+    arrays = conv2d_inputs(rng)
+    arrays["w"] *= 0.25
+    arrays["b"] = np.full(3, -1.0)
+    return arrays
+
+
 def conv2d_no_bias_case(tensors):
     return ops.conv2d(tensors["x"], tensors["w"], None)
 
@@ -178,6 +186,7 @@ GRADIENT_SUITE = {
     "conv2d_batch3": lambda seed: check_op(
         lambda rng: conv2d_inputs(rng, batch=3), conv2d_case, seed
     ),
+    "conv2d_mostly_off": lambda seed: check_op(conv2d_mostly_off_inputs, conv2d_case, seed),
     "dense": lambda seed: check_op(dense_inputs, dense_case, seed),
     "blstm": lambda seed: check_op(blstm_inputs, blstm_case, seed),
     "blstm_one_step": lambda seed: check_op(

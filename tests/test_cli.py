@@ -340,6 +340,20 @@ def test_python_dash_m_runs_the_cli():
     assert "pipeline" in proc.stdout
 
 
+def test_train_and_eval_do_not_import_scipy_signal():
+    # only the bass and treble shelves filter; the import costs over a second
+    src = str(Path(crossemo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, crossemo.cli, crossemo.train, crossemo.features, crossemo.evaluation; "
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_only_the_cli_prints():
     package = Path(crossemo.__file__).parent
     calls = [

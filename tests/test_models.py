@@ -1,5 +1,6 @@
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -207,12 +208,27 @@ class TestGradientCoverage:
                 node._backward(node.grad)
         kept = {k: p.grad.copy() for k, p in graph.params.items()}
 
+        # a releasing backward leaves no graph to walk: collect the nodes first
         loss = loss_of()
-        loss.backward()
         interior = [n for n in graph_nodes(loss) if n._backward is not None]
-        assert interior and all(n.grad is None for n in interior)
+        loss.backward()
+        assert interior
+        for node in interior:
+            assert node.grad is None and node._backward is None and node._parents == ()
         for name, p in graph.params.items():
             assert np.array_equal(p.grad, kept[name]), name
+
+    def test_backward_frees_every_activation(self):
+        graph = build_cnn_blstm_att(DESK_CNN, seed=4)
+        graph.set_mode("train")
+        logits = graph.forward(random_features(batch=3, seed=4),
+                               dropout_rng=np.random.default_rng(0))
+        loss = softmax_cross_entropy(logits, np.array([0, 1, 2]))
+        alive = [weakref.ref(n.data) for n in graph_nodes(loss)
+                 if n._backward is not None and n is not loss and n is not logits]
+        assert alive
+        loss.backward()  # `loss` and `logits` stay bound, as in a training step
+        assert [r for r in alive if r() is not None] == []
 
 
 class TestParameterCounts:

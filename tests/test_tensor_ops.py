@@ -21,7 +21,7 @@ class TestConv:
         x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 4, 4)))
         w = Tensor(np.ones((1, 1, 1, 1)))
         out = ops.conv2d(x, w, None)
-        assert np.allclose(out.data, x.data)
+        assert np.allclose(out.data, np.maximum(x.data, 0))
 
     def test_impulse_response(self):
         x = np.zeros((1, 1, 7, 7))
@@ -40,10 +40,10 @@ class TestConv:
             ops.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), None)
 
 
-def sliding_window_conv2d(x, w, b):
+def sliding_window_conv2d(x, w, b, relu=True):
     """Oracle: conv2d's forward through sliding-window im2col columns
     [B, h*wd, C*kh*kw] against the flattened kernel, then a transpose back
-    to channel-first."""
+    to channel-first and the ReLU."""
     batch, in_ch, h, wd = x.shape
     out_ch, _, kh, kw = w.shape
     pad_h, pad_w = kh - 1, kw - 1
@@ -54,7 +54,8 @@ def sliding_window_conv2d(x, w, b):
     out = cols @ w.reshape(out_ch, -1).T
     if b is not None:
         out = out + b
-    return out.transpose(0, 2, 1).reshape(batch, out_ch, h, wd)
+    out = out.transpose(0, 2, 1).reshape(batch, out_ch, h, wd)
+    return np.maximum(out, 0) if relu else out
 
 
 class TestConvForward:
@@ -74,9 +75,11 @@ class TestConvForward:
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
-def scatter_conv2d_grads(x, w, g):
+def scatter_conv2d_grads(x, w, b, g):
     """Oracle: conv2d's input, weight and bias gradients with the input
-    gradient scattered through `np.add.at` over flat im2col indices."""
+    gradient scattered through `np.add.at` over flat im2col indices. `g`,
+    the gradient of the ReLU's output, is masked by the pre-activation."""
+    g = g * (sliding_window_conv2d(x, w, b, relu=False) > 0)
     batch, in_ch, h, wd = x.shape
     out_ch, _, kh, kw = w.shape
     pad_h, pad_w = kh - 1, kw - 1
@@ -107,7 +110,7 @@ class TestConvGradients:
         g = rng.normal(size=out.shape)
         out.backward(g)
         for got, want in zip((x.grad, w.grad, b.grad),
-                             scatter_conv2d_grads(x.data, w.data, g)):
+                             scatter_conv2d_grads(x.data, w.data, b.data, g)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
