@@ -1,14 +1,15 @@
 """WAV ingest/emit and the six signal-level augmentation effects.
 
 Every effect is a pure function of (buffer, parameters): identical inputs
-give identical outputs on every run and platform. All effects clip their
-output to [-1, 1] and never change the declared sample rate; only speed and
-tempo change the duration.
+give bit-identical outputs on every run with one numpy and BLAS build. Across
+builds outputs agree within rounding, since the speed effect sums through a
+matrix product whose summation order is the BLAS library's. All effects clip
+their output to [-1, 1] and never change the declared sample rate; only speed
+and tempo change the duration.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 import struct
@@ -37,12 +38,12 @@ BASS_CORNER_HZ = 100.0
 TREBLE_CORNER_HZ = 3000.0
 SHELF_Q = 0.707
 
-# windowed-sinc resampler: Kaiser window, 32 taps per side at unit rate,
-# kernel tabulated at 4096 points per zero crossing
+# windowed-sinc resampler: Kaiser window, 32 taps per side at unit rate;
+# each tap's weight is a degree-12 Chebyshev polynomial in the output phase
 SINC_TAPS = 32
 KAISER_BETA = 8.6
-SINC_TABLE_DENSITY = 4096
-RESAMPLE_BLOCK = 32768  # output samples per pass of the tap loop
+FARROW_DEGREE = 12
+RESAMPLE_BLOCK = 1024  # outputs per GEMM: their input windows stay in cache
 
 # time-scale modification: 30 ms window, 50% overlap, +-7.5 ms search
 WSOLA_WINDOW_MS = 30.0
@@ -168,52 +169,73 @@ def apply_volume(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     return AudioBuffer(np.clip(buffer.samples * factor, -1.0, 1.0), buffer.sample_rate)
 
 
-@functools.cache
-def _kaiser_sinc_table() -> tuple[np.ndarray, np.ndarray]:
-    """The Kaiser-windowed sinc g(u) = sinc(SINC_TAPS*u) * I0(beta*sqrt(1-u^2))
-    / I0(beta) on u in [0, 1] at SINC_TABLE_DENSITY entries per zero crossing,
-    then one zero guard entry; and the slope from each entry to the next. g
-    is even and the same for every speed factor. Built on first use."""
-    x = np.arange(SINC_TAPS * SINC_TABLE_DENSITY + 1) / SINC_TABLE_DENSITY
-    window = np.i0(KAISER_BETA * np.sqrt(1.0 - (x / SINC_TAPS) ** 2)) / np.i0(KAISER_BETA)
-    g = np.append(np.sinc(x) * window, 0.0)
-    g[SINC_TABLE_DENSITY::SINC_TABLE_DENSITY] = 0.0  # sinc's zeros, exactly
-    slope = np.append(np.diff(g), 0.0)
-    g.flags.writeable = slope.flags.writeable = False  # shared by every caller
-    return g, slope
+def _kaiser_sinc_kernel(t: np.ndarray, rho: float, half: float) -> np.ndarray:
+    """rho * sinc(rho*t) * I0(beta*sqrt(1 - (t/half)^2)) / I0(beta), and 0
+    where |t| > half."""
+    u = np.minimum(np.abs(t) / half, 1.0)
+    window = np.i0(KAISER_BETA * np.sqrt(1.0 - u**2)) / np.i0(KAISER_BETA)
+    return np.where(np.abs(t) <= half, rho * np.sinc(rho * t) * window, 0.0)
+
+
+def _clenshaw(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_d c[d, i] * T_d(s[i]) for each column i: Clenshaw's recurrence."""
+    s2 = 2.0 * s
+    b1, b2 = c[-1].copy(), np.zeros_like(s)
+    for d in range(c.shape[0] - 2, 0, -1):
+        np.subtract(c[d], b2, out=b2)
+        b2 += s2 * b1
+        b1, b2 = b2, b1
+    return c[0] + s * b1 - b2
 
 
 def _kaiser_sinc_resample(x: np.ndarray, factor: float) -> np.ndarray:
-    # Smith's bandlimited interpolation: with half = SINC_TAPS / rho the kernel
-    # at offset t is rho * g(t / half), so one table of g serves every factor;
-    # weights interpolate linearly between its entries
+    # Farrow structure: output n sits at c = n*factor, its first tap at
+    # k0 = ceil(c - half), and tap j weighs kernel(j - half + theta) with phase
+    # theta = k0 - c + half in [0, 1). Each tap's weight is fitted once per call
+    # as a Chebyshev polynomial in theta, so a block of outputs is one GEMM of
+    # their input windows with the fixed coefficients, then Clenshaw's
+    # recurrence in theta. Tap floor(2*half) leaves the window at
+    # theta = 2*half - floor(2*half), a kink no polynomial follows, so each side
+    # of that phase gets its own fit and its own GEMM.
     n = x.size
     n_out = int(round(n / factor))
     rho = min(1.0, 1.0 / factor)  # cutoff scale: anti-alias when decimating
     half = SINC_TAPS / rho
-    n_taps = 2 * int(math.ceil(half)) + 1
-    table, slope = _kaiser_sinc_table()
-    last = table.size - 2  # the entry at |u| = 1; beyond it g is 0
-    centers = np.arange(n_out) * factor
-    k0 = np.ceil(centers - half).astype(np.int64)  # first tap of each output
-    t0 = k0 - centers
-    lead = max(0, -int(k0[0]))
-    trail = max(0, int(k0[-1]) + n_taps - n)
-    xp = np.concatenate([np.zeros(lead), x, np.zeros(trail)])
-    first = k0 + lead
-    out = np.zeros(n_out, dtype=np.float64)
+    n_taps = int(math.floor(2.0 * half)) + 1  # taps that can fall inside the window
+    kink = 2.0 * half - math.floor(2.0 * half)
+    pieces = [(0.0, kink), (kink, 1.0)] if kink > 0.0 else [(0.0, 1.0)]
+    nodes = -np.cos(np.pi * np.arange(FARROW_DEGREE + 1) / FARROW_DEGREE)  # Lobatto, from -1
+    theta_nodes = np.array([lo + (hi - lo) * (nodes + 1.0) / 2.0 for lo, hi in pieces])
+    values = _kaiser_sinc_kernel(
+        theta_nodes[:, :, None] + (np.arange(n_taps) - half), rho, half
+    )  # [piece, node, tap]
+    # interpolate at the nodes: coefs[p, d, j] of T_d in piece p's own variable
+    coefs = np.linalg.solve(np.polynomial.chebyshev.chebvander(nodes, FARROW_DEGREE), values)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([np.zeros(n_taps), x, np.zeros(n_taps)]), n_taps
+    )
+    cuts = np.array([lo for lo, _ in pieces[1:]])
+    out = np.empty(n_out, dtype=np.float64)
     for start in range(0, n_out, RESAMPLE_BLOCK):
-        block = slice(start, start + RESAMPLE_BLOCK)
-        for offset in range(n_taps):
-            pos = np.abs(t0[block] + offset) * (rho * SINC_TABLE_DENSITY)
-            i = np.minimum(pos.astype(np.int64), last)
-            out[block] += (table[i] + (pos - i) * slope[i]) * xp[first[block] + offset]
-    return rho * out
+        c = np.arange(start, min(start + RESAMPLE_BLOCK, n_out)) * factor
+        k0 = np.ceil(c - half)
+        theta = (k0 - c) + half
+        first = k0.astype(np.int64) + n_taps
+        piece = np.searchsorted(cuts, theta, side="right")
+        for p, (lo, hi) in enumerate(pieces):
+            rows = np.flatnonzero(piece == p)
+            g = coefs[p] @ windows[first[rows]].T  # [FARROW_DEGREE + 1, rows]
+            out[start + rows] = _clenshaw(g, (2.0 * theta[rows] - lo - hi) / (hi - lo))
+    return out
 
 
 def apply_speed(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     """Resampled playback: factor > 1 speeds up, < 1 slows down. Pitch and
-    duration change together. Band-limited windowed-sinc interpolation."""
+    duration change together. Band-limited Kaiser-windowed sinc interpolation
+    in the Farrow structure (C. W. Farrow, ISCAS 1988): each tap's weight is a
+    degree-FARROW_DEGREE polynomial in the output's fractional phase, within
+    1e-9 of the kernel evaluated directly at every tap (about 1e-11 measured
+    over factors 0.5 to 2)."""
     _check_factor(factor)
     n_out = int(round(buffer.n_samples / factor))
     if n_out < MIN_RESULT_SAMPLES:

@@ -8,6 +8,7 @@ z-normalized over all cells of the file.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -93,9 +94,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.cache
 def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
     """Triangular Mel filters, shape [n_bands, fft_size//2 + 1], spanning
-    0 Hz to Nyquist. Adjacent triangles share edges."""
+    0 Hz to Nyquist. Adjacent triangles share edges. Built once per config;
+    every caller shares the one read-only array."""
     nyquist = cfg.sample_rate / 2.0
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), cfg.n_bands + 2)
     hz_points = mel_to_hz(mel_points)
@@ -106,6 +109,7 @@ def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         bank[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    bank.flags.writeable = False
     return bank
 
 

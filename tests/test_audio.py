@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -26,6 +27,7 @@ from crossemo.audio import (
     shelf_gain_db,
     write_wav,
 )
+from crossemo.augment import FACTOR_RANGE
 from crossemo.errors import (
     EmptyAudio,
     GainOutOfRange,
@@ -181,15 +183,15 @@ class TestSpeed:
             apply_speed(tone(440, 0.5), -1.0)
 
 
-def direct_kaiser_sinc_resample(x, factor):
+def direct_kaiser_sinc_resample(x, factor, outputs=None):
     """Oracle: the Kaiser-windowed sinc evaluated directly at every tap of
-    every output sample."""
+    every output sample, or of the output indices given."""
     n = x.size
     n_out = int(round(n / factor))
     rho = min(1.0, 1.0 / factor)
     half = SINC_TAPS / rho
     n_taps = 2 * int(math.ceil(half)) + 1
-    centers = np.arange(n_out) * factor
+    centers = (np.arange(n_out) if outputs is None else np.asarray(outputs)) * factor
     k = np.ceil(centers - half).astype(np.int64)[:, None] + np.arange(n_taps)[None, :]
     t = k - centers[:, None]
     u = t / half
@@ -202,19 +204,47 @@ def direct_kaiser_sinc_resample(x, factor):
 
 
 class TestKaiserSincResample:
-    @pytest.mark.parametrize("factor", [0.6, 0.77, 1.0, 1.31, 1.5])
+    # 1.17 puts the window edge inside a tap's phase range (2*half = 74.88),
+    # where the kernel has a kink that one polynomial piece cannot follow
+    @pytest.mark.parametrize("factor", [0.6, 0.77, 1.0, 1.17, 1.31, 1.5])
     def test_matches_direct_formula(self, factor):
         x = np.random.default_rng(5).uniform(-1, 1, size=4000)
         out = _kaiser_sinc_resample(x, factor)
         expected = direct_kaiser_sinc_resample(x, factor)
         assert out.shape == expected.shape
-        assert np.max(np.abs(out - expected)) <= 1e-7
+        assert np.max(np.abs(out - expected)) <= 1e-9
+
+    def test_matches_direct_formula_across_the_augmentation_range(self):
+        # desk-scale 1.2-s input; the oracle runs at both edges and at 200
+        # outputs drawn between them
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1, 1, size=19200)
+        for factor in rng.uniform(*FACTOR_RANGE, size=50):
+            out = _kaiser_sinc_resample(x, factor)
+            n_out = int(round(x.size / factor))
+            assert out.size == n_out
+            picks = np.concatenate([
+                np.arange(40), rng.choice(n_out, 200, replace=False), np.arange(n_out - 40, n_out)
+            ])
+            expected = direct_kaiser_sinc_resample(x, factor, picks)
+            assert np.max(np.abs(out[picks] - expected)) <= 1e-9, factor
 
     def test_output_spanning_several_blocks(self):
         x = np.random.default_rng(7).uniform(-1, 1, size=24000)
         out = _kaiser_sinc_resample(x, 0.6)
         assert out.size == 40000 > RESAMPLE_BLOCK
-        assert np.max(np.abs(out - direct_kaiser_sinc_resample(x, 0.6))) <= 1e-7
+        assert np.max(np.abs(out - direct_kaiser_sinc_resample(x, 0.6))) <= 1e-9
+
+    @pytest.mark.parametrize("factor", [0.6, 1.0, 1.17, 1.5])
+    def test_memory_bounded_on_a_long_input(self, factor):
+        x = np.random.default_rng(9).uniform(-1, 1, size=112000)  # 7 s
+        tracemalloc.start()
+        try:
+            _kaiser_sinc_resample(x, factor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
     def test_unit_factor_is_identity(self):
         x = np.random.default_rng(6).uniform(-1, 1, size=4000)

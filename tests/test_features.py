@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crossemo import features
 from crossemo.audio import AudioBuffer, apply_volume
 from crossemo.errors import EmptyAudio, SampleRateMismatch, ValidationFailure
 from crossemo.features import (
@@ -81,6 +82,16 @@ class TestMelFilterbank:
         for m in range(22):
             both = (bank[m] > 0) & (bank[m + 1] > 0)
             assert both.any()
+
+    def test_built_once_per_config_and_read_only(self, monkeypatch):
+        bank = mel_filterbank(DEFAULT)
+        assert mel_filterbank(FbankConfig()) is bank
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+        buf = tone(523, 1.3, amp=0.2)
+        cached = compute_features(buf, DEFAULT)
+        monkeypatch.setattr(features, "mel_filterbank", mel_filterbank.__wrapped__)
+        assert np.array_equal(cached, compute_features(buf, DEFAULT))
 
 
 class TestExtractFbank:
