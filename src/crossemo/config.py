@@ -153,12 +153,16 @@ def resolve_experiment_config(raw: dict, base_dir: str | Path = ".") -> Experime
     def respath(p):  # joining keeps an absolute path as it is
         return str(base_dir / p)
 
+    model = config_from_dict(cfg.arch, cfg.model)
+    if model.input_bands != cfg.features.n_bands:
+        raise ValidationFailure(f"model.input_bands {model.input_bands} does not match "
+                                f"features.n_bands {cfg.features.n_bands}")
     return replace(
         cfg,
         manifest=respath(cfg.manifest),
         fold_plan=respath(cfg.fold_plan),
         feature_cache=respath(cfg.feature_cache) if cfg.feature_cache else None,
-        model=config_from_dict(cfg.arch, cfg.model),
+        model=model,
         train=replace(cfg.train, seed=merged.get("train", {}).get("seed", cfg.seed)),
         eval_manifests=tuple(respath(p) for p in cfg.eval_manifests),
         out_dir=respath(cfg.out_dir),

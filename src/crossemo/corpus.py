@@ -136,7 +136,7 @@ class CorpusManifest:
         return {r.id: r.emotion for r in self.records}
 
 
-def load_manifest(path: str | Path, name: str | None = None) -> CorpusManifest:
+def load_manifest(path: str | Path) -> CorpusManifest:
     """Load a JSON-lines manifest. Duplicate ids and missing fields are
     rejected. The manifest name comes from the header line when present,
     else the uniform corpus tag, else the file stem."""
@@ -153,14 +153,13 @@ def load_manifest(path: str | Path, name: str | None = None) -> CorpusManifest:
             header_name = row.get("name")
             continue
         records.append(UtteranceRecord.from_json(row))
-    if name is None:
-        corpora = {r.corpus for r in records}
-        if header_name:
-            name = header_name
-        elif len(corpora) == 1:
-            name = next(iter(corpora))
-        else:
-            name = Path(path).stem
+    corpora = {r.corpus for r in records}
+    if header_name:
+        name = header_name
+    elif len(corpora) == 1:
+        name = next(iter(corpora))
+    else:
+        name = Path(path).stem
     return CorpusManifest(name=name, records=tuple(records))
 
 

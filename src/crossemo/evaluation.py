@@ -81,8 +81,6 @@ def ua_eq1(cm: ConfusionMatrix) -> float:
     for cls in cm.classes:
         tp, tn, fp, fn = binary_reduce(cm, cls)
         values.append((tp + tn) / (tp + tn + fp + fn))
-    if len(cm.classes) == 2:
-        return 100.0 * values[0]
     return 100.0 * float(np.mean(values))
 
 
@@ -100,8 +98,6 @@ def wa_eq2(cm: ConfusionMatrix) -> float:
         values.append(0.5 * (tp / (tp + fn) + tn / (tn + fp)))
     if not values:
         raise EmptyMatrix("every class degenerate in wa_eq2")
-    if len(cm.classes) == 2:
-        return 100.0 * values[0]
     return 100.0 * float(np.mean(values))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioBuffer, read_wav
-from .errors import EmptyAudio, IoFailure, SampleRateMismatch, ValidationFailure, from_fields
+from .errors import EmptyAudio, IoFailure, SampleRateMismatch, ValidationFailure
 from .ioutil import read_json, write_json
 
 
@@ -58,10 +58,6 @@ class FbankConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FbankConfig":
-        return from_fields(cls, obj, "features")
 
 
 def frame_count(n_samples: int, window: int, shift: int) -> int:

@@ -1,4 +1,4 @@
-"""Parameterized layers: dense, BLSTM (one `ops.blstm` node), additive attention.
+"""Parameterized layers: dense, BLSTM and additive attention, each one op node.
 
 Parameters, and the running statistics ("buffers") batch norm keeps next to
 them, live in flat dicts keyed by dotted names so checkpoints can serialize
@@ -23,7 +23,7 @@ def add_dense(params: dict, rng, prefix: str, n_in: int, n_out: int, dtype=np.fl
 
 
 def dense(params: dict, prefix: str, x: Tensor) -> Tensor:
-    return ops.add(ops.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
+    return ops.dense(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def add_conv(params: dict, rng, prefix: str, in_ch: int, out_ch: int, kernel: int, dtype=np.float32):
@@ -84,18 +84,6 @@ def add_attention(params: dict, rng, prefix: str, n_in: int, att_dim: int, dtype
 
 
 def attention_forward(params: dict, prefix: str, seq: Tensor):
-    """Additive attention pooling over time.
-
-    Scores e_t = v . tanh(W h_t + b), weights = softmax over time, output =
-    sum_t weight_t * h_t. Returns (pooled [batch, feat], weights ndarray).
-    """
-    batch, n_steps, feat = seq.shape
-    flat = ops.reshape(seq, (batch * n_steps, feat))
-    hidden = ops.tanh(
-        ops.add(ops.matmul(flat, params[f"{prefix}.w"]), params[f"{prefix}.b"])
-    )
-    scores = ops.reshape(ops.matmul(hidden, params[f"{prefix}.v"]), (batch, n_steps))
-    weights = ops.softmax(scores, axis=1)
-    weighted = ops.mul(ops.reshape(weights, (batch, n_steps, 1)), seq)
-    pooled = ops.sum_axis(weighted, axis=1)
-    return pooled, weights.data
+    """Additive attention pooling over time as one `ops.attention` node.
+    Returns (pooled [batch, feat], weights ndarray [batch, time])."""
+    return ops.attention(seq, *(params[f"{prefix}.{n}"] for n in ("w", "b", "v")))

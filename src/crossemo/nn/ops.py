@@ -1,12 +1,14 @@
 """Differentiable operations on Tensors.
 
-Each op adds one graph node; `blstm`, `conv2d` and `max_pool2d` are whole
-layers with hand-written backward passes. `conv2d` ends in its ReLU and
-builds its im2col columns one utterance at a time into a reused workspace,
-saving none; its backward builds them again. Everything here passes central
-finite-difference checks at float64 with relative error below 1e-4 (see the
-gradient suite in the tests). Ops with mode switches (dropout, batch norm)
-take the mode explicitly; there is no global training flag.
+Each op is one graph node with a hand-written backward pass: a whole layer
+(`dense`, `attention`, `blstm`, `conv2d`, `max_pool2d`, `batch_norm`,
+`dropout`, `relu`, `softmax_cross_entropy`) or a shape op (`reshape`,
+`transpose`). `conv2d` ends in its ReLU and builds its im2col columns one
+utterance at a time into a reused workspace, saving none; its backward
+builds them again. Everything here passes central finite-difference checks
+at float64 with relative error below 1e-4 (see the gradient suite in the
+tests). Ops with mode switches (dropout, batch norm) take the mode
+explicitly; there is no global training flag.
 """
 
 from __future__ import annotations
@@ -17,59 +19,24 @@ from ..errors import BadRate, BatchTooSmall, LabelOutOfRange, ShapeMismatch
 from .tensor import Tensor, as_tensor
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Reduce `grad` back to `shape` after numpy broadcasting."""
-    if grad.shape == tuple(shape):
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(a.data + b.data, req, parents=(a, b))
+def dense(x, w, b) -> Tensor:
+    """Fully connected layer: x [rows, in] @ w [in, out] + b [out]."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatch(f"dense of {x.shape} with weights {w.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+    parents = (x, w, b)
+    req = any(p.requires_grad for p in parents)
+    out = Tensor(out_data, req, parents=parents)
     if req:
         def _bw(g):
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(g, a.shape))
             if b.requires_grad:
-                b.accumulate(_unbroadcast(g, b.shape))
-        out._backward = _bw
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(a.data * b.data, req, parents=(a, b))
-    if req:
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b.accumulate(_unbroadcast(g * a.data, b.shape))
-        out._backward = _bw
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul of {a.shape} @ {b.shape}")
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(a.data @ b.data, req, parents=(a, b))
-    if req:
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate(a.data.T @ g)
+                b.accumulate(g.sum(axis=0), fresh=True)
+            if x.requires_grad:
+                x.accumulate(g @ w.data.T, fresh=True)
+            if w.requires_grad:
+                w.accumulate(x.data.T @ g, fresh=True)
         out._backward = _bw
     return out
 
@@ -96,15 +63,6 @@ def relu(a) -> Tensor:
     out = Tensor(np.maximum(a.data, 0), a.requires_grad, parents=(a,))
     if a.requires_grad:
         out._backward = lambda g: a.accumulate(g * (a.data > 0))
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.tanh(a.data)
-    out = Tensor(y, a.requires_grad, parents=(a,))
-    if a.requires_grad:
-        out._backward = lambda g: a.accumulate(g * (1.0 - y * y))
     return out
 
 
@@ -195,38 +153,48 @@ def blstm(x, forward, backward) -> Tensor:
     return out
 
 
-def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad, parents=(a,))
-    if a.requires_grad:
+def attention(seq, w, b, v):
+    """Additive attention pooling over time (Bahdanau et al., arXiv:1409.0473)
+    on seq [batch, time, feat] with w [feat, att], b [att], v [att, 1].
+
+    Scores e_t = v . tanh(h_t w + b), weights = softmax over time, pooled =
+    sum_t weight_t * h_t. Returns (pooled Tensor [batch, feat], weights
+    ndarray [batch, time]); the backward keeps only the tanh output and the
+    weights.
+    """
+    seq, w, b, v = (as_tensor(t) for t in (seq, w, b, v))
+    if seq.data.ndim != 3 or seq.shape[2] != w.shape[0]:
+        raise ShapeMismatch(f"attention over {seq.shape} with weights {w.shape}")
+    batch, n_steps, feat = seq.shape
+    flat = seq.data.reshape(batch * n_steps, feat)
+    hidden = np.tanh(flat @ w.data + b.data)
+    scores = (hidden @ v.data).reshape(batch, n_steps)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)
+    pooled = (weights[:, :, None] * seq.data).sum(axis=1)
+
+    parents = (seq, w, b, v)
+    req = any(p.requires_grad for p in parents)
+    out = Tensor(pooled, req, parents=parents)
+    if req:
         def _bw(g):
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(g, a.shape).copy())
+            g3 = g[:, None, :]
+            dweights = (g3 * seq.data).sum(axis=2)
+            dscores = weights * (dweights - (dweights * weights).sum(axis=1, keepdims=True))
+            dscores = dscores.reshape(batch * n_steps, 1)
+            if v.requires_grad:
+                v.accumulate(hidden.T @ dscores, fresh=True)
+            dpre = (dscores @ v.data.T) * (1.0 - hidden * hidden)
+            if b.requires_grad:
+                b.accumulate(dpre.sum(axis=0), fresh=True)
+            if w.requires_grad:
+                w.accumulate(flat.T @ dpre, fresh=True)
+            if seq.requires_grad:
+                # pooling path, then scoring path: the order separate ops would add them in
+                seq.accumulate(g3 * weights[:, :, None], fresh=True)
+                seq.accumulate((dpre @ w.data.T).reshape(seq.shape))
         out._backward = _bw
-    return out
-
-
-def mean_all(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.asarray(a.data.mean()), a.requires_grad, parents=(a,))
-    if a.requires_grad:
-        out._backward = lambda g: a.accumulate(np.full(a.shape, g / a.size, dtype=a.dtype))
-    return out
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, a.requires_grad, parents=(a,))
-    if a.requires_grad:
-        def _bw(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a.accumulate(y * (g - dot))
-        out._backward = _bw
-    return out
+    return out, weights
 
 
 def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:

@@ -1,13 +1,15 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
-Each op builds a Tensor node holding the forward value. Parents and a
-backward closure are recorded only when the node needs a gradient, so a
-forward on constants builds no graph and each activation dies with its last
-use. `Tensor.backward()` topologically sorts the graph (iteratively, so
-graphs of any depth are fine) and accumulates gradients into `.grad`. Only
-leaves keep theirs: each interior node drops its gradient, closure and
-parents once its closure has run, so an activation dies with the last
-closure that reads it, and the graph is gone when backward returns.
+Each op in `ops` is a whole layer or a shape op and builds one Tensor node
+holding the forward value; it hands each parent a gradient already in that
+parent's shape, so nothing here broadcasts. Parents and a backward closure
+are recorded only when the node needs a gradient, so a forward on constants
+builds no graph and each activation dies with its last use.
+`Tensor.backward()` topologically sorts the graph (iteratively, so graphs of
+any depth are fine) and accumulates gradients into `.grad`. Only leaves keep
+theirs: each interior node drops its gradient, closure and parents once its
+closure has run, so an activation dies with the last closure that reads it,
+and the graph is gone when backward returns.
 Gradients keep the dtype of the forward data, so checks can run in float64
 while training runs in float32.
 """

@@ -40,8 +40,7 @@ def check_op(build_inputs, forward, seed: int) -> float:
     tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     out = forward(tensors)
     projection = rng.normal(size=out.shape)
-    loss = ops.mean_all(ops.mul(out, Tensor(projection * out.size)))
-    loss.backward()
+    out.backward(projection)
 
     worst = 0.0
     for name, arr in arrays.items():
@@ -82,7 +81,7 @@ def conv2d_no_bias_inputs(rng):
 
 
 def dense_case(tensors):
-    return ops.add(ops.matmul(tensors["x"], tensors["w"]), tensors["b"])
+    return ops.dense(tensors["x"], tensors["w"], tensors["b"])
 
 
 def dense_inputs(rng):
@@ -160,8 +159,7 @@ def check_dropout(seed: int) -> float:
     out = ops.dropout(t, 0.3, "train", np.random.default_rng(seed + 1))
     mask = out.data / np.where(x == 0.0, 1.0, x)
     projection = rng.normal(size=out.shape)
-    loss = ops.mean_all(ops.mul(out, Tensor(projection * out.size)))
-    loss.backward()
+    out.backward(projection)
     return max_rel_err(t.grad, projection * mask)
 
 
@@ -171,8 +169,7 @@ def check_maxpool(seed: int) -> float:
     t = Tensor(x, requires_grad=True)
     out = ops.max_pool2d(t, 2)
     projection = rng.normal(size=out.shape)
-    loss = ops.mean_all(ops.mul(out, Tensor(projection * out.size)))
-    loss.backward()
+    out.backward(projection)
 
     def objective():
         return float((ops.max_pool2d(Tensor(x), 2).data * projection).sum())

@@ -366,6 +366,35 @@ def test_only_the_cli_prints():
     assert calls == []
 
 
+# reached only from tests and the benchmark until the cross-corpus matrix
+# (ROADMAP item 4) wires them in
+NOT_YET_CALLED = {
+    "config.reference_synth_spec_dict",
+    "corpus.subsample_balanced",
+    "corpus.filter_style",
+    "ioutil.sha256_file",
+    "synth.derive_shifted_corpus",
+}
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    # a function or class that no other statement of the package names is dead
+    package = Path(crossemo.__file__).parent
+    defined, named = [], {}
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{stmt.name}", stmt.name, (module, i)))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
+                named.setdefault(name, set()).add((module, i))
+    dead = {dotted for dotted, name, where in defined if not named.get(name, set()) - {where}}
+    assert dead == NOT_YET_CALLED
+
+
 def test_train_eval_report(tiny, trained, tmp_path):
     history = (trained / "history.jsonl").read_text().splitlines()
     assert len(history) == 1
@@ -465,6 +494,23 @@ def test_top_level_config_key_exits_2(tiny, prepared, tmp_path, capsys, command,
     key = next(iter(overrides))
     assert key in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "train"])
+def test_band_count_mismatch_exits_2_before_any_work(tiny, prepared, tmp_path, capsys, command):
+    # a 40-band front-end feeding a 23-band model: refused before synthesis
+    out = tmp_path / "run"
+    synth = {"name": "tiny", "n_speakers": 2, "utterances_per_class_per_speaker": 2,
+             "duration_range": [0.6, 0.7], "seed": 3}
+    base = pipeline_config(tiny, out, synth=synth) if command == "pipeline" else {
+        "profile": "desk-scale", **prepared, "train": {"epochs": 1}, "out_dir": str(out),
+    }
+    write_json(tmp_path / "bad.json", {**base, "features": {"n_bands": 40}})
+    capsys.readouterr()
+    assert run(command, "--config", tmp_path / "bad.json") == 2
+    err = capsys.readouterr().err
+    assert "input_bands" in err and "n_bands" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_train_scores_eval_manifests(tiny, prepared, trained, tmp_path):

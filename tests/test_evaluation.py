@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,32 @@ class TestMetricFormulas:
     def test_empty_matrix(self):
         with pytest.raises(EmptyMatrix):
             ua_eq1(ConfusionMatrix(("a", "b"), np.zeros((2, 2), dtype=int)))
+
+    def test_binary_is_the_first_class_value_exactly(self):
+        # both one-vs-rest reductions of a 2x2 matrix are the same numbers
+        # swapped, so the macro-average is the first class's value, bit for bit
+        def first_class(cm, metric):
+            tp, tn, fp, fn = binary_reduce(cm, cm.classes[0])
+            if metric is ua_eq1:
+                return 100.0 * ((tp + tn) / (tp + tn + fp + fn)) if cm.total else None
+            if tp + fn == 0 or tn + fp == 0:
+                return None
+            return 100.0 * (0.5 * (tp / (tp + fn) + tn / (tn + fp)))
+
+        mismatches = []
+        for cells in np.ndindex(7, 7, 7, 7):
+            cm = ConfusionMatrix(("a", "b"), np.array(cells).reshape(2, 2))
+            for metric in (ua_eq1, wa_eq2):
+                expected = first_class(cm, metric)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        got = metric(cm)
+                    except EmptyMatrix:
+                        got = None
+                if got != expected:
+                    mismatches.append((cells, metric.__name__, got, expected))
+        assert mismatches == []
 
     def test_degenerate_class_warns_and_skips(self):
         cm = ConfusionMatrix(("a", "b", "c"), np.array([[5, 1, 0], [2, 4, 0], [0, 0, 0]]))

@@ -81,6 +81,40 @@ def numpy_blstm(x, params, hidden):
     return np.concatenate(halves, axis=-1)
 
 
+def numpy_dense(x, w, b, g):
+    """`ops.add(ops.matmul(x, w), b)` and its backward in plain numpy, in
+    that graph's arithmetic order: the reference for `ops.dense`.
+    Returns (out, dx, dw, db)."""
+    return x @ w + b, g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def numpy_attention(seq, w, b, v, g):
+    """Attention pooling as the generic-op graph computed it (matmul, add,
+    tanh, matmul, softmax over time, broadcast multiply, sum over time) and
+    that graph's backward, node by node: the reference for `ops.attention`.
+    Returns (pooled, weights, dseq, dw, db, dv)."""
+    batch, n_steps, feat = seq.shape
+    flat = seq.reshape(batch * n_steps, feat)
+    hidden = np.tanh(flat @ w + b)
+    scores = (hidden @ v).reshape(batch, n_steps)
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    weights = e / e.sum(axis=1, keepdims=True)
+    weights3 = weights.reshape(batch, n_steps, 1)
+    pooled = (weights3 * seq).sum(axis=1)
+
+    g_weighted = np.broadcast_to(np.expand_dims(g, 1), seq.shape).copy()  # sum backward
+    g_weights = (g_weighted * seq).sum(axis=2, keepdims=True).reshape(batch, n_steps)
+    dseq = g_weighted * weights3  # the multiply's second operand
+    g_scores = weights * (g_weights - (g_weights * weights).sum(axis=1, keepdims=True))
+    g_scores = g_scores.reshape(batch * n_steps, 1)
+    g_hidden, dv = g_scores @ v.T, hidden.T @ g_scores
+    g_pre = g_hidden * (1.0 - hidden * hidden)
+    db, dw = g_pre.sum(axis=0), flat.T @ g_pre
+    dseq += (g_pre @ w.T).reshape(seq.shape)  # the reshape feeding the scores
+    return pooled, weights, dseq, dw, db, dv
+
+
 class TestShapeContracts:
     def test_cnn_default_logits_shape(self):
         graph = build_cnn_blstm_att(CnnBlstmAttConfig(), seed=0)
@@ -230,6 +264,18 @@ class TestGradientCoverage:
         loss.backward()  # `loss` and `logits` stay bound, as in a training step
         assert [r for r in alive if r() is not None] == []
 
+    @pytest.mark.parametrize("builder,cfg,frames,expected", [
+        (build_cnn_blstm_att, CnnBlstmAttConfig(), 120, 73),
+        (build_cnn_blstm_att, DESK_CNN, 40, 44),
+        (build_blstm_att, DESK_BLSTM, 40, 23),
+    ], ids=["paper-default", "desk-scale", "blstm-att-2-layer"])
+    def test_graph_nodes_per_training_forward(self, builder, cfg, frames, expected):
+        # leaves included; every layer is one node
+        graph = builder(cfg, seed=0)
+        x = random_features(batch=2, frames=frames)
+        logits = graph.forward(x, dropout_rng=np.random.default_rng(0))
+        assert len(graph_nodes(softmax_cross_entropy(logits, np.array([0, 1])))) == expected
+
 
 class TestParameterCounts:
     # regression pins for the shipped configurations
@@ -310,6 +356,43 @@ class TestBlstmProperties:
             x = Tensor(random_features(batch=2, frames=n_steps, bands=5), requires_grad=True)
             counts.append(len(graph_nodes(layers.blstm_forward(params, "l", x, 4))))
         assert counts[0] == counts[1]
+
+
+class TestFusedLayersExact:
+    """`ops.dense` and `ops.attention` compute what the generic-op graphs
+    they replace computed, bit for bit, forward and backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense_matches_numpy_reference(self, dtype):
+        rng = np.random.default_rng(12)
+        params = {}
+        layers.add_dense(params, rng, "d", 6, 5, dtype=dtype)
+        params["d.b"].data[...] = rng.normal(size=5)
+        x = Tensor(rng.normal(size=(9, 6)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(9, 5)).astype(dtype)
+        out = layers.dense(params, "d", x)
+        out.backward(g)
+        expected = numpy_dense(x.data, params["d.w"].data, params["d.b"].data, g)
+        got = (out.data, x.grad, params["d.w"].grad, params["d.b"].grad)
+        for name, a, b in zip(("out", "dx", "dw", "db"), got, expected):
+            assert a.dtype == dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_matches_numpy_reference(self, dtype):
+        rng = np.random.default_rng(13)
+        params = {}
+        layers.add_attention(params, rng, "a", 6, 4, dtype=dtype)
+        params["a.b"].data[...] = rng.normal(size=4)
+        seq = Tensor(rng.normal(size=(3, 11, 6)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(3, 6)).astype(dtype)
+        pooled, weights = layers.attention_forward(params, "a", seq)
+        pooled.backward(g)
+        expected = numpy_attention(seq.data, *(params[f"a.{n}"].data for n in "wbv"), g)
+        got = (pooled.data, weights, seq.grad,
+               *(params[f"a.{n}"].grad for n in "wbv"))
+        names = ("pooled", "weights", "dseq", "dw", "db", "dv")
+        for name, a, b in zip(names, got, expected):
+            assert a.dtype == dtype and np.array_equal(a, b), name
 
 
 class TestAttentionProperties:

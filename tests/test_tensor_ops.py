@@ -256,17 +256,18 @@ class TestPlumbing:
             ops.relu(t).backward()
 
     def test_gradient_accumulation_on_reuse(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        y = ops.add(ops.mul(x, x), x)  # x^2 + x -> dy/dx = 2x + 1
-        y.backward(np.ones(1))
-        assert x.grad[0] == pytest.approx(5.0)
+        # x @ x with x symmetric: under an identity upstream gradient each
+        # use contributes x, so the two must add up to 2x
+        x = Tensor(np.array([[2.0, -1.0], [-1.0, 3.0]]), requires_grad=True)
+        ops.dense(x, x, Tensor(np.zeros(2))).backward(np.eye(2))
+        assert np.array_equal(x.grad, 2 * x.data)
 
     def test_deep_graph_iterative_topo(self):
         # recursion-based traversal would hit the interpreter limit here
         x = Tensor(np.array([1.0]), requires_grad=True)
         y = x
         for _ in range(5000):
-            y = ops.add(y, Tensor(np.array([0.0])))
+            y = ops.reshape(y, (1,))
         y.backward(np.ones(1))
         assert x.grad[0] == 1.0
 
@@ -279,11 +280,13 @@ class TestPlumbing:
         assert np.array_equal(t.grad, np.full(3, 2.0, dtype=np.float32))
 
     def test_shared_gradient_copied(self):
-        # add hands the same array to both parents; neither may keep it
-        a = Tensor(np.zeros(3), requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True)
-        ops.add(a, b).backward(np.ones(3))
-        assert not np.shares_memory(a.grad, b.grad)
+        # without `fresh` the caller keeps its array; the tensor may not share it
+        t = Tensor(np.zeros(3), requires_grad=True)
+        g = np.ones(3)
+        t.accumulate(g)
+        assert not np.shares_memory(t.grad, g)
+        g[0] = 5.0
+        assert np.array_equal(t.grad, np.ones(3))
 
     def test_constant_nodes_keep_no_parents(self):
         x = Tensor(np.ones((2, 1, 4, 4)))
@@ -291,13 +294,14 @@ class TestPlumbing:
         out = ops.relu(ops.conv2d(x, w, Tensor(np.zeros(2))))
         assert out._parents == () and out._backward is None
 
-    def test_matmul_shape_mismatch(self):
+    def test_dense_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ops.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            ops.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
-    def test_unbroadcast_bias(self):
+    def test_dense_bias_gradient_is_column_sum(self):
         x = Tensor(np.zeros((4, 3)), requires_grad=True)
+        w = Tensor(np.eye(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        out = ops.add(x, b)
-        out.backward(np.ones((4, 3)))
-        assert np.array_equal(b.grad, np.full(3, 4.0))
+        g = np.arange(12.0).reshape(4, 3)
+        ops.dense(x, w, b).backward(g)
+        assert np.array_equal(b.grad, g.sum(axis=0))
