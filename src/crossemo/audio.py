@@ -272,11 +272,16 @@ def apply_tempo(buffer: AudioBuffer, factor: float) -> AudioBuffer:
 
 
 def _wsola(x: np.ndarray, factor: float, window: int, search: int) -> np.ndarray:
+    """Waveform-similarity overlap-add: Hann windows every `hop` = window/2
+    output samples. Each is the input window, within `search` samples of its
+    nominal position, whose inner product with the natural continuation of
+    the previous pick is largest; `np.correlate` scores all candidates in
+    one call on the contiguous input, and ties go to the earliest."""
     hop = window // 2
     target = int(round(x.size / factor))
     # zero tail so analysis can cover the very end of the input
     xp = np.concatenate([x, np.zeros(window + 2 * search)])
-    windows_view = np.lib.stride_tricks.sliding_window_view(xp, window)
+    last_start = xp.size - window
     han = np.hanning(window)
 
     out = np.zeros(target + window, dtype=np.float64)
@@ -293,10 +298,10 @@ def _wsola(x: np.ndarray, factor: float, window: int, search: int) -> np.ndarray
             break
         ref = xp[ref_start : ref_start + window]
         lo = max(0, nominal - search)
-        hi = min(windows_view.shape[0] - 1, nominal + search)
+        hi = min(last_start, nominal + search)
         if lo > hi:
             break
-        scores = windows_view[lo : hi + 1] @ ref
+        scores = np.correlate(xp[lo : hi + window], ref, "valid")
         best = lo + int(np.argmax(scores))
         out[syn : syn + window] += han * xp[best : best + window]
         norm[syn : syn + window] += han

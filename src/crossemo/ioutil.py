@@ -11,15 +11,17 @@ from pathlib import Path
 from .errors import ValidationFailure
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory plus rename, so readers
-    never observe a partial file."""
+def atomic_write_bytes(path: str | Path, *chunks) -> None:
+    """Write the bytes-like `chunks` in turn via a temp file in the same
+    directory plus rename, so readers never observe a partial file; the
+    chunks are never joined into one copy."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -63,52 +64,58 @@ def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict
         raise BadConfig(f"checkpoint extra must be a dict, got {type(extra).__name__}")
     kinds = (("param", {name: p.data for name, p in graph.params.items()}),
              ("bn", graph.buffers), ("state", state or {}))
-    entries = [(kind, name, arrays[name].astype("<f4", copy=False))
+    entries = [(kind, name, np.ascontiguousarray(arrays[name], dtype="<f4"))
                for kind, arrays in kinds for name in sorted(arrays)]
     index = tuple(BlobEntry(name, kind, arr.shape) for kind, name, arr in entries)
     header = CheckpointHeader(graph.arch, asdict(graph.config), graph.digest, int(epoch),
                               extra or {}, index)
     header_bytes = json.dumps(asdict(header), sort_keys=True).encode("utf-8")
-    payload = b"".join([MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes]
-                       + [arr.tobytes() for _, _, arr in entries])
-    atomic_write_bytes(path, payload)
+    atomic_write_bytes(path, MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)),
+                       header_bytes, *(arr for _, _, arr in entries))
 
 
 def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> CheckpointData:
-    """Read a checkpoint. A header that does not decode or does not read as a
-    CheckpointHeader, or a file size other than the one the header's blob
-    index gives, raises MalformedHeader."""
+    """Read a checkpoint, each blob straight into its own array. A header
+    that does not decode or does not read as a CheckpointHeader, or a file
+    size other than the one the header's blob index gives, raises
+    MalformedHeader."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size, path, expect_digest)
     except OSError as exc:
         raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(raw) < 12 or raw[:4] != MAGIC:
+
+
+def _read_checkpoint(fh, size: int, path, expect_digest: str | None) -> CheckpointData:
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != MAGIC:
         raise MalformedHeader(f"{path}: not a checkpoint file")
-    version, header_len = struct.unpack_from("<II", raw, 4)
+    version, header_len = struct.unpack_from("<II", head, 4)
     if version != FORMAT_VERSION:
         raise MalformedHeader(f"{path}: unsupported checkpoint version {version}")
+    if 12 + header_len > size:  # checked before a read of that many bytes is sized
+        raise MalformedHeader(f"{path}: its {header_len}-byte header runs past the file's end")
     try:
-        obj = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+        obj = json.loads(fh.read(header_len).decode("utf-8"))
         header = from_fields(CheckpointHeader, obj, "checkpoint header")
     except (ValueError, BadConfig) as exc:  # incl. Unicode and JSON decode errors
         raise MalformedHeader(f"{path}: malformed checkpoint header ({exc})") from exc
     if any(d < 0 for entry in header.index for d in entry.shape):
         raise MalformedHeader(f"{path}: negative blob dimension in the index")
     expected = 12 + header_len + sum(4 * math.prod(entry.shape) for entry in header.index)
-    if expected != len(raw):
-        raise MalformedHeader(f"{path}: {len(raw)} bytes, but its header describes {expected}")
+    if expected != size:
+        raise MalformedHeader(f"{path}: {size} bytes, but its header describes {expected}")
     if expect_digest is not None and header.config_digest != expect_digest:
         raise CheckpointMismatch(
             f"{path}: config digest {header.config_digest} != expected {expect_digest}")
-    offset = 12 + header_len
     blobs: dict = {"param": {}, "bn": {}, "state": {}}
     for entry in header.index:
         if entry.kind not in blobs:
             raise MalformedHeader(f"{path}: unknown blob kind {entry.kind!r}")
-        n = math.prod(entry.shape)
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
-        blobs[entry.kind][entry.name] = arr.reshape(entry.shape).copy()
-        offset += 4 * n
+        arr = np.empty(entry.shape, dtype="<f4")
+        if fh.readinto(arr) != arr.nbytes:
+            raise MalformedHeader(f"{path}: file ends inside blob {entry.name!r}")
+        blobs[entry.kind][entry.name] = arr
     return CheckpointData(**vars(header), params=blobs["param"], bn_stats=blobs["bn"],
                           state=blobs["state"])
 
@@ -142,5 +149,6 @@ def load_into_graph(graph: ModelGraph, data: CheckpointData) -> None:
     check_arrays("parameter", graph.params, data.params)
     check_arrays("buffer", graph.buffers, data.bn_stats)
     for name, arr in data.params.items():
-        graph.params[name].data = arr.astype(np.float32)
-    graph.buffers.update({name: arr.astype(np.float32) for name, arr in data.bn_stats.items()})
+        graph.params[name].data = arr.astype(np.float32, copy=False)
+    graph.buffers.update({name: arr.astype(np.float32, copy=False)
+                          for name, arr in data.bn_stats.items()})

@@ -116,18 +116,23 @@ def _check_input(feats: np.ndarray, input_bands: int) -> np.ndarray:
 
 
 def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
+    """feats [batch, time, bands] -> logits. The conv and pool stack runs on
+    [batch, ch, bands, time], time the contiguous axis (see `ops.conv2d`):
+    the features are transposed once on the way in, and the stack's output
+    once on the way out, to the [batch, time, ch*bands] sequence the BLSTM
+    reads."""
     cfg = graph.config
     feats = _check_input(feats, cfg.input_bands)
     batch, n_steps, bands = feats.shape
-    x = Tensor(feats.reshape(batch, 1, n_steps, bands))
+    x = Tensor(feats.transpose(0, 2, 1).reshape(batch, 1, bands, n_steps))
     for i in range(len(cfg.conv_channels)):
         x = ops.conv2d(x, graph.params[f"conv{i}.w"], graph.params[f"conv{i}.b"])
         if (i + 1) in cfg.pool_after:
             x = ops.max_pool2d(x, 2)
-    _, ch, t_out, b_out = x.shape
+    _, ch, b_out, t_out = x.shape
     if t_out < 1 or b_out < 1:
         raise ShapeMismatch("conv/pool stack consumed the whole input")
-    seq = ops.reshape(ops.transpose(x, (0, 2, 1, 3)), (batch, t_out, ch * b_out))
+    seq = ops.reshape(ops.transpose(x, (0, 3, 1, 2)), (batch, t_out, ch * b_out))
     seq = layers.blstm_forward(graph.params, "blstm0", seq, cfg.blstm_hidden)
 
     flat = ops.reshape(seq, (batch * t_out, 2 * cfg.blstm_hidden))

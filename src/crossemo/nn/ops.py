@@ -3,12 +3,14 @@
 Each op is one graph node with a hand-written backward pass: a whole layer
 (`dense`, `attention`, `blstm`, `conv2d`, `max_pool2d`, `batch_norm`,
 `dropout`, `relu`, `softmax_cross_entropy`) or a shape op (`reshape`,
-`transpose`). `conv2d` ends in its ReLU and builds its im2col columns one
-utterance at a time into a reused workspace, saving none; its backward
-builds them again. Everything here passes central finite-difference checks
-at float64 with relative error below 1e-4 (see the gradient suite in the
-tests). Ops with mode switches (dropout, batch norm) take the mode
-explicitly; there is no global training flag.
+`transpose`). `conv2d` takes [batch, ch, bands, time] with time the
+contiguous axis, so its im2col and col2im move whole rows; it ends in its
+ReLU and builds its columns one utterance at a time into a reused
+workspace, saving none; its backward builds them again. Everything here
+passes central finite-difference checks at float64 with relative error
+below 1e-4 (see the gradient suite in the tests). Ops with mode switches
+(dropout, batch norm) take the mode explicitly; there is no global
+training flag.
 """
 
 from __future__ import annotations
@@ -272,81 +274,112 @@ def _same_padding(kernel: int) -> int:
     return (kernel - 1) // 2
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int):
-    """Yield `(n, cols)` for each utterance n of x [B, C, H, W]: its columns
-    [C*kh*kw, H*W] under "same" zero padding, one slice copy per kernel
-    offset (Chellapilla et al., 2006). Every utterance's columns are built
-    into the same workspace, so the caller uses them before the next."""
-    batch, ch, h, wd = x.shape
-    pt, pl = _same_padding(kh), _same_padding(kw)
-    xp = np.zeros((ch, h + kh - 1, wd + kw - 1), dtype=x.dtype)  # borders stay 0
-    cols = np.empty((ch, kh, kw, h, wd), dtype=x.dtype)
-    # views made once: per utterance only the copies run
-    offsets = [(cols[:, i, j], xp[:, i : i + h, j : j + wd]) for i, j in np.ndindex(kh, kw)]
+class _FlatPad:
+    """One utterance's zero-bordered channels [C, bands + kb - 1, Wp], each
+    plane stored flat with kt - 1 trailing zeros, Wp = time + kt - 1.
+
+    Kernel offset (time i, band j) is then the contiguous run of the
+    `span` = bands * Wp cells from j * Wp + i: cell b * Wp + t of that run
+    is padded cell (b + j, t + i), so each Wp-long row's first `time` cells
+    are the offset's im2col row and the other kt - 1 are junk."""
+
+    def __init__(self, ch, bands, time, kt, kb, dtype):
+        self.wp = time + kt - 1
+        self.span = bands * self.wp
+        rows = bands + kb - 1
+        self.flat = np.zeros((ch, rows * self.wp + kt - 1), dtype=dtype)
+        pb, pt = _same_padding(kb), _same_padding(kt)
+        planes = self.flat[:, : rows * self.wp].reshape(ch, rows, self.wp)
+        self.interior = planes[:, pb : pb + bands, pt : pt + time]
+        # offsets in the stored kernel order [k_time, k_band]
+        self.runs = [self.flat[:, j * self.wp + i : j * self.wp + i + self.span]
+                     for i, j in np.ndindex(kt, kb)]
+
+
+def _im2col(x: np.ndarray, kt: int, kb: int):
+    """Yield `(n, cols)` for each utterance n of x [B, C, bands, time]: its
+    columns [C*kt*kb, bands * Wp] in the stored kernel order, one
+    contiguous [C, bands * Wp] copy per kernel offset (Chellapilla et al.,
+    2006, with the shifted flat views of Anderson et al., arXiv:1709.03395).
+    Every utterance's columns are built into the same workspace, so the
+    caller uses them before the next."""
+    batch, ch, bands, time = x.shape
+    pad = _FlatPad(ch, bands, time, kt, kb, x.dtype)
+    cols = np.empty((ch, kt * kb, pad.span), dtype=x.dtype)
+    offsets = list(zip((cols[:, k] for k in range(kt * kb)), pad.runs))
     for n in range(batch):
-        xp[:, pt : pt + h, pl : pl + wd] = x[n]
+        pad.interior[...] = x[n]
         for dst, src in offsets:
             np.copyto(dst, src)
-        yield n, cols.reshape(ch * kh * kw, h * wd)
+        yield n, cols.reshape(ch * kt * kb, pad.span)
 
 
 def conv2d(x, w, b=None) -> Tensor:
     """Cross-correlation with zero "same" padding, then bias and ReLU.
 
-    x: [batch, in_ch, H, W], w: [out_ch, in_ch, kh, kw], b: [out_ch].
-    Forward: per utterance, one GEMM, w [out_ch, C*kh*kw] @ its im2col
-    columns, already channel-first; bias and ReLU then run in place, so no
-    pre-activation copy exists. The backward masks `g` by `out > 0`, which
-    is `pre > 0` (the trick of in-place activated batch norm, Rota Bulò et
-    al., arXiv:1712.02616). The columns are not saved: the backward builds
-    them again, per utterance, for `dw`, and adds each utterance's
-    `g @ cols.T` in utterance order. `dx` is col2im, kh*kw slice-adds into
-    one utterance's padding at a time. So nothing holds the whole batch's
-    columns, which are kh*kw times the input's size.
+    x: [batch, in_ch, bands, time], time the contiguous axis; w: [out_ch,
+    in_ch, k_time, k_band]; b: [out_ch]; the output is [batch, out_ch,
+    bands, time]. Forward: per utterance, one GEMM, w [out_ch, C*kt*kb] @
+    its im2col columns; the first `time` cells of each Wp-long output row
+    are kept (see `_FlatPad`). Each output sums the same terms in the same
+    order as a time-outer im2col would. Bias and ReLU then run in place, so
+    no pre-activation copy exists. The backward masks `g` by `out > 0`,
+    which is `pre > 0` (the trick of in-place activated batch norm, Rota
+    Bulò et al., arXiv:1712.02616). The columns are not saved: the backward
+    builds them again, per utterance, for `dw`, against `g` laid out on the
+    Wp grid with zero junk cells, and adds each utterance's `g @ cols.T` in
+    utterance order. `dx` is col2im: w.T @ g, then kt*kb contiguous
+    slice-adds into one utterance's flat padding at a time. So nothing
+    holds the whole batch's columns, which are kt*kb times the input's
+    size.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"conv2d of {x.shape} with kernel {w.shape}")
-    batch, in_ch, h, wd = x.shape
-    out_ch, _, kh, kw = w.shape
+    batch, in_ch, bands, time = x.shape
+    out_ch, _, kt, kb = w.shape
+    wp = time + kt - 1
     w2 = w.data.reshape(out_ch, -1)
-    out_data = np.empty((batch, out_ch, h * wd), dtype=np.result_type(x.data, w.data))
-    for n, cols in _im2col(x.data, kh, kw):
-        np.matmul(w2, cols, out=out_data[n])
+    dtype = np.result_type(x.data, w.data)
+    out_data = np.empty((batch, out_ch, bands, time), dtype=dtype)
+    rows = np.empty((out_ch, bands, wp), dtype=dtype)
+    for n, cols in _im2col(x.data, kt, kb):
+        np.matmul(w2, cols, out=rows.reshape(out_ch, -1))
+        out_data[n] = rows[..., :time]
     if b is not None:
-        out_data += b.data[:, None]
+        out_data += b.data[:, None, None]
     np.maximum(out_data, 0, out=out_data)
 
     parents = (x, w) if b is None else (x, w, b)
     req = any(p.requires_grad for p in parents)
-    out = Tensor(out_data.reshape(batch, out_ch, h, wd), req, parents=parents)
+    out = Tensor(out_data, req, parents=parents)
     if req:
         def _bw(g):
-            g3 = g.reshape(batch, out_ch, h * wd)
-            g3 *= out_data > 0  # in place: `g` is this node's own `.grad`
+            g *= out_data > 0  # in place: `g` is this node's own `.grad`
             if b is not None and b.requires_grad:
-                b.accumulate(g3.sum(axis=(0, 2)), fresh=True)
+                b.accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
+            gp = np.zeros((out_ch, bands, wp), dtype=g.dtype)  # junk cells stay 0
+            gp2 = gp.reshape(out_ch, -1)
             if w.requires_grad:
                 dw = np.zeros(w2.shape, dtype=np.result_type(g, x.data))
-                for n, cols in _im2col(x.data, kh, kw):
-                    dw += g3[n] @ cols.T
+                for n, cols in _im2col(x.data, kt, kb):
+                    gp[..., :time] = g[n]
+                    dw += gp2 @ cols.T
+                cols = None  # the columns go before the col2im workspace comes
                 w.accumulate(dw.reshape(w.shape), fresh=True)
             if x.requires_grad:
-                # col2im channel-last, so each offset adds whole channel runs;
                 # offsets run last to first: every cell sums in output order
-                pt, pl = _same_padding(kh), _same_padding(kw)
-                wk = w.data.transpose(0, 2, 3, 1).reshape(out_ch, -1)
-                dxp = np.empty((h + kh - 1, wd + kw - 1, in_ch), dtype=x.dtype)
+                pad = _FlatPad(in_ch, bands, time, kt, kb, x.dtype)
+                dcols = np.empty((in_ch, kt * kb, pad.span), dtype=np.result_type(g, w.data))
+                offsets = list(zip(pad.runs, (dcols[:, k] for k in range(kt * kb))))[::-1]
                 dx = np.empty(x.shape, dtype=x.dtype)
-                dcols = np.empty((h, wd, kh, kw, in_ch), dtype=np.result_type(g, wk))
-                offsets = [(dxp[i : i + h, j : j + wd], dcols[:, :, i, j])
-                           for i, j in reversed(list(np.ndindex(kh, kw)))]
                 for n in range(batch):
-                    np.matmul(g3[n].T, wk, out=dcols.reshape(h * wd, -1))
-                    dxp.fill(0)
+                    gp[..., :time] = g[n]
+                    np.matmul(w2.T, gp2, out=dcols.reshape(-1, pad.span))
+                    pad.flat.fill(0)
                     for dst, src in offsets:
                         dst += src
-                    dx[n] = dxp[pt : pt + h, pl : pl + wd].transpose(2, 0, 1)
+                    dx[n] = pad.interior
                 x.accumulate(dx, fresh=True)
 
         out._backward = _bw

@@ -56,10 +56,10 @@ def conv2d_case(tensors):
     return ops.conv2d(tensors["x"], tensors["w"], tensors["b"])
 
 
-def conv2d_inputs(rng, batch=2):
+def conv2d_inputs(rng, batch=2, kernel=(3, 3)):
     return {
         "x": rng.normal(size=(batch, 2, 5, 4)),
-        "w": rng.normal(size=(3, 2, 3, 3)),
+        "w": rng.normal(size=(3, 2) + kernel),
         "b": rng.normal(size=3),
     }
 
@@ -184,6 +184,9 @@ GRADIENT_SUITE = {
         lambda rng: conv2d_inputs(rng, batch=3), conv2d_case, seed
     ),
     "conv2d_mostly_off": lambda seed: check_op(conv2d_mostly_off_inputs, conv2d_case, seed),
+    "conv2d_2x3": lambda seed: check_op(  # k_time != k_band, one of them even
+        lambda rng: conv2d_inputs(rng, kernel=(2, 3)), conv2d_case, seed
+    ),
     "dense": lambda seed: check_op(dense_inputs, dense_case, seed),
     "blstm": lambda seed: check_op(blstm_inputs, blstm_case, seed),
     "blstm_one_step": lambda seed: check_op(

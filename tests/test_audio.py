@@ -23,6 +23,7 @@ from crossemo.audio import (
     apply_volume,
     _kaiser_sinc_resample,
     _shelf_coefficients,
+    _wsola,
     read_wav,
     shelf_gain_db,
     write_wav,
@@ -262,7 +263,57 @@ class TestKaiserSincResample:
         assert ratio < 1e-3
 
 
+def matmul_wsola(x, factor, window, search):
+    """Oracle: WSOLA with each frame's candidate windows scored by one
+    matrix-vector product over a sliding-window view of the padded input."""
+    hop = window // 2
+    target = int(round(x.size / factor))
+    xp = np.concatenate([x, np.zeros(window + 2 * search)])
+    windows_view = np.lib.stride_tricks.sliding_window_view(xp, window)
+    han = np.hanning(window)
+    out = np.zeros(target + window)
+    norm = np.zeros(target + window)
+    out[:window] += han * xp[:window]
+    norm[:window] += han
+    prev = 0
+    m = 1
+    while m * hop < target:
+        syn = m * hop
+        nominal = int(round(syn * factor))
+        ref_start = prev + hop
+        if ref_start + window > xp.size:
+            break
+        ref = xp[ref_start : ref_start + window]
+        lo = max(0, nominal - search)
+        hi = min(windows_view.shape[0] - 1, nominal + search)
+        if lo > hi:
+            break
+        best = lo + int(np.argmax(windows_view[lo : hi + 1] @ ref))
+        out[syn : syn + window] += han * xp[best : best + window]
+        norm[syn : syn + window] += han
+        prev = best
+        m += 1
+    covered = (m - 1) * hop + window
+    return out[: min(target, covered)] / np.maximum(norm[: min(target, covered)], 1e-9)
+
+
 class TestTempo:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_matmul_scoring(self, seed):
+        # voiced-like input: a few harmonics of a gliding f0 under an
+        # envelope, plus noise; 1 to 3 s, factors across the augmentation range
+        rng = np.random.default_rng(seed)
+        window, search = 480, 120  # 30 and 7.5 ms at 16 kHz
+        for seconds in rng.uniform(1.0, 3.0, size=2):
+            t = np.arange(int(seconds * 16000)) / 16000
+            f0 = rng.uniform(90, 250) * (1 + 0.2 * np.sin(2 * np.pi * rng.uniform(0.5, 3) * t))
+            phase = 2 * np.pi * np.cumsum(f0) / 16000
+            x = sum(np.sin(k * phase) / k for k in range(1, 6))
+            x = 0.3 * x * (0.6 + 0.4 * np.sin(2 * np.pi * 2.5 * t)) + rng.normal(0, 0.02, t.size)
+            for factor in rng.uniform(*FACTOR_RANGE, size=2):
+                assert np.array_equal(_wsola(x, factor, window, search),
+                                      matmul_wsola(x, factor, window, search))
+
     def test_identity_exact(self):
         buf = tone(440, 1.0)
         out = apply_tempo(buf, 1.0)

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -395,6 +396,52 @@ class TestFusedLayersExact:
             assert a.dtype == dtype and np.array_equal(a, b), name
 
 
+def numpy_time_outer_conv_stack(x, params, cfg):
+    """The conv and pool stack in plain numpy on x [batch, 1, time, bands],
+    time the outer axis: per utterance and layer, "same"-padded im2col
+    columns in the stored kernel order [in_ch, k_time, k_band] under one
+    GEMM, then bias, ReLU and 2x2 max pooling."""
+    for i in range(len(cfg.conv_channels)):
+        w, b = params[f"conv{i}.w"].data, params[f"conv{i}.b"].data
+        batch, _, n_steps, bands = x.shape
+        out_ch, _, kt, kb = w.shape
+        xp = np.pad(x, ((0, 0), (0, 0), ((kt - 1) // 2, kt // 2), ((kb - 1) // 2, kb // 2)))
+        out = np.empty((batch, out_ch, n_steps * bands), dtype=x.dtype)
+        for n in range(batch):
+            cols = np.stack([xp[n, :, i : i + n_steps, j : j + bands]
+                             for i, j in np.ndindex(kt, kb)], axis=1)
+            out[n] = w.reshape(out_ch, -1) @ cols.reshape(-1, n_steps * bands)
+        x = np.maximum(out + b[:, None], 0).reshape(batch, out_ch, n_steps, bands)
+        if (i + 1) in cfg.pool_after:
+            oh, ow = n_steps // 2, bands // 2
+            x = x[:, :, : 2 * oh, : 2 * ow].reshape(batch, out_ch, oh, 2, ow, 2).max(axis=(3, 5))
+    return x
+
+
+class TestConvStackExact:
+    def test_paper_stack_matches_time_outer_reference(self, monkeypatch):
+        """The paper-default model runs its conv stack with time as the
+        contiguous axis; the sequence its BLSTM sees is, bit for bit, the
+        one a time-outer im2col stack gives."""
+        graph = build_cnn_blstm_att(CnnBlstmAttConfig(), seed=5)
+        graph.set_mode("eval")
+        seen = []
+        blstm_forward = layers.blstm_forward
+
+        def spy(params, prefix, seq, hidden):
+            seen.append(seq.data.copy())
+            return blstm_forward(params, prefix, seq, hidden)
+
+        monkeypatch.setattr(layers, "blstm_forward", spy)
+        feats = random_features(batch=2, frames=120, seed=6)
+        graph.forward(feats)
+        x = numpy_time_outer_conv_stack(feats[:, None], graph.params, graph.config)
+        batch, ch, n_steps, bands = x.shape
+        want = x.transpose(0, 2, 1, 3).reshape(batch, n_steps, ch * bands)
+        assert want.shape == (2, 15, 256) and want.any()
+        assert np.array_equal(seen[0], want)
+
+
 class TestAttentionProperties:
     def setup_method(self):
         self.params = {}
@@ -438,6 +485,32 @@ class TestCheckpoints:
         after = restored.forward(x).data
         assert np.array_equal(before, after)
 
+    def test_save_and_load_copy_no_whole_file(self, tmp_path):
+        # a paper-default checkpoint with Adam moments is three times its weights
+        graph = build_cnn_blstm_att(CnnBlstmAttConfig(), seed=0)
+        rng = np.random.default_rng(1)
+        state = {f"{m}::{name}": rng.normal(size=p.shape).astype(np.float32)
+                 for m in "mv" for name, p in graph.params.items()}
+        path = tmp_path / "ckpt.bin"
+        tracemalloc.start()
+        try:
+            save_checkpoint(graph, path, epoch=1, state=state)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            data = load_checkpoint(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 3 * 4 * graph.parameter_count()
+        assert save_peak < 0.5 * size
+        assert load_peak < 1.25 * size
+        assert all(np.array_equal(data.state[k], v) for k, v in state.items())
+        restored = graph_from_checkpoint(data)
+        for name, p in graph.params.items():  # loaded in place, not copied again
+            assert np.array_equal(restored.params[name].data, p.data)
+            assert np.shares_memory(restored.params[name].data, data.params[name])
+
     def test_digest_mismatch_rejected(self, tmp_path):
         graph = build_cnn_blstm_att(DESK_CNN, seed=12)
         path = tmp_path / "ckpt.bin"
@@ -478,6 +551,18 @@ class TestCheckpoints:
         path.write_bytes(b"XEMO" + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
         with pytest.raises(MalformedHeader):
             load_checkpoint(path)
+
+    def test_header_length_past_the_end_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(b"XEMO" + struct.pack("<II", FORMAT_VERSION, 2**32 - 1) + b"{}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedHeader):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("field,value", [("config", [1]), ("extra", 1), ("epoch", "1"),
                                              ("epoch", 1.5), ("epoch", True)])

@@ -40,10 +40,15 @@ class TestConv:
             ops.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), None)
 
 
+def time_outer(a):
+    """[batch, ch, bands, time] <-> [batch, ch, time, bands]."""
+    return a.swapaxes(2, 3)
+
+
 def sliding_window_conv2d(x, w, b, relu=True):
-    """Oracle: conv2d's forward through sliding-window im2col columns
-    [B, h*wd, C*kh*kw] against the flattened kernel, then a transpose back
-    to channel-first and the ReLU."""
+    """Oracle: conv2d's forward on time-outer input x [B, C, time, bands]
+    through sliding-window im2col columns [B, h*wd, C*kh*kw] against the
+    flattened kernel, then a transpose back to channel-first and the ReLU."""
     batch, in_ch, h, wd = x.shape
     out_ch, _, kh, kw = w.shape
     pad_h, pad_w = kh - 1, kw - 1
@@ -70,15 +75,16 @@ class TestConvForward:
         w = rng.normal(size=(4, 3) + kernel).astype(dtype)
         b = rng.normal(size=4).astype(dtype) if bias else None
         got = ops.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b)).data
-        want = sliding_window_conv2d(x, w, b)
+        want = time_outer(sliding_window_conv2d(time_outer(x), w, b))
         assert got.dtype == dtype and got.shape == want.shape
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 def scatter_conv2d_grads(x, w, b, g):
-    """Oracle: conv2d's input, weight and bias gradients with the input
-    gradient scattered through `np.add.at` over flat im2col indices. `g`,
-    the gradient of the ReLU's output, is masked by the pre-activation."""
+    """Oracle: conv2d's input, weight and bias gradients, all time-outer,
+    with the input gradient scattered through `np.add.at` over flat im2col
+    indices. `g`, the gradient of the ReLU's output, is masked by the
+    pre-activation."""
     g = g * (sliding_window_conv2d(x, w, b, relu=False) > 0)
     batch, in_ch, h, wd = x.shape
     out_ch, _, kh, kw = w.shape
@@ -109,8 +115,8 @@ class TestConvGradients:
         out = ops.conv2d(x, w, b)
         g = rng.normal(size=out.shape)
         out.backward(g)
-        for got, want in zip((x.grad, w.grad, b.grad),
-                             scatter_conv2d_grads(x.data, w.data, b.data, g)):
+        dx, dw, db = scatter_conv2d_grads(time_outer(x.data), w.data, b.data, time_outer(g))
+        for got, want in zip((x.grad, w.grad, b.grad), (time_outer(dx), dw, db)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -137,9 +143,9 @@ class TestConvPerUtterance:
             assert np.array_equal(whole[k], parts[0][k] + parts[1][k] + parts[2][k])
 
     def test_forward_keeps_no_columns(self):
-        # the whole batch's im2col columns are kh*kw times the input's size
+        # one utterance's im2col columns alone are kt*kb times its input's size
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(8, 32, 64, 23)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.normal(size=(8, 32, 23, 64)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True)
         b = Tensor(np.zeros(32, np.float32), requires_grad=True)
         tracemalloc.start()
@@ -148,7 +154,7 @@ class TestConvPerUtterance:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.data.nbytes <= held < 9 * x.data.nbytes
+        assert out.data.nbytes <= held < out.data.nbytes + x.data.nbytes // 8
 
 
 class TestMaxPool:
