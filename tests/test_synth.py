@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -190,6 +191,59 @@ class TestRendererOracle:
         spec = SynthCorpusSpec(name="one", seed=12, classes=("high",),
                                signatures={"high": self.ONE_HARMONIC})
         self.check(spec, n_utts=4)
+
+
+def sin_loop_sum(coeffs, phase):
+    """sum_k |c_k| sin(k*phase + arg c_k) as one float64 `np.sin` per
+    harmonic: the oracle for `synth._harmonic_sum`."""
+    x = np.zeros(len(phase))
+    for k, c in enumerate(coeffs, start=1):
+        x += abs(c) * np.sin(k * phase + np.angle(c))
+    return x
+
+
+class TestHarmonicSum:
+    """The baby-step/giant-step sum against the per-harmonic `sin` loop,
+    within the renderer oracle's 1e-9."""
+
+    LENGTHS = (1, synth.SYNTH_BLOCK - 1, synth.SYNTH_BLOCK, synth.SYNTH_BLOCK + 1,
+               3 * synth.SYNTH_BLOCK + 17)
+
+    # with s = ceil(sqrt(K)) baby steps, K = 1..40 holds K = s (1, 2), K a
+    # multiple of s (4, 6, 9, 12, ...) and one past one (3, 7, 13, 21, 31);
+    # K < s cannot occur
+    @pytest.mark.parametrize("n_harmonics", range(1, 41))
+    def test_every_harmonic_count(self, n_harmonics):
+        rng = np.random.default_rng(stable_hash64(n_harmonics, "harmonic-sum"))
+        coeffs = rng.uniform(0.0, 1.0, n_harmonics) * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, n_harmonics)
+        )
+        sr = 16000
+        for n in self.LENGTHS:
+            f0 = 90.0 + 300.0 * np.arange(n) / n  # a chirp, 90 to 390 Hz
+            phase = 2.0 * np.pi * np.cumsum(f0) / sr + rng.uniform(0, 2 * np.pi)
+            got = synth._harmonic_sum(coeffs, phase)
+            assert got.shape == (n,)
+            np.testing.assert_allclose(got, sin_loop_sum(coeffs, phase), rtol=0, atol=1e-9,
+                                       err_msg=f"K={n_harmonics} n={n}")
+
+
+class TestRenderMemory:
+    def test_peak_stays_within_ten_signal_lengths(self):
+        """A 7.5-s render allocates a few full-length float64 buffers; a
+        [K, n] matrix of harmonic powers would be 40 or more of them."""
+        spec = SynthCorpusSpec(name="mem", n_speakers=1, duration_range=(7.5, 7.5), seed=13)
+        n = int(round(7.5 * spec.sample_rate))
+        voice = synth._speaker_voice(spec, "mem_s00")
+        for cls in spec.classes:
+            tracemalloc.start()
+            try:
+                samples = synth._render_utterance(spec, voice, spec.signatures[cls], f"mem_{cls}")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert samples.shape == (n,)
+            assert peak <= 10 * n * 8, f"{cls}: peak {peak} bytes"
 
 
 class TestDeriveShifted:
