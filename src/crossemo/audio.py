@@ -90,7 +90,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
     """Read a RIFF/WAVE file (PCM16 or IEEE float32, mono or multichannel).
 
     Multichannel input is downmixed by channel averaging; samples end up
-    in [-1, 1].
+    in [-1, 1]. A `fmt ` or `data` chunk that runs past the end of the file
+    (a cut file) and a non-finite float sample raise MalformedHeader.
     """
     try:
         raw = Path(path).read_bytes()
@@ -105,6 +106,9 @@ def read_wav(path: str | Path) -> AudioBuffer:
     while pos + 8 <= len(raw):
         cid = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
+        if cid in (b"fmt ", b"data") and pos + 8 + size > len(raw):
+            raise MalformedHeader(f"{path}: its {size}-byte {cid.decode().strip()!r} chunk "
+                                  f"runs past the end of the {len(raw)}-byte file")
         body = raw[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
             fmt_chunk = body
@@ -126,6 +130,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
     elif audio_format == 3 and bits == 32:
         usable = (len(data_chunk) // 4) * 4
         x = np.frombuffer(data_chunk[:usable], dtype="<f4").astype(np.float64)
+        if not np.isfinite(x).all():
+            raise MalformedHeader(f"{path}: non-finite float sample")
     else:
         raise UnsupportedEncoding(
             f"{path}: format tag {audio_format} at {bits} bit not supported "

@@ -67,9 +67,10 @@ def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict
     entries = [(kind, name, np.ascontiguousarray(arrays[name], dtype="<f4"))
                for kind, arrays in kinds for name in sorted(arrays)]
     index = tuple(BlobEntry(name, kind, arr.shape) for kind, name, arr in entries)
-    header = CheckpointHeader(graph.arch, asdict(graph.config), graph.digest, int(epoch),
-                              extra or {}, index)
-    header_bytes = json.dumps(asdict(header), sort_keys=True).encode("utf-8")
+    header = asdict(CheckpointHeader(graph.arch, asdict(graph.config), graph.digest,
+                                     int(epoch), {}, index))
+    header["extra"] = extra or {}  # asdict would deep-copy it, training history and all
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     atomic_write_bytes(path, MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)),
                        header_bytes, *(arr for _, _, arr in entries))
 
@@ -121,8 +122,9 @@ def _read_checkpoint(fh, size: int, path, expect_digest: str | None) -> Checkpoi
 
 
 def graph_from_checkpoint(data: CheckpointData) -> ModelGraph:
-    """Rebuild a graph and load the stored parameters into it."""
-    graph = build_model(data.arch, dict(data.config), seed=0)
+    """Rebuild a graph from placeholder weights (no random init) and load
+    the stored parameters into it."""
+    graph = build_model(data.arch, dict(data.config), seed=None)
     if graph.digest != data.config_digest:
         raise CheckpointMismatch(
             f"rebuilt config digest {graph.digest} != stored {data.config_digest}")

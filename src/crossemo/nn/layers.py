@@ -3,7 +3,9 @@
 Parameters, and the running statistics ("buffers") batch norm keeps next to
 them, live in flat dicts keyed by dotted names so checkpoints can serialize
 them without knowing the architecture. Init: Glorot uniform for
-weight matrices and kernels, zero biases, +1 on the LSTM forget gate.
+weight matrices and kernels, zero biases, +1 on the LSTM forget gate. With
+no rng, each weight is a zero placeholder that owns no memory, for a graph
+whose parameters a checkpoint then supplies.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ from . import ops
 from .tensor import Tensor, glorot_uniform
 
 
+def _weight(rng, fan_in: int, fan_out: int, shape, dtype) -> Tensor:
+    data = (np.broadcast_to(np.zeros((), dtype), shape) if rng is None
+            else glorot_uniform(rng, fan_in, fan_out, shape, dtype))
+    return Tensor(data, requires_grad=True)
+
+
 def add_dense(params: dict, rng, prefix: str, n_in: int, n_out: int, dtype=np.float32):
-    params[f"{prefix}.w"] = Tensor(
-        glorot_uniform(rng, n_in, n_out, (n_in, n_out), dtype), requires_grad=True
-    )
+    params[f"{prefix}.w"] = _weight(rng, n_in, n_out, (n_in, n_out), dtype)
     params[f"{prefix}.b"] = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
 
 
@@ -29,10 +35,7 @@ def dense(params: dict, prefix: str, x: Tensor) -> Tensor:
 def add_conv(params: dict, rng, prefix: str, in_ch: int, out_ch: int, kernel: int, dtype=np.float32):
     fan_in = in_ch * kernel * kernel
     fan_out = out_ch * kernel * kernel
-    params[f"{prefix}.w"] = Tensor(
-        glorot_uniform(rng, fan_in, fan_out, (out_ch, in_ch, kernel, kernel), dtype),
-        requires_grad=True,
-    )
+    params[f"{prefix}.w"] = _weight(rng, fan_in, fan_out, (out_ch, in_ch, kernel, kernel), dtype)
     params[f"{prefix}.b"] = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
 
 
@@ -45,13 +48,8 @@ def add_batchnorm(params: dict, buffers: dict, prefix: str, n_features: int, dty
 
 def add_lstm(params: dict, rng, prefix: str, n_in: int, hidden: int, dtype=np.float32):
     # gate order along the fused axis: input, forget, cell, output
-    params[f"{prefix}.wx"] = Tensor(
-        glorot_uniform(rng, n_in, 4 * hidden, (n_in, 4 * hidden), dtype), requires_grad=True
-    )
-    params[f"{prefix}.wh"] = Tensor(
-        glorot_uniform(rng, hidden, 4 * hidden, (hidden, 4 * hidden), dtype),
-        requires_grad=True,
-    )
+    params[f"{prefix}.wx"] = _weight(rng, n_in, 4 * hidden, (n_in, 4 * hidden), dtype)
+    params[f"{prefix}.wh"] = _weight(rng, hidden, 4 * hidden, (hidden, 4 * hidden), dtype)
     bias = np.zeros(4 * hidden, dtype=dtype)
     bias[hidden : 2 * hidden] = 1.0  # forget-gate bias
     params[f"{prefix}.b"] = Tensor(bias, requires_grad=True)
@@ -74,13 +72,9 @@ def blstm_forward(params: dict, prefix: str, x: Tensor, hidden: int) -> Tensor:
 
 
 def add_attention(params: dict, rng, prefix: str, n_in: int, att_dim: int, dtype=np.float32):
-    params[f"{prefix}.w"] = Tensor(
-        glorot_uniform(rng, n_in, att_dim, (n_in, att_dim), dtype), requires_grad=True
-    )
+    params[f"{prefix}.w"] = _weight(rng, n_in, att_dim, (n_in, att_dim), dtype)
     params[f"{prefix}.b"] = Tensor(np.zeros(att_dim, dtype=dtype), requires_grad=True)
-    params[f"{prefix}.v"] = Tensor(
-        glorot_uniform(rng, att_dim, 1, (att_dim, 1), dtype), requires_grad=True
-    )
+    params[f"{prefix}.v"] = _weight(rng, att_dim, 1, (att_dim, 1), dtype)
 
 
 def attention_forward(params: dict, prefix: str, seq: Tensor):

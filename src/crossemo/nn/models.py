@@ -116,22 +116,20 @@ def _check_input(feats: np.ndarray, input_bands: int) -> np.ndarray:
 
 
 def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
-    """feats [batch, time, bands] -> logits. The conv and pool stack runs on
+    """feats [batch, time, bands] -> logits. The conv stack runs on
     [batch, ch, bands, time], time the contiguous axis (see `ops.conv2d`):
     the features are transposed once on the way in, and the stack's output
     once on the way out, to the [batch, time, ch*bands] sequence the BLSTM
-    reads."""
+    reads. The layers in `pool_after` pool 2x2 inside their `conv2d`, so
+    their full-resolution outputs are never kept."""
     cfg = graph.config
     feats = _check_input(feats, cfg.input_bands)
     batch, n_steps, bands = feats.shape
     x = Tensor(feats.transpose(0, 2, 1).reshape(batch, 1, bands, n_steps))
     for i in range(len(cfg.conv_channels)):
-        x = ops.conv2d(x, graph.params[f"conv{i}.w"], graph.params[f"conv{i}.b"])
-        if (i + 1) in cfg.pool_after:
-            x = ops.max_pool2d(x, 2)
-    _, ch, b_out, t_out = x.shape
-    if t_out < 1 or b_out < 1:
-        raise ShapeMismatch("conv/pool stack consumed the whole input")
+        pool = 2 if (i + 1) in cfg.pool_after else 1
+        x = ops.conv2d(x, graph.params[f"conv{i}.w"], graph.params[f"conv{i}.b"], pool)
+    _, ch, b_out, t_out = x.shape  # conv2d rejects a pool that leaves no cell
     seq = ops.reshape(ops.transpose(x, (0, 3, 1, 2)), (batch, t_out, ch * b_out))
     seq = layers.blstm_forward(graph.params, "blstm0", seq, cfg.blstm_hidden)
 
@@ -164,8 +162,14 @@ def _blstm_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
     return layers.dense(graph.params, "classifier", pooled)
 
 
-def build_cnn_blstm_att(cfg: CnnBlstmAttConfig, seed: int) -> ModelGraph:
-    rng = np.random.default_rng(seed)
+def _init_rng(seed: int | None):
+    """The weights' random stream; none for a seed of None, which builds
+    placeholders a checkpoint then replaces (see `layers`)."""
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def build_cnn_blstm_att(cfg: CnnBlstmAttConfig, seed: int | None) -> ModelGraph:
+    rng = _init_rng(seed)
     params: dict = {}
     buffers: dict = {}
     in_ch = 1
@@ -190,8 +194,8 @@ def build_cnn_blstm_att(cfg: CnnBlstmAttConfig, seed: int) -> ModelGraph:
     return ModelGraph(ARCH_CNN, cfg, params, buffers)
 
 
-def build_blstm_att(cfg: BlstmAttConfig, seed: int) -> ModelGraph:
-    rng = np.random.default_rng(seed)
+def build_blstm_att(cfg: BlstmAttConfig, seed: int | None) -> ModelGraph:
+    rng = _init_rng(seed)
     params: dict = {}
     n_in = cfg.input_bands
     for i in range(cfg.blstm_layers):
@@ -225,7 +229,7 @@ def config_from_dict(arch: str, cfg: dict):
     return from_fields(architecture(arch).config, cfg, f"{arch} model")
 
 
-def build_model(arch: str, cfg, seed: int) -> ModelGraph:
+def build_model(arch: str, cfg, seed: int | None) -> ModelGraph:
     if isinstance(cfg, dict):
         cfg = config_from_dict(arch, cfg)
     return architecture(arch).build(cfg, seed)

@@ -4,9 +4,12 @@ Each op is one graph node with a hand-written backward pass: a whole layer
 (`dense`, `attention`, `blstm`, `conv2d`, `max_pool2d`, `batch_norm`,
 `dropout`, `relu`, `softmax_cross_entropy`) or a shape op (`reshape`,
 `transpose`). `conv2d` takes [batch, ch, bands, time] with time the
-contiguous axis, so its im2col and col2im move whole rows; it ends in its
-ReLU and builds its columns one utterance at a time into a reused
-workspace, saving none; its backward builds them again. Everything here
+contiguous axis, so its im2col and col2im move whole rows; it can max-pool
+its output, ends in its ReLU and builds its columns one utterance at a
+time into a reused workspace, saving none; its backward builds them again.
+A pooling `conv2d` keeps only the pooled output and a one-byte winner per
+window; `max_pool2d` shares its pooling kernels and is the reference it
+is tested against. Everything here
 passes central finite-difference checks at float64 with relative error
 below 1e-4 (see the gradient suite in the tests). Ops with mode switches
 (dropout, batch norm) take the mode explicitly; there is no global
@@ -314,44 +317,102 @@ def _im2col(x: np.ndarray, kt: int, kb: int):
         yield n, cols.reshape(ch * kt * kb, pad.span)
 
 
-def conv2d(x, w, b=None) -> Tensor:
-    """Cross-correlation with zero "same" padding, then bias and ReLU.
+def _pool_cells(size: int, oh: int, ow: int) -> list:
+    """The size*size strided cells of non-overlapping windows over the last
+    two axes, in row-major order; trailing rows and columns that do not
+    fill a window are left out."""
+    return [np.s_[..., di : oh * size : size, dj : ow * size : size]
+            for di in range(size) for dj in range(size)]
+
+
+def _pool_max(src, cells, top) -> None:
+    """Write each window's maximum over `cells` of `src` into `top`."""
+    np.copyto(top, src[cells[0]])
+    for cell in cells[1:]:
+        np.maximum(top, src[cell], out=top)
+
+
+def _pool_winners(src, cells, top, win, free, differ) -> None:
+    """Write into `win` each window's first maximum in row-major order, the
+    cell `argmax` picks: the count of leading cells that differ from the
+    window's maximum `top`. `free` and `differ` are bool scratch the shape
+    of `top`. (Boolean-mask assignment would be 7-8x slower.)"""
+    np.not_equal(src[cells[0]], top, out=free)
+    np.copyto(win, free)
+    for cell in cells[1:-1]:
+        np.not_equal(src[cell], top, out=differ)
+        free &= differ
+        win += free
+
+
+def _pool_scatter(g, win, cells, dst, hit) -> None:
+    """Route each window's gradient `g` to its winner's cell of `dst` and
+    zero the window's other cells; `hit` is bool scratch the shape of `g`."""
+    for k, cell in enumerate(cells):
+        np.equal(win, k, out=hit)
+        np.multiply(g, hit, out=dst[cell])
+
+
+def conv2d(x, w, b=None, pool: int = 1) -> Tensor:
+    """Cross-correlation with zero "same" padding, then bias, an optional
+    pool*pool max pool and ReLU.
 
     x: [batch, in_ch, bands, time], time the contiguous axis; w: [out_ch,
     in_ch, k_time, k_band]; b: [out_ch]; the output is [batch, out_ch,
-    bands, time]. Forward: per utterance, one GEMM, w [out_ch, C*kt*kb] @
-    its im2col columns; the first `time` cells of each Wp-long output row
-    are kept (see `_FlatPad`). Each output sums the same terms in the same
-    order as a time-outer im2col would. Bias and ReLU then run in place, so
-    no pre-activation copy exists. The backward masks `g` by `out > 0`,
-    which is `pre > 0` (the trick of in-place activated batch norm, Rota
-    Bulò et al., arXiv:1712.02616). The columns are not saved: the backward
-    builds them again, per utterance, for `dw`, against `g` laid out on the
-    Wp grid with zero junk cells, and adds each utterance's `g @ cols.T` in
-    utterance order. `dx` is col2im: w.T @ g, then kt*kb contiguous
-    slice-adds into one utterance's flat padding at a time. So nothing
-    holds the whole batch's columns, which are kt*kb times the input's
-    size.
+    bands // pool, time // pool]. Forward: per utterance, one GEMM, w
+    [out_ch, C*kt*kb] @ its im2col columns; the first `time` cells of each
+    Wp-long output row are the conv (see `_FlatPad`). Each output sums the
+    same terms in the same order as a time-outer im2col would. Bias and
+    ReLU then run in place, so no pre-activation copy exists. The backward
+    masks `g` by `out > 0`, which is `pre > 0` (the trick of in-place
+    activated batch norm, Rota Bulò et al., arXiv:1712.02616).
+
+    With `pool` > 1 the max pool reads the GEMM's buffer, so no
+    full-resolution output exists. ReLU and the max commute, so the ReLU
+    runs on the pooled output. When the node needs a gradient, the bias is
+    added before the max and each window's first maximum is kept as a
+    `uint8` winner; otherwise the bias is added once to the pooled output,
+    which is exact because rounding is monotone: max(a) + b == max(a + b).
+    The backward routes the masked `g` to the winners (`_pool_scatter`).
+
+    The columns are not saved: the backward builds them again, per
+    utterance, for `dw`, against `g` laid out on the Wp grid with zero junk
+    cells, and adds each utterance's `g @ cols.T` in utterance order. `dx`
+    is col2im: w.T @ g, then kt*kb contiguous slice-adds into one
+    utterance's flat padding at a time. So nothing holds the whole batch's
+    columns, which are kt*kb times the input's size.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"conv2d of {x.shape} with kernel {w.shape}")
     batch, in_ch, bands, time = x.shape
     out_ch, _, kt, kb = w.shape
+    oh, ow = bands // pool, time // pool
+    if oh < 1 or ow < 1:
+        raise ShapeMismatch(f"pooling {pool}x{pool} on {bands}x{time} input")
     wp = time + kt - 1
     w2 = w.data.reshape(out_ch, -1)
     dtype = np.result_type(x.data, w.data)
-    out_data = np.empty((batch, out_ch, bands, time), dtype=dtype)
+    parents = (x, w) if b is None else (x, w, b)
+    req = any(p.requires_grad for p in parents)
+    out_data = np.empty((batch, out_ch, oh, ow), dtype=dtype)
     rows = np.empty((out_ch, bands, wp), dtype=dtype)
+    cells = _pool_cells(pool, oh, ow)
+    winners = req and pool > 1
+    if winners:
+        win = np.empty(out_data.shape, dtype=np.min_scalar_type(len(cells) - 1))
+        free, differ = (np.empty(out_data.shape[1:], dtype=bool) for _ in range(2))
     for n, cols in _im2col(x.data, kt, kb):
         np.matmul(w2, cols, out=rows.reshape(out_ch, -1))
-        out_data[n] = rows[..., :time]
-    if b is not None:
+        if winners and b is not None:
+            rows += b.data[:, None, None]
+        _pool_max(rows, cells, out_data[n])
+        if winners:
+            _pool_winners(rows, cells, out_data[n], win[n], free, differ)
+    if b is not None and not winners:
         out_data += b.data[:, None, None]
     np.maximum(out_data, 0, out=out_data)
 
-    parents = (x, w) if b is None else (x, w, b)
-    req = any(p.requires_grad for p in parents)
     out = Tensor(out_data, req, parents=parents)
     if req:
         def _bw(g):
@@ -360,10 +421,19 @@ def conv2d(x, w, b=None) -> Tensor:
                 b.accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
             gp = np.zeros((out_ch, bands, wp), dtype=g.dtype)  # junk cells stay 0
             gp2 = gp.reshape(out_ch, -1)
+            if winners:
+                hit = np.empty(g.shape[1:], dtype=bool)
+
+            def load(n):  # utterance n's gradient onto the Wp grid
+                if winners:
+                    _pool_scatter(g[n], win[n], cells, gp, hit)
+                else:
+                    gp[..., :time] = g[n]
+
             if w.requires_grad:
                 dw = np.zeros(w2.shape, dtype=np.result_type(g, x.data))
                 for n, cols in _im2col(x.data, kt, kb):
-                    gp[..., :time] = g[n]
+                    load(n)
                     dw += gp2 @ cols.T
                 cols = None  # the columns go before the col2im workspace comes
                 w.accumulate(dw.reshape(w.shape), fresh=True)
@@ -374,7 +444,7 @@ def conv2d(x, w, b=None) -> Tensor:
                 offsets = list(zip(pad.runs, (dcols[:, k] for k in range(kt * kb))))[::-1]
                 dx = np.empty(x.shape, dtype=x.dtype)
                 for n in range(batch):
-                    gp[..., :time] = g[n]
+                    load(n)
                     np.matmul(w2.T, gp2, out=dcols.reshape(-1, pad.span))
                     pad.flat.fill(0)
                     for dst, src in offsets:
@@ -389,26 +459,26 @@ def conv2d(x, w, b=None) -> Tensor:
 def max_pool2d(x, size: int = 2) -> Tensor:
     """Non-overlapping max pooling over the size*size strided slices; trailing
     rows/columns that do not fill a window are dropped. Each window's gradient
-    goes to its first maximum in row-major order, the cell `argmax` picks."""
+    goes to its first maximum in row-major order, the cell `argmax` picks.
+    The models pool inside `conv2d`; this op, built from the same kernels,
+    is the reference that path is tested against."""
     x = as_tensor(x)
     h, w = x.shape[2:]
     oh, ow = h // size, w // size
     if oh < 1 or ow < 1:
         raise ShapeMismatch(f"pooling {size}x{size} on {h}x{w} input")
-    cells = [np.s_[:, :, di : oh * size : size, dj : ow * size : size]  # row-major
-             for di in range(size) for dj in range(size)]
-    out_data = x.data[cells[0]].copy()
-    for cell in cells[1:]:
-        np.maximum(out_data, x.data[cell], out=out_data)
+    cells = _pool_cells(size, oh, ow)
+    out_data = np.empty(x.shape[:2] + (oh, ow), dtype=x.dtype)
+    _pool_max(x.data, cells, out_data)
     out = Tensor(out_data, x.requires_grad, parents=(x,))
     if x.requires_grad:
+        win = np.empty(out_data.shape, dtype=np.min_scalar_type(len(cells) - 1))
+        free, differ = (np.empty(out_data.shape, dtype=bool) for _ in range(2))
+        _pool_winners(x.data, cells, out_data, win, free, differ)
+
         def _bw(g):
             dx = np.zeros_like(x.data)
-            free = np.ones(out_data.shape, dtype=bool)  # window not yet routed
-            for cell in cells:
-                hit = (x.data[cell] == out_data) & free
-                free ^= hit
-                dx[cell] = np.where(hit, g, 0)
+            _pool_scatter(g, win, cells, dx, free)
             x.accumulate(dx, fresh=True)
         out._backward = _bw
     return out

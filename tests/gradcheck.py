@@ -56,17 +56,17 @@ def conv2d_case(tensors):
     return ops.conv2d(tensors["x"], tensors["w"], tensors["b"])
 
 
-def conv2d_inputs(rng, batch=2, kernel=(3, 3)):
+def conv2d_inputs(rng, batch=2, kernel=(3, 3), size=(5, 4)):
     return {
-        "x": rng.normal(size=(batch, 2, 5, 4)),
+        "x": rng.normal(size=(batch, 2) + size),
         "w": rng.normal(size=(3, 2) + kernel),
         "b": rng.normal(size=3),
     }
 
 
-def conv2d_mostly_off_inputs(rng):
+def conv2d_mostly_off_inputs(rng, size=(5, 4)):
     """A bias of -1 on small weights: the ReLU switches most cells off."""
-    arrays = conv2d_inputs(rng)
+    arrays = conv2d_inputs(rng, size=size)
     arrays["w"] *= 0.25
     arrays["b"] = np.full(3, -1.0)
     return arrays
@@ -76,8 +76,16 @@ def conv2d_no_bias_case(tensors):
     return ops.conv2d(tensors["x"], tensors["w"], None)
 
 
-def conv2d_no_bias_inputs(rng):
-    return {"x": rng.normal(size=(2, 2, 5, 4)), "w": rng.normal(size=(3, 2, 3, 3))}
+def conv2d_no_bias_inputs(rng, size=(5, 4)):
+    return {"x": rng.normal(size=(2, 2) + size), "w": rng.normal(size=(3, 2, 3, 3))}
+
+
+def conv2d_pool_case(tensors):
+    return ops.conv2d(tensors["x"], tensors["w"], tensors.get("b"), pool=2)
+
+
+# odd bands and time: the pool drops the trailing row and column
+POOL_SIZE = (5, 7)
 
 
 def dense_case(tensors):
@@ -186,6 +194,18 @@ GRADIENT_SUITE = {
     "conv2d_mostly_off": lambda seed: check_op(conv2d_mostly_off_inputs, conv2d_case, seed),
     "conv2d_2x3": lambda seed: check_op(  # k_time != k_band, one of them even
         lambda rng: conv2d_inputs(rng, kernel=(2, 3)), conv2d_case, seed
+    ),
+    "conv2d_pool": lambda seed: check_op(
+        lambda rng: conv2d_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed
+    ),
+    "conv2d_pool_no_bias": lambda seed: check_op(
+        lambda rng: conv2d_no_bias_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed
+    ),
+    "conv2d_pool_2x3": lambda seed: check_op(
+        lambda rng: conv2d_inputs(rng, kernel=(2, 3), size=POOL_SIZE), conv2d_pool_case, seed
+    ),
+    "conv2d_pool_mostly_off": lambda seed: check_op(
+        lambda rng: conv2d_mostly_off_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed
     ),
     "dense": lambda seed: check_op(dense_inputs, dense_case, seed),
     "blstm": lambda seed: check_op(blstm_inputs, blstm_case, seed),

@@ -71,18 +71,43 @@ class TestReadWav:
         buf = read_wav(path)
         assert buf.samples[0] == pytest.approx(0.2, abs=1e-4)
 
+    @staticmethod
+    def write_float32(path, samples, fmt_size=16, data_first=False):
+        data = np.asarray(samples, dtype="<f4").tobytes()
+        fmt = struct.pack("<HHIIHH", 3, 1, 16000, 16000 * 4, 4, 32)
+        chunks = [b"fmt " + struct.pack("<I", fmt_size) + fmt,
+                  b"data" + struct.pack("<I", len(data)) + data]
+        payload = b"WAVE" + b"".join(chunks[::-1] if data_first else chunks)
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(payload)) + payload)
+
     def test_float32_input(self, tmp_path):
         path = tmp_path / "f32.wav"
-        data = np.array([0.25, -0.75], dtype="<f4").tobytes()
-        fmt = struct.pack("<HHIIHH", 3, 1, 16000, 16000 * 4, 4, 32)
-        payload = (
-            b"WAVE"
-            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(data)) + data
-        )
-        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(payload)) + payload)
+        self.write_float32(path, [0.25, -0.75])
         buf = read_wav(path)
         assert np.allclose(buf.samples, [0.25, -0.75])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float32_sample_rejected(self, tmp_path, bad):
+        path = tmp_path / "f32.wav"
+        self.write_float32(path, [0.25, bad, -0.75])
+        with pytest.raises(MalformedHeader, match="non-finite"):
+            read_wav(path)
+
+    def test_fmt_chunk_past_the_end_rejected(self, tmp_path):
+        # the last chunk declares an 18-byte fmt (with cbSize) but holds 16
+        path = tmp_path / "f32.wav"
+        self.write_float32(path, [0.25, -0.75], fmt_size=18, data_first=True)
+        with pytest.raises(MalformedHeader, match="runs past the end"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("keep", [0.5, 0.99])
+    def test_cut_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "cut.wav"
+        write_pcm16(path, np.arange(19200) % 1000)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: int(len(raw) * keep)])
+        with pytest.raises(MalformedHeader, match="runs past the end"):
+            read_wav(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.wav"

@@ -157,6 +157,51 @@ class TestConvPerUtterance:
         assert out.data.nbytes <= held < out.data.nbytes + x.data.nbytes // 8
 
 
+class TestPooledConv:
+    """`conv2d(..., pool=2)` against the separate ops it replaces in the
+    models: a full-resolution conv, then `max_pool2d`."""
+
+    @staticmethod
+    def inputs(kind):
+        rng = np.random.default_rng(3)
+        if kind == "integer":  # small integers: exact sums, many tied windows
+            x = rng.integers(-2, 3, size=(3, 2, 9, 11))
+            w = rng.integers(-1, 2, size=(4, 2, 3, 3))
+        else:
+            x, w = rng.normal(size=(3, 2, 9, 11)), rng.normal(size=(4, 2, 3, 3))
+        b = np.array([0.5, -100.0, 0.0, 1.5])  # channel 1: every window negative
+        return x.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
+
+    @pytest.mark.parametrize("kind", ["integer", "normal"])
+    def test_matches_conv_then_max_pool(self, kind):
+        x, w, b = self.inputs(kind)
+        full = ops.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        windows = full[:, :, :8, :10].reshape(3, 4, 4, 2, 5, 2)
+        top = windows.max(axis=(3, 5), keepdims=True)
+        ties = ((windows == top).sum(axis=(3, 5)) > 1) & (top[:, :, :, 0, :, 0] > 0)
+        assert ties.any() == (kind == "integer")
+        assert not full[:, 1].any()
+
+        g = np.random.default_rng(4).normal(size=(3, 4, 4, 5)).astype(np.float32)
+        results = []
+        for fused in (True, False):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            out = (ops.conv2d(xt, wt, bt, pool=2) if fused
+                   else ops.max_pool2d(ops.conv2d(xt, wt, bt), 2))
+            out.backward(g)
+            results.append((out.data, xt.grad, wt.grad, bt.grad))
+        (out, dx, dw, db), (ref_out, ref_dx, ref_dw, ref_db) = results
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(ops.conv2d(Tensor(x), Tensor(w), Tensor(b), pool=2).data, ref_out)
+        assert np.array_equal(dx, ref_dx) and np.array_equal(dw, ref_dw)
+        # the bias gradient sums the pooled cells in another order
+        assert np.max(np.abs(db - ref_db)) <= 1e-5 * np.max(np.abs(ref_db))
+
+    def test_too_small_for_one_window(self):
+        with pytest.raises(ShapeMismatch):
+            ops.conv2d(Tensor(np.zeros((1, 1, 1, 4))), Tensor(np.ones((1, 1, 3, 3))), pool=2)
+
+
 class TestMaxPool:
     def test_ties_route_to_first_cell(self):
         x = Tensor(np.full((2, 3, 5, 7), 0.5), requires_grad=True)
