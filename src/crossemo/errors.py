@@ -105,10 +105,6 @@ class BatchTooSmall(ValidationFailure):
     pass
 
 
-class BadRate(ValidationFailure):
-    pass
-
-
 class LabelOutOfRange(ValidationFailure):
     pass
 

@@ -177,8 +177,11 @@ class FeatureCache:
     def _load_index(self):
         """Index every complete record. A torn tail, left by an append that
         was cut short, is truncated away so its entry is recomputed and the
-        next append starts on a record boundary."""
+        next append starts on a record boundary. A record whose id is not
+        UTF-8, or whose shape is not the config's (n_frames, n_bands), is
+        damage: the file is truncated there in the same way."""
         size = self.bin_path.stat().st_size
+        shape = (self.cfg.n_frames, self.cfg.n_bands)
         end = 0
         with open(self.bin_path, "r+b") as fh:
             while True:
@@ -192,13 +195,19 @@ class FeatureCache:
                     break
                 n_frames, n_bands = struct.unpack("<II", dims)
                 offset = fh.tell()
-                if offset + 4 * n_frames * n_bands > size:
+                if (n_frames, n_bands) != shape or offset + 4 * n_frames * n_bands > size:
+                    break
+                try:
+                    utt_id = id_bytes.decode("utf-8")
+                except UnicodeDecodeError:
                     break
                 end = fh.seek(4 * n_frames * n_bands, 1)
-                self._index[id_bytes.decode("utf-8")] = (offset, n_frames, n_bands)
+                self._index[utt_id] = (offset, n_frames, n_bands)
             fh.truncate(end)
 
     def get(self, utt_id: str) -> np.ndarray | None:
+        """The cached features, or None when there are none or a cell is
+        not finite; the caller then computes them again."""
         entry = self._index.get(utt_id)
         if entry is None:
             return None
@@ -206,7 +215,8 @@ class FeatureCache:
         with open(self.bin_path, "rb") as fh:
             fh.seek(offset)
             data = fh.read(4 * n_frames * n_bands)
-        return np.frombuffer(data, dtype="<f4").reshape(n_frames, n_bands).copy()
+        values = np.frombuffer(data, dtype="<f4").reshape(n_frames, n_bands).copy()
+        return values if np.isfinite(values).all() else None
 
     def put(self, utt_id: str, values: np.ndarray) -> None:
         encoded = values.astype("<f4").tobytes()

@@ -77,9 +77,9 @@ def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict
 
 def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> CheckpointData:
     """Read a checkpoint, each blob straight into its own array. A header
-    that does not decode or does not read as a CheckpointHeader, or a file
-    size other than the one the header's blob index gives, raises
-    MalformedHeader."""
+    that does not decode or does not read as a CheckpointHeader, a file
+    size other than the one the header's blob index gives, or a blob that
+    holds a NaN or Inf raises MalformedHeader."""
     try:
         with open(path, "rb") as fh:
             return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size, path, expect_digest)
@@ -116,6 +116,8 @@ def _read_checkpoint(fh, size: int, path, expect_digest: str | None) -> Checkpoi
         arr = np.empty(entry.shape, dtype="<f4")
         if fh.readinto(arr) != arr.nbytes:
             raise MalformedHeader(f"{path}: file ends inside blob {entry.name!r}")
+        if not np.isfinite(arr).all():
+            raise MalformedHeader(f"{path}: blob {entry.name!r} holds a NaN or Inf")
         blobs[entry.kind][entry.name] = arr
     return CheckpointData(**vars(header), params=blobs["param"], bn_stats=blobs["bn"],
                           state=blobs["state"])

@@ -1,9 +1,11 @@
 """Parameterized layers: dense, BLSTM and additive attention, each one op node.
+The models call `ops.conv2d` and `ops.fc_block` directly; `add_conv` and
+`add_dense` with `add_batchnorm` make their parameters.
 
-Parameters, and the running statistics ("buffers") batch norm keeps next to
-them, live in flat dicts keyed by dotted names so checkpoints can serialize
-them without knowing the architecture. Init: Glorot uniform for
-weight matrices and kernels, zero biases, +1 on the LSTM forget gate. With
+Parameters, and the running statistics ("buffers") an FC layer's batch norm
+keeps next to them, live in flat dicts keyed by dotted names so checkpoints
+can serialize them without knowing the architecture. Init: Glorot uniform
+for weight matrices and kernels, zero biases, +1 on the LSTM forget gate. With
 no rng, each weight is a zero placeholder that owns no memory, for a graph
 whose parameters a checkpoint then supplies.
 """

@@ -2,8 +2,8 @@
 
 cnn-blstm-att: a stack of convolutions over the (time, band) grid, one
 bidirectional LSTM, a time-distributed stack of fully connected layers with
-batch norm and dropout, additive attention pooling over time, and a linear
-classifier.
+batch norm, ReLU and dropout (one `ops.fc_block` node each), additive
+attention pooling over time, and a linear classifier.
 
 blstm-att: two bidirectional LSTM layers straight on the feature sequence,
 attention pooling, linear classifier.
@@ -69,10 +69,10 @@ class BlstmAttConfig:
 class ModelGraph:
     """Named parameters and buffers plus a forward topology and a train/eval mode.
 
-    Mode switches dropout and batch-norm behavior, and an eval-mode forward
-    builds no autodiff graph; parameter values are untouched. A graph
-    belongs to one training run at a time; eval-mode inference on frozen
-    parameters is safe to share.
+    Mode switches the batch norm and dropout inside `ops.fc_block`, and an
+    eval-mode forward builds no autodiff graph; parameter values are
+    untouched. A graph belongs to one training run at a time; eval-mode
+    inference on frozen parameters is safe to share.
     """
 
     def __init__(self, arch: str, config, params: dict, buffers: dict):
@@ -121,7 +121,8 @@ def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
     the features are transposed once on the way in, and the stack's output
     once on the way out, to the [batch, time, ch*bands] sequence the BLSTM
     reads. The layers in `pool_after` pool 2x2 inside their `conv2d`, so
-    their full-resolution outputs are never kept."""
+    their full-resolution outputs are never kept. Each FC layer is one
+    `ops.fc_block` over the [batch*time, width] rows."""
     cfg = graph.config
     feats = _check_input(feats, cfg.input_bands)
     batch, n_steps, bands = feats.shape
@@ -135,17 +136,10 @@ def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
 
     flat = ops.reshape(seq, (batch * t_out, 2 * cfg.blstm_hidden))
     for j in range(len(cfg.fc_sizes)):
-        flat = layers.dense(graph.params, f"fc{j}", flat)
-        flat = ops.batch_norm(
-            flat,
-            graph.params[f"fc{j}.bn.gamma"],
-            graph.params[f"fc{j}.bn.beta"],
-            graph.buffers[f"fc{j}.bn.mean"],
-            graph.buffers[f"fc{j}.bn.var"],
-            graph.mode,
-        )
-        flat = ops.relu(flat)
-        flat = ops.dropout(flat, cfg.dropout, graph.mode, dropout_rng)
+        flat = ops.fc_block(
+            flat, *(graph.params[f"fc{j}.{n}"] for n in ("w", "b", "bn.gamma", "bn.beta")),
+            graph.buffers[f"fc{j}.bn.mean"], graph.buffers[f"fc{j}.bn.var"],
+            cfg.dropout, graph.mode, dropout_rng)
     seq = ops.reshape(flat, (batch, t_out, cfg.fc_sizes[-1]))
 
     pooled, _ = layers.attention_forward(graph.params, "att", seq)

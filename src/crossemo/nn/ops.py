@@ -1,9 +1,10 @@
 """Differentiable operations on Tensors.
 
 Each op is one graph node with a hand-written backward pass: a whole layer
-(`dense`, `attention`, `blstm`, `conv2d`, `max_pool2d`, `batch_norm`,
-`dropout`, `relu`, `softmax_cross_entropy`) or a shape op (`reshape`,
-`transpose`). `conv2d` takes [batch, ch, bands, time] with time the
+(`dense`, `fc_block`, `attention`, `blstm`, `conv2d`, `max_pool2d`,
+`softmax_cross_entropy`) or a shape op (`reshape`, `transpose`). `fc_block`
+is one FC layer of the CNN: dense, batch norm, ReLU and dropout. `conv2d`
+takes [batch, ch, bands, time] with time the
 contiguous axis, so its im2col and col2im move whole rows; it can max-pool
 its output, ends in its ReLU and builds its columns one utterance at a
 time into a reused workspace, saving none; its backward builds them again.
@@ -11,16 +12,16 @@ A pooling `conv2d` keeps only the pooled output and a one-byte winner per
 window; `max_pool2d` shares its pooling kernels and is the reference it
 is tested against. Everything here
 passes central finite-difference checks at float64 with relative error
-below 1e-4 (see the gradient suite in the tests). Ops with mode switches
-(dropout, batch norm) take the mode explicitly; there is no global
-training flag.
+below 1e-4 (see the gradient suite in the tests). `fc_block`, whose batch
+norm and dropout switch with the mode, takes the mode explicitly; there is
+no global training flag.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BadRate, BatchTooSmall, LabelOutOfRange, ShapeMismatch
+from ..errors import BatchTooSmall, LabelOutOfRange, ShapeMismatch
 from .tensor import Tensor, as_tensor
 
 
@@ -60,14 +61,6 @@ def transpose(a, axes) -> Tensor:
     out = Tensor(a.data.transpose(axes), a.requires_grad, parents=(a,))
     if a.requires_grad:
         out._backward = lambda g: a.accumulate(g.transpose(inverse))
-    return out
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0), a.requires_grad, parents=(a,))
-    if a.requires_grad:
-        out._backward = lambda g: a.accumulate(g * (a.data > 0))
     return out
 
 
@@ -202,71 +195,70 @@ def attention(seq, w, b, v):
     return out, weights
 
 
-def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
-    """Train mode zeroes cells with probability `rate` and rescales the
-    survivors by 1/(1-rate); eval mode is the identity."""
-    if not 0.0 <= rate < 1.0:
-        raise BadRate(f"dropout rate must be in [0, 1), got {rate}")
-    a = as_tensor(a)
-    if mode == "eval" or rate == 0.0:
-        return a
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    keep = (rng.random(a.shape) >= rate).astype(a.dtype) / (1.0 - rate)
-    out = Tensor(a.data * keep, a.requires_grad, parents=(a,))
-    if a.requires_grad:
-        out._backward = lambda g: a.accumulate(g * keep)
-    return out
-
-
-def batch_norm(
-    a,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    mode: str,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Normalize each feature column of a [rows, features] input over its
-    rows. Train mode uses batch statistics and updates `running_mean` and
-    `running_var` in place; eval mode applies them as a fixed affine map."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"batch norm expects [rows, features], got {a.shape}")
-    count = a.shape[0]
-
-    if mode == "train":
-        if count < 2:
-            raise BatchTooSmall(f"batch norm needs >= 2 values per feature, got {count}")
-        mean = a.data.mean(axis=0)
-        var = a.data.var(axis=0)
+def fc_block(x, w, b, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
+             rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
+    """One FC layer of the CNN as one node: x [rows, in] @ w [in, out] + b,
+    batch norm of each column over the rows (Ioffe & Szegedy,
+    arXiv:1502.03167), ReLU, then inverted dropout at `rate` with the mask
+    `rng.random(shape) >= rate`. Train mode uses the batch's statistics and
+    updates the running ones in place; eval mode applies those as a fixed
+    affine map and drops nothing. Only x-hat and the output are kept: a kept
+    positive cell stays positive, so the ReLU-and-dropout mask is `out > 0`
+    times the dropout scale (as in `conv2d`). Each step computes what the
+    separate dense, batch-norm, ReLU and dropout ops did, bit for bit."""
+    x, w, b, gamma, beta = (as_tensor(t) for t in (x, w, b, gamma, beta))
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatch(f"fc block of {x.shape} with weights {w.shape}")
+    count = x.shape[0]
+    train = mode == "train"
+    if train and count < 2:
+        raise BatchTooSmall(f"batch norm needs >= 2 values per feature, got {count}")
+    drop = train and rate > 0.0
+    momentum, eps = 0.9, 1e-5  # the running statistics' decay; the variance floor
+    xhat = x.data @ w.data  # the dense output, normalised in place below
+    xhat += b.data
+    if train:
+        mean, var = xhat.mean(axis=0), xhat.var(axis=0)
         running_mean[...] = momentum * running_mean + (1.0 - momentum) * mean
         running_var[...] = momentum * running_var + (1.0 - momentum) * var
     else:
-        mean = running_mean.astype(a.dtype)
-        var = running_var.astype(a.dtype)
+        mean, var = running_mean.astype(xhat.dtype), running_var.astype(xhat.dtype)
+    inv = (1.0 / np.sqrt(var + eps)).astype(xhat.dtype)
+    xhat -= mean
+    xhat *= inv
+    out_data = gamma.data * xhat
+    out_data += beta.data
+    np.maximum(out_data, 0, out=out_data)
+    if drop:
+        scale = xhat.dtype.type(1.0) / (1.0 - rate)
+        out_data *= rng.random(out_data.shape) >= rate
+        out_data *= scale
 
-    inv = (1.0 / np.sqrt(var + eps)).astype(a.dtype)
-    xhat = (a.data - mean) * inv
-    out_data = gamma.data * xhat + beta.data
-    req = a.requires_grad or gamma.requires_grad or beta.requires_grad
-    out = Tensor(out_data, req, parents=(a, gamma, beta))
+    parents = (x, w, b, gamma, beta)
+    req = any(p.requires_grad for p in parents)
+    out = Tensor(out_data, req, parents=parents)
     if req:
         def _bw(g):
+            g *= out_data > 0  # in place: `g` is this node's own `.grad`
+            if drop:
+                g *= scale
             if gamma.requires_grad:
-                gamma.accumulate((g * xhat).sum(axis=0))
+                gamma.accumulate((g * xhat).sum(axis=0), fresh=True)
             if beta.requires_grad:
-                beta.accumulate(g.sum(axis=0))
-            if a.requires_grad:
-                dxhat = g * gamma.data
-                if mode == "train":
-                    s1 = dxhat.sum(axis=0)
-                    s2 = (dxhat * xhat).sum(axis=0)
-                    a.accumulate(inv * (dxhat - s1 / count - xhat * s2 / count))
-                else:
-                    a.accumulate(dxhat * inv)
+                beta.accumulate(g.sum(axis=0), fresh=True)
+            dxhat = g * gamma.data
+            if train:
+                s1 = dxhat.sum(axis=0)
+                s2 = (dxhat * xhat).sum(axis=0)
+                g = inv * (dxhat - s1 / count - xhat * s2 / count)
+            else:
+                g = dxhat * inv
+            if b.requires_grad:
+                b.accumulate(g.sum(axis=0), fresh=True)
+            if x.requires_grad:
+                x.accumulate(g @ w.data.T, fresh=True)
+            if w.requires_grad:
+                w.accumulate(x.data.T @ g, fresh=True)
         out._backward = _bw
     return out
 

@@ -125,17 +125,31 @@ def attention_inputs(rng):
     }
 
 
-def batchnorm_case(tensors):
-    return ops.batch_norm(tensors["x"], tensors["gamma"], tensors["beta"],
-                          np.zeros(4), np.ones(4), "train")
-
-
-def batchnorm_inputs(rng):
-    return {
-        "x": rng.normal(size=(6, 4)),
+def fc_block_inputs(rng, bias=True):
+    """Without `bias`, b is a constant zero: train mode's batch mean cancels
+    it, so its true gradient is 0 and a finite difference reads only noise."""
+    arrays = {
+        "x": rng.normal(size=(6, 5)),
+        "w": rng.normal(size=(5, 4)),
         "gamma": rng.normal(size=4) + 1.5,
         "beta": rng.normal(size=4),
     }
+    if bias:
+        arrays["b"] = rng.normal(size=4)
+    return arrays
+
+
+def fc_block_case_factory(mode, rate=0.0, rng_seed=0):
+    """`ops.fc_block` on fresh running statistics (eval mode applies them)
+    and, for dropout, a fresh rng from `rng_seed`, so every call draws the
+    same mask."""
+    def case(tensors):
+        b = tensors.get("b", np.zeros(4))
+        return ops.fc_block(tensors["x"], tensors["w"], b, tensors["gamma"], tensors["beta"],
+                            np.linspace(-0.5, 0.5, 4), np.linspace(0.5, 2.0, 4),
+                            rate, mode, np.random.default_rng(rng_seed))
+
+    return case
 
 
 def softmax_ce_case_factory(labels):
@@ -159,16 +173,23 @@ def check_softmax_ce(seed: int) -> float:
     return max_rel_err(t.grad, numeric_grad(objective, logits))
 
 
-def check_dropout(seed: int) -> float:
-    """Dropout gradients against the realized mask (same rng stream)."""
+def check_fc_block_dropout(seed: int) -> float:
+    """`fc_block`'s gradients with dropout against its gradients without,
+    under the upstream gradient times the realized mask: the output over
+    the dropout-free output (same inputs, same rng stream)."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(5, 6))
-    t = Tensor(x, requires_grad=True)
-    out = ops.dropout(t, 0.3, "train", np.random.default_rng(seed + 1))
-    mask = out.data / np.where(x == 0.0, 1.0, x)
-    projection = rng.normal(size=out.shape)
+    arrays = fc_block_inputs(rng)
+    projection = rng.normal(size=(6, 4))
+    runs = []
+    for rate in (0.3, 0.0):
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        out = fc_block_case_factory("train", rate, seed + 1)(tensors)
+        runs.append((tensors, out))
+    (dropped, out), (plain, ref) = runs
+    mask = out.data / np.where(ref.data == 0.0, 1.0, ref.data)
     out.backward(projection)
-    return max_rel_err(t.grad, projection * mask)
+    ref.backward(projection * mask)
+    return max(max_rel_err(dropped[k].grad, plain[k].grad) for k in arrays)
 
 
 def check_maxpool(seed: int) -> float:
@@ -213,8 +234,15 @@ GRADIENT_SUITE = {
         lambda rng: blstm_inputs(rng, n_steps=1), blstm_case, seed
     ),
     "attention": lambda seed: check_op(attention_inputs, attention_case, seed),
-    "batchnorm": lambda seed: check_op(batchnorm_inputs, batchnorm_case, seed),
+    # fc_block by the stage its mode switches: batch norm in train mode
+    # (no dropout) and in eval mode, then dropout
+    "batchnorm": lambda seed: check_op(
+        lambda rng: fc_block_inputs(rng, bias=False), fc_block_case_factory("train"), seed
+    ),
+    "batchnorm_eval": lambda seed: check_op(
+        fc_block_inputs, fc_block_case_factory("eval", rate=0.3), seed
+    ),
+    "dropout": check_fc_block_dropout,
     "softmax_ce": check_softmax_ce,
-    "dropout": check_dropout,
     "maxpool": check_maxpool,
 }

@@ -173,6 +173,19 @@ def patch_header(src: Path, dst: Path, edit) -> None:
     dst.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n :])
 
 
+def test_eval_checkpoint_with_non_finite_weight_exits_2(tiny, trained, tmp_path, capsys):
+    # it once loaded and scored the argmax of NaN logits with exit 0
+    raw = bytearray((trained / "checkpoint_last.bin").read_bytes())
+    (n,) = struct.unpack_from("<I", raw, 8)
+    struct.pack_into("<f", raw, 12 + n, math.nan)  # the first cell of the first parameter
+    (tmp_path / "nan.bin").write_bytes(raw)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", tmp_path / "nan.bin", "--manifests", tiny["shift"],
+               "--out", tmp_path / "eval") == 2
+    err = capsys.readouterr().err
+    assert "NaN or Inf" in err and "Traceback" not in err
+
+
 def test_eval_checkpoint_with_mistyped_extra_exits_2(tiny, trained, tmp_path, capsys):
     # save_checkpoint refuses such an extra, so patch it into the header bytes
     patch_header(trained / "checkpoint_last.bin", tmp_path / "bad.bin",

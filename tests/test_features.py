@@ -1,12 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
 
 from crossemo import features
-from crossemo.audio import AudioBuffer, apply_volume
+from crossemo.audio import AudioBuffer, apply_volume, write_wav
 from crossemo.errors import EmptyAudio, SampleRateMismatch, ValidationFailure
 from crossemo.features import (
     FbankConfig,
     FeatureCache,
+    FeatureStore,
     compute_features,
     extract_fbank,
     fix_length,
@@ -14,7 +17,7 @@ from crossemo.features import (
     mel_filterbank,
     znorm_per_file,
 )
-from conftest import tone
+from conftest import make_manifest, tone
 
 DEFAULT = FbankConfig()
 
@@ -197,3 +200,44 @@ class TestFeatureCache:
         again = FeatureCache(tmp_path, DEFAULT)
         assert np.array_equal(again.get("utt2"), second)
         assert np.array_equal(again.get("utt3"), first)
+
+    # the second record's first id byte set to 0xFF, or its n_frames lowered
+    # by 1: damage that once raised a raw UnicodeDecodeError or ValueError
+    @pytest.mark.parametrize("offset,patch", [(4, b"\xff"), (8, struct.pack("<I", 774))],
+                             ids=["id-not-utf8", "n-frames"])
+    def test_damaged_record_dropped_on_open(self, tmp_path, offset, patch):
+        first = np.random.default_rng(1).normal(size=(775, 23)).astype(np.float32)
+        second = np.random.default_rng(2).normal(size=(775, 23)).astype(np.float32)
+        cache = FeatureCache(tmp_path, DEFAULT)
+        cache.put("utt1", first)
+        boundary = cache.bin_path.stat().st_size
+        cache.put("utt2", second)
+        cache.put("utt3", first)
+        with open(cache.bin_path, "r+b") as fh:
+            fh.seek(boundary + offset)
+            fh.write(patch)
+
+        reopened = FeatureCache(tmp_path, DEFAULT)
+        assert "utt2" not in reopened and "utt3" not in reopened
+        assert np.array_equal(reopened.get("utt1"), first)
+        assert cache.bin_path.stat().st_size == boundary
+        reopened.put("utt2", second)
+        again = FeatureCache(tmp_path, DEFAULT)
+        assert np.array_equal(again.get("utt2"), second)
+
+    def test_non_finite_record_recomputed(self, tmp_path):
+        # a NaN cell once reached training and surfaced as DivergedLoss
+        write_wav(tone(300, 0.5), tmp_path / "a.wav")
+        manifest = make_manifest(1, audio_path=str(tmp_path / "a.wav"))
+        values = FeatureStore(manifest, DEFAULT, tmp_path / "cache").get("u0000")
+        bin_path = tmp_path / "cache" / "features.bin"
+        with open(bin_path, "r+b") as fh:
+            fh.seek(4 + len("u0000") + 8 + 4 * 100)  # cell 100 of the only record
+            fh.write(struct.pack("<f", float("nan")))
+        assert FeatureCache(tmp_path / "cache", DEFAULT).get("u0000") is None
+
+        size = bin_path.stat().st_size
+        store = FeatureStore(manifest, DEFAULT, tmp_path / "cache")
+        assert np.array_equal(store.get("u0000"), values)
+        assert bin_path.stat().st_size == 2 * size  # written again after the damaged copy
+        assert np.array_equal(FeatureCache(tmp_path / "cache", DEFAULT).get("u0000"), values)

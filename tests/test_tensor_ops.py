@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossemo.errors import BadRate, BatchTooSmall, LabelOutOfRange, ShapeMismatch
+from crossemo.errors import BatchTooSmall, LabelOutOfRange, ShapeMismatch
 from crossemo.nn import ops
 from crossemo.nn.tensor import Tensor
 from gradcheck import GRADIENT_SUITE, REL_TOL
@@ -215,60 +215,139 @@ class TestMaxPool:
         assert not x.grad[:, :, 4, :].any() and not x.grad[:, :, :, 6].any()
 
 
+def numpy_fc_block(x, w, b, gamma, beta, mean, var, rate, mode, rng, g,
+                   momentum=0.9, eps=1e-5):
+    """Oracle: `ops.fc_block` as separate dense, batch-norm, ReLU and dropout
+    ops computed it, forward and then backward node by node, on copies of
+    the running statistics. Returns (out, dx, dw, db, dgamma, dbeta,
+    running mean, running var)."""
+    mean, var = mean.copy(), var.copy()
+    dense = x @ w
+    dense += b
+    count = dense.shape[0]
+    if mode == "train":
+        mu, sigma2 = dense.mean(axis=0), dense.var(axis=0)
+        mean[...] = momentum * mean + (1.0 - momentum) * mu
+        var[...] = momentum * var + (1.0 - momentum) * sigma2
+    else:
+        mu, sigma2 = mean.astype(dense.dtype), var.astype(dense.dtype)
+    inv = (1.0 / np.sqrt(sigma2 + eps)).astype(dense.dtype)
+    xhat = (dense - mu) * inv
+    bn = gamma * xhat + beta
+    out = np.maximum(bn, 0)
+    if mode == "train" and rate > 0.0:
+        keep = (rng.random(out.shape) >= rate).astype(out.dtype) / (1.0 - rate)
+        out = out * keep
+        g = g * keep
+    g = g * (bn > 0)
+    dgamma, dbeta = (g * xhat).sum(axis=0), g.sum(axis=0)
+    dxhat = g * gamma
+    if mode == "train":
+        s1 = dxhat.sum(axis=0)
+        s2 = (dxhat * xhat).sum(axis=0)
+        g = inv * (dxhat - s1 / count - xhat * s2 / count)
+    else:
+        g = dxhat * inv
+    return out, g @ w.T, x.T @ g, g.sum(axis=0), dgamma, dbeta, mean, var
+
+
+class TestFcBlockExact:
+    @pytest.mark.parametrize("mode,rate", [("train", 0.0), ("train", 0.3), ("eval", 0.3)],
+                             ids=["train", "train-dropout", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_numpy_reference(self, mode, rate, dtype):
+        rng = np.random.default_rng(14)
+        x, w, g = (rng.normal(size=shape).astype(dtype) for shape in ((12, 7), (7, 5), (12, 5)))
+        b, gamma, beta = (rng.normal(size=5).astype(dtype) for _ in range(3))
+        gamma += 1.0
+        mean, var = rng.normal(size=5).astype(dtype), rng.uniform(0.5, 2.0, 5).astype(dtype)
+        tensors = [Tensor(a, requires_grad=True) for a in (x, w, b, gamma, beta)]
+        stats = [mean.copy(), var.copy()]
+        out = ops.fc_block(*tensors, *stats, rate, mode, np.random.default_rng(5))
+        out.backward(g)
+        expected = numpy_fc_block(x, w, b, gamma, beta, mean, var, rate, mode,
+                                  np.random.default_rng(5), g)
+        got = (out.data, *(t.grad for t in tensors), *stats)
+        names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "running mean", "running var")
+        assert 0 < np.count_nonzero(out.data) < out.size
+        for name, a, want in zip(names, got, expected):
+            assert a.dtype == dtype and np.array_equal(a, want), name
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            ops.fc_block(np.zeros((4, 3)), np.zeros((2, 3)), np.zeros(3), np.ones(3),
+                         np.zeros(3), np.zeros(3), np.ones(3), 0.0, "eval")
+
+
+def identity_fc(x, gamma, beta, mean, var, rate, mode, rng=None):
+    """`ops.fc_block` with w = I and b = 0: batch norm, ReLU and dropout of x."""
+    n = x.shape[1]
+    return ops.fc_block(Tensor(x), Tensor(np.eye(n)), Tensor(np.zeros(n)), Tensor(gamma),
+                        Tensor(beta), mean, var, rate, mode, rng)
+
+
 class TestBatchNorm:
+    """The batch-norm stage of `ops.fc_block`."""
+
     def test_train_mode_normalizes(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(3.0, 2.0, size=(64, 5)))
-        out = ops.batch_norm(
-            x, Tensor(np.ones(5)), Tensor(np.zeros(5)), np.zeros(5), np.ones(5), "train"
-        )
-        assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-7)
+        x = rng.normal(3.0, 2.0, size=(64, 5))
+        # a shift of 10 keeps every normalized cell above the ReLU's kink
+        out = identity_fc(x, np.ones(5), np.full(5, 10.0), np.zeros(5), np.ones(5), 0.0, "train")
+        assert out.data.min() > 0.0
+        assert np.allclose(out.data.mean(axis=0), 10.0, atol=1e-7)
         assert np.allclose(out.data.var(axis=0), 1.0, atol=1e-4)
 
     def test_eval_mode_is_affine_and_batch_independent(self):
         rng = np.random.default_rng(2)
         mean, var = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
-        gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        gamma, beta = rng.normal(size=4) + 1.0, rng.normal(size=4)
         row = rng.normal(size=(1, 4))
-        solo = ops.batch_norm(Tensor(row), gamma, beta, mean, var, "eval").data
+        solo = identity_fc(row, gamma, beta, mean, var, 0.5, "eval").data
         batch = np.vstack([row, rng.normal(size=(7, 4))])
-        joined = ops.batch_norm(Tensor(batch), gamma, beta, mean, var, "eval").data
+        joined = identity_fc(batch, gamma, beta, mean, var, 0.5, "eval").data
         assert np.allclose(solo[0], joined[0])
+        affine = gamma * (batch - mean) / np.sqrt(var + 1e-5) + beta
+        assert np.allclose(joined, np.maximum(affine, 0.0))
 
     def test_running_stats_update(self):
         mean, var = np.zeros(2), np.ones(2)
-        x = Tensor(np.array([[1.0, 10.0], [3.0, 14.0]]))
-        ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), mean, var, "train")
+        x = np.array([[1.0, 10.0], [3.0, 14.0]])
+        identity_fc(x, np.ones(2), np.zeros(2), mean, var, 0.0, "train")
         assert np.allclose(mean, 0.9 * 0.0 + 0.1 * np.array([2.0, 12.0]))
+        assert np.allclose(var, 0.9 * 1.0 + 0.1 * np.array([1.0, 4.0]))
 
     def test_batch_too_small(self):
         with pytest.raises(BatchTooSmall):
-            ops.batch_norm(Tensor(np.zeros((1, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                           np.zeros(3), np.ones(3), "train")
+            identity_fc(np.zeros((1, 3)), np.ones(3), np.zeros(3), np.zeros(3), np.ones(3),
+                        0.0, "train")
 
 
 class TestDropout:
+    """The dropout stage of `ops.fc_block`. Inputs whose x-hat is 0 make the
+    ReLU's output relu(beta), so dropout's effect is all that is left."""
+
+    BETA = np.array([1.0, 2.0, -1.0, 0.5])
+
     def test_rate_zero_identity(self):
-        x = Tensor(np.ones((4, 4)))
-        out = ops.dropout(x, 0.0, "train", np.random.default_rng(0))
-        assert np.array_equal(out.data, x.data)
+        # constant columns: train mode's x-hat is 0; no rng, so nothing is drawn
+        out = identity_fc(np.ones((4, 4)), np.ones(4), self.BETA, np.zeros(4), np.ones(4),
+                          0.0, "train")
+        assert np.array_equal(out.data, np.tile(np.maximum(self.BETA, 0.0), (4, 1)))
 
     def test_eval_identity(self):
-        x = Tensor(np.ones((4, 4)))
-        out = ops.dropout(x, 0.5, "eval")
-        assert np.array_equal(out.data, x.data)
+        mean = np.array([0.3, -1.0, 2.0, 0.0])
+        out = identity_fc(np.tile(mean, (4, 1)), np.ones(4), self.BETA, mean, np.ones(4),
+                          0.5, "eval")
+        assert np.array_equal(out.data, np.tile(np.maximum(self.BETA, 0.0), (4, 1)))
 
     def test_empirical_drop_fraction(self):
-        x = Tensor(np.ones((400, 250)))
-        out = ops.dropout(x, 0.2, "train", np.random.default_rng(3))
+        out = identity_fc(np.ones((400, 250)), np.ones(250), np.ones(250), np.zeros(250),
+                          np.ones(250), 0.2, "train", np.random.default_rng(3))
         dropped = float((out.data == 0.0).mean())
         assert abs(dropped - 0.2) < 0.01
         survivors = out.data[out.data != 0.0]
         assert np.allclose(survivors, 1.0 / 0.8)
-
-    def test_bad_rate(self):
-        with pytest.raises(BadRate):
-            ops.dropout(Tensor(np.ones(3)), 1.0, "train", np.random.default_rng(0))
 
 
 class TestSoftmaxCrossEntropy:
@@ -304,7 +383,7 @@ class TestPlumbing:
     def test_backward_needs_scalar(self):
         t = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(ShapeMismatch):
-            ops.relu(t).backward()
+            ops.reshape(t, (4,)).backward()
 
     def test_gradient_accumulation_on_reuse(self):
         # x @ x with x symmetric: under an identity upstream gradient each
@@ -342,7 +421,7 @@ class TestPlumbing:
     def test_constant_nodes_keep_no_parents(self):
         x = Tensor(np.ones((2, 1, 4, 4)))
         w = Tensor(np.ones((2, 1, 3, 3)))
-        out = ops.relu(ops.conv2d(x, w, Tensor(np.zeros(2))))
+        out = ops.max_pool2d(ops.conv2d(x, w, Tensor(np.zeros(2))), 2)
         assert out._parents == () and out._backward is None
 
     def test_dense_shape_mismatch(self):
