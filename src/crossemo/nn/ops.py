@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BatchTooSmall, LabelOutOfRange, ShapeMismatch
+from ..errors import BadConfig, BatchTooSmall, LabelOutOfRange, ShapeMismatch
 from .tensor import Tensor, as_tensor
 
 
@@ -200,15 +200,17 @@ def fc_block(x, w, b, gamma, beta, running_mean: np.ndarray, running_var: np.nda
     """One FC layer of the CNN as one node: x [rows, in] @ w [in, out] + b,
     batch norm of each column over the rows (Ioffe & Szegedy,
     arXiv:1502.03167), ReLU, then inverted dropout at `rate` with the mask
-    `rng.random(shape) >= rate`. Train mode uses the batch's statistics and
-    updates the running ones in place; eval mode applies those as a fixed
-    affine map and drops nothing. Only x-hat and the output are kept: a kept
+    `rng.random(shape) >= rate`; a rate outside [0, 1) raises BadConfig.
+    Train mode uses the batch's statistics and updates the running ones in
+    place; eval mode applies those as a fixed affine map and drops nothing. Only x-hat and the output are kept: a kept
     positive cell stays positive, so the ReLU-and-dropout mask is `out > 0`
     times the dropout scale (as in `conv2d`). Each step computes what the
     separate dense, batch-norm, ReLU and dropout ops did, bit for bit."""
     x, w, b, gamma, beta = (as_tensor(t) for t in (x, w, b, gamma, beta))
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"fc block of {x.shape} with weights {w.shape}")
+    if not 0.0 <= rate < 1.0:
+        raise BadConfig(f"dropout rate must be in [0, 1), got {rate}")
     count = x.shape[0]
     train = mode == "train"
     if train and count < 2:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossemo.errors import BatchTooSmall, LabelOutOfRange, ShapeMismatch
+from crossemo.errors import BadConfig, BatchTooSmall, LabelOutOfRange, ShapeMismatch
 from crossemo.nn import ops
 from crossemo.nn.tensor import Tensor
 from gradcheck import GRADIENT_SUITE, REL_TOL
@@ -348,6 +348,12 @@ class TestDropout:
         assert abs(dropped - 0.2) < 0.01
         survivors = out.data[out.data != 0.0]
         assert np.allclose(survivors, 1.0 / 0.8)
+
+    def test_bad_rate(self):
+        for rate, mode in ((1.0, "train"), (-0.1, "train"), (1.0, "eval")):
+            with pytest.raises(BadConfig):
+                identity_fc(np.ones((4, 4)), np.ones(4), self.BETA, np.zeros(4), np.ones(4),
+                            rate, mode, np.random.default_rng(0))
 
 
 class TestSoftmaxCrossEntropy:
