@@ -15,7 +15,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .errors import CrossEmoError, ValidationFailure
+from .errors import CrossEmoError, ValidationFailure, from_fields
 from .ioutil import atomic_write_text, read_json, write_json
 
 
@@ -41,8 +41,7 @@ def cmd_prepare(args) -> int:
     manifest = corpus.load_manifest(args.manifest)
     discards = None
     if args.label_map != "none":
-        mapper = {"iemocap": corpus.map_labels_iemocap, "mosei": corpus.map_labels_mosei}
-        result = mapper[args.label_map](manifest)
+        result = corpus.LABEL_MAPS[args.label_map](manifest)
         manifest, discards = result.manifest, result.discarded
 
     # fold options left off the command line are absent here and take
@@ -110,13 +109,16 @@ def _run_training(cfg, store=None, resume: bool = False):
     return manifest, fold, graph, result
 
 
-def _eval_sets(paths, features, restrict_classes: bool) -> list:
-    """(manifest, feature store, restrict_classes) for each manifest path;
-    every manifest is loaded before any is scored."""
+def _eval_sets(paths, features, restrict_classes: bool, matched: str | None = None) -> list:
+    """(manifest, feature store, restrict_classes) per path, all loaded before any is scored.
+    Each writes files named after it: no two, nor one and `matched`, may share a name."""
     from .corpus import load_manifest
     from .features import FeatureStore
 
     manifests = [load_manifest(path) for path in paths]
+    names = [m.name for m in manifests] + ([matched] if matched else [])
+    if repeated := sorted({n for n in names if names.count(n) > 1}):
+        raise ValidationFailure(f"more than one test set is named {', '.join(repeated)}")
     return [(m, FeatureStore(m, features), restrict_classes) for m in manifests]
 
 
@@ -171,7 +173,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .errors import from_fields
     from .nn.checkpoint import graph_from_checkpoint, load_checkpoint
     from .train import CheckpointExtra
 
@@ -221,10 +222,9 @@ def cmd_pipeline(args) -> int:
     from . import corpus
     from .augment import augment_corpus
     from .config import PipelineSections, load_json_config, resolve_experiment_config
-    from .errors import from_fields
     from .features import FeatureStore
     from .report import build_cross_matrix, save_report
-    from .synth import generate_corpus
+    from .synth import corpus_manifest, generate_corpus
 
     raw = load_json_config(args.config)
     base_dir = Path(args.config).parent
@@ -236,30 +236,33 @@ def cmd_pipeline(args) -> int:
     augment = sections.augment
     manifest_file = "manifest.jsonl" if augment is None else "manifest.augmented.jsonl"
     # the rest of the config is one `crossemo train` reads over the files
-    # written below; it is checked before any work
+    # written below. It, the corpus, the fold plan and the test sets are all
+    # checked before any work: a synthetic corpus is rendered only after
     run_raw = {k: v for k, v in raw.items() if k not in own}
+    if ignored := sorted({"fold_plan", "fold_index"} & set(run_raw)):
+        raise ValidationFailure(f"the pipeline plans its own folds; drop {', '.join(ignored)}")
     run_raw["manifest"] = str(run_dir / manifest_file)
     run_raw["fold_plan"] = str(run_dir / "folds.json")
     run_raw["out_dir"] = str(run_dir)
     cfg = resolve_experiment_config(run_raw, base_dir=base_dir)
 
-    manifest_path = sections.manifest
     if (spec := sections.synth) is not None:
-        corpus_dir = run_dir / f"corpus-{spec.name}"
-        generate_corpus(spec, base_dir / corpus_dir)
-        manifest_path = corpus_dir / "manifest.jsonl"
-    if manifest_path is None:
+        corpus_dir = out_dir / f"corpus-{spec.name}"
+        manifest = corpus_manifest(spec, corpus_dir)
+    elif sections.manifest is not None:
+        manifest = corpus.load_manifest(base_dir / sections.manifest)
+    else:
         raise ValidationFailure("pipeline config needs either 'synth' or 'manifest'")
-
-    manifest = corpus.load_manifest(base_dir / manifest_path)
     plan = corpus.make_fold_plan(manifest, **asdict(sections.folds))
     every_fold = range(len(plan.folds))
     fold_indices = every_fold if sections.fold_indices is None else sections.fold_indices
     if len(set(fold_indices)) < len(fold_indices) or not set(fold_indices) <= set(every_fold):
-        raise ValidationFailure(
-            f"fold_indices {list(fold_indices)} must name distinct folds of the "
-            f"{len(plan.folds)} in the plan"
-        )
+        raise ValidationFailure(f"fold_indices {list(fold_indices)} must name distinct folds "
+                                f"of the {len(plan.folds)} in the plan")
+    eval_sets = _eval_sets(cfg.eval_manifests, cfg.features, cfg.restrict_classes, manifest.name)
+
+    if spec is not None:
+        generate_corpus(spec, corpus_dir)
     corpus.save_manifest(manifest, out_dir / "manifest.jsonl")
     corpus.save_fold_plan(plan, out_dir / "folds.json")
     if augment is not None:
@@ -271,7 +274,6 @@ def cmd_pipeline(args) -> int:
     # one store per manifest, shared by every fold: each utterance's
     # features are computed once per pipeline
     store = FeatureStore(manifest, cfg.features, cfg.feature_cache)
-    eval_sets = _eval_sets(cfg.eval_manifests, cfg.features, cfg.restrict_classes)
 
     runs = []
     for fold_index in fold_indices:
@@ -294,6 +296,8 @@ def cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .corpus import LABEL_MAPS
+
     parser = argparse.ArgumentParser(
         prog="crossemo",
         description="Cross-corpus speech emotion recognition experiment toolkit.",
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="map labels and build a fold plan")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--label-map", choices=("none", "iemocap", "mosei"), default="none")
+    p.add_argument("--label-map", choices=("none", *LABEL_MAPS), default="none")
     p.add_argument("--strategy", required=True)
     p.add_argument("--n-folds", type=int, default=argparse.SUPPRESS)
     p.add_argument("--test-speakers", type=int, default=argparse.SUPPRESS)

@@ -223,6 +223,9 @@ def map_labels_mosei(manifest: CorpusManifest) -> LabelMapResult:
     return LabelMapResult(CorpusManifest(manifest.name, tuple(kept)), discarded)
 
 
+LABEL_MAPS = {"iemocap": map_labels_iemocap, "mosei": map_labels_mosei}
+
+
 @dataclass(frozen=True)
 class Fold:
     train_ids: tuple[str, ...]

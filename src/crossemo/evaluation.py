@@ -21,7 +21,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ClassSetMismatch, EmptyMatrix, UnknownLabel
+from .errors import ClassSetMismatch, EmptyMatrix, RuntimeFailure, UnknownLabel
+
+# utterances per eval-mode forward, in evaluation and in training's validation
+EVAL_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -169,23 +172,21 @@ class EvalResult:
     restricted: bool
 
 
-def batched_logits(graph, store, ids, batch_size: int = 64):
-    """Eval-mode forward over `ids`, `batch_size` utterances at a time.
-    Yields (batch ids, logits array) per batch."""
+def batched_logits(graph, store, ids):
+    """Eval-mode forward over `ids`, EVAL_BATCH utterances at a time.
+    Yields (batch ids, logits array) per batch. A logit that is not finite
+    raises RuntimeFailure: its argmax would be a prediction of nothing."""
     graph.set_mode("eval")
-    for start in range(0, len(ids), batch_size):
-        chunk = list(ids[start : start + batch_size])
-        yield chunk, graph.forward(store.batch(chunk)).data
+    for start in range(0, len(ids), EVAL_BATCH):
+        chunk = list(ids[start : start + EVAL_BATCH])
+        logits = graph.forward(store.batch(chunk)).data
+        if not np.isfinite(logits).all():
+            raise RuntimeFailure(f"non-finite logits in eval batch {start // EVAL_BATCH} "
+                                 f"({chunk[0]} .. {chunk[-1]})")
+        yield chunk, logits
 
 
-def evaluate_model(
-    graph,
-    classes,
-    manifest,
-    store,
-    restrict_classes: bool = False,
-    batch_size: int = 64,
-) -> EvalResult:
+def evaluate_model(graph, classes, manifest, store, restrict_classes: bool = False) -> EvalResult:
     """Eval-mode argmax over the checkpoint's classes.
 
     When the test corpus lacks some class, default mode keeps the full
@@ -205,7 +206,7 @@ def evaluate_model(
     ids = [r.id for r in manifest.records]
     labels = manifest.labels_by_id()
     predictions = []
-    for chunk, logits in batched_logits(graph, store, ids, batch_size):
+    for chunk, logits in batched_logits(graph, store, ids):
         sub = logits[:, allowed]
         for utt_id, row, subrow in zip(chunk, logits, sub):
             pred = classes[allowed[int(np.argmax(subrow))]]

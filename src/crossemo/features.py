@@ -19,34 +19,34 @@ from .audio import AudioBuffer, read_wav
 from .errors import EmptyAudio, IoFailure, SampleRateMismatch, ValidationFailure
 from .ioutil import read_json, write_json
 
+# the paper's front-end: 26-ms Hamming windows every 9 ms, a 512-point FFT,
+# and a floor on the Mel energies before the natural log
+WINDOW_MS = 26.0
+SHIFT_MS = 9.0
+FFT_SIZE = 512
+LOG_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class FbankConfig:
-    window_ms: float = 26.0
-    shift_ms: float = 9.0
     n_bands: int = 23
     max_seconds: float = 7.0
     sample_rate: int = 16000
-    fft_size: int = 512
-    log_floor: float = 1e-10
 
     def __post_init__(self):
-        if not (self.window_ms > self.shift_ms > 0):
-            raise ValidationFailure("need window_ms > shift_ms > 0")
-        if self.n_bands < 1:
-            raise ValidationFailure("n_bands must be >= 1")
-        if self.fft_size < self.window_samples:
-            raise ValidationFailure("fft_size must cover the analysis window")
-        if self.max_seconds <= 0 or self.sample_rate <= 0:
-            raise ValidationFailure("max_seconds and sample_rate must be positive")
+        if self.n_bands < 1 or self.max_seconds <= 0 or self.sample_rate <= 0:
+            raise ValidationFailure("n_bands, max_seconds and sample_rate must be positive")
+        if FFT_SIZE < self.window_samples or self.shift_samples < 1:
+            raise ValidationFailure(f"at {self.sample_rate} Hz the window exceeds the FFT size "
+                                    "or the shift is under one sample")
 
     @property
     def window_samples(self) -> int:
-        return int(round(self.window_ms * self.sample_rate / 1000.0))
+        return int(round(WINDOW_MS * self.sample_rate / 1000.0))
 
     @property
     def shift_samples(self) -> int:
-        return int(round(self.shift_ms * self.sample_rate / 1000.0))
+        return int(round(SHIFT_MS * self.sample_rate / 1000.0))
 
     @property
     def max_samples(self) -> int:
@@ -92,13 +92,13 @@ def mel_to_hz(m):
 
 @functools.cache
 def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
-    """Triangular Mel filters, shape [n_bands, fft_size//2 + 1], spanning
+    """Triangular Mel filters, shape [n_bands, FFT_SIZE//2 + 1], spanning
     0 Hz to Nyquist. Adjacent triangles share edges. Built once per config;
     every caller shares the one read-only array."""
     nyquist = cfg.sample_rate / 2.0
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), cfg.n_bands + 2)
     hz_points = mel_to_hz(mel_points)
-    bin_freqs = np.fft.rfftfreq(cfg.fft_size, d=1.0 / cfg.sample_rate)
+    bin_freqs = np.fft.rfftfreq(FFT_SIZE, d=1.0 / cfg.sample_rate)
     bank = np.zeros((cfg.n_bands, bin_freqs.size), dtype=np.float64)
     for m in range(cfg.n_bands):
         left, center, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
@@ -124,10 +124,10 @@ def extract_fbank(buffer: AudioBuffer, cfg: FbankConfig) -> np.ndarray:
         raise EmptyAudio(f"{x.size} samples is shorter than one analysis window")
     frames = np.lib.stride_tricks.sliding_window_view(x, window)[::shift][:n_frames]
     ham = np.hamming(window)
-    spectrum = np.fft.rfft(frames * ham, n=cfg.fft_size, axis=1)
+    spectrum = np.fft.rfft(frames * ham, n=FFT_SIZE, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     mel_energy = power @ mel_filterbank(cfg).T
-    return np.log(np.maximum(mel_energy, cfg.log_floor))
+    return np.log(np.maximum(mel_energy, LOG_FLOOR))
 
 
 def znorm_per_file(features: np.ndarray) -> np.ndarray:
@@ -168,10 +168,8 @@ class FeatureCache:
                 sidecar = None
             if sidecar == cfg.to_json() and self.bin_path.exists():
                 self._load_index()
-            else:
-                # config changed: start fresh
-                if self.bin_path.exists():
-                    self.bin_path.unlink()
+            else:  # config changed: start fresh
+                self.bin_path.unlink(missing_ok=True)
         write_json(self.sidecar_path, cfg.to_json())
 
     def _load_index(self):

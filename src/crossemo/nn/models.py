@@ -25,15 +25,17 @@ from .tensor import Tensor
 ARCH_CNN = "cnn-blstm-att"
 ARCH_BLSTM = "blstm-att"
 
+# the paper's CNN: 3x3 convolutions, and dropout at 0.2 after each FC layer
+CONV_KERNEL = 3
+FC_DROPOUT = 0.2
+
 
 @dataclass(frozen=True)
 class CnnBlstmAttConfig:
     conv_channels: tuple[int, ...] = (32, 32, 64, 64, 128, 128)
-    conv_kernel: int = 3
     pool_after: tuple[int, ...] = (2, 4, 6)  # 1-indexed conv layers followed by 2x2 max-pool
     blstm_hidden: int = 512
     fc_sizes: tuple[int, ...] = (512, 512, 256, 128)
-    dropout: float = 0.2
     attention_dim: int = 128
     n_classes: int = 4
     input_bands: int = 23
@@ -43,8 +45,6 @@ class CnnBlstmAttConfig:
             raise BadConfig("need at least one conv layer and one fc layer")
         if self.n_classes < 2:
             raise BadConfig("n_classes must be >= 2")
-        if not 0.0 <= self.dropout < 1.0:
-            raise BadConfig("dropout must be in [0, 1)")
         if any(p < 1 or p > len(self.conv_channels) for p in self.pool_after):
             raise BadConfig("pool_after entries must index conv layers (1-based)")
         if self.blstm_hidden < 1 or self.attention_dim < 1 or self.input_bands < 1:
@@ -139,7 +139,7 @@ def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
         flat = ops.fc_block(
             flat, *(graph.params[f"fc{j}.{n}"] for n in ("w", "b", "bn.gamma", "bn.beta")),
             graph.buffers[f"fc{j}.bn.mean"], graph.buffers[f"fc{j}.bn.var"],
-            cfg.dropout, graph.mode, dropout_rng)
+            FC_DROPOUT, graph.mode, dropout_rng)
     seq = ops.reshape(flat, (batch, t_out, cfg.fc_sizes[-1]))
 
     pooled, _ = layers.attention_forward(graph.params, "att", seq)
@@ -169,7 +169,7 @@ def build_cnn_blstm_att(cfg: CnnBlstmAttConfig, seed: int | None) -> ModelGraph:
     in_ch = 1
     bands = cfg.input_bands
     for i, out_ch in enumerate(cfg.conv_channels):
-        layers.add_conv(params, rng, f"conv{i}", in_ch, out_ch, cfg.conv_kernel)
+        layers.add_conv(params, rng, f"conv{i}", in_ch, out_ch, CONV_KERNEL)
         if (i + 1) in cfg.pool_after:
             bands //= 2
         in_ch = out_ch

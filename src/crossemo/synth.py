@@ -69,6 +69,8 @@ SYNTH_BLOCK = 4096
 _BASE_FORMANTS = (500.0, 1500.0, 2500.0)
 _BASE_BANDWIDTHS = (90.0, 140.0, 220.0)
 _FORMANT_GAINS = (1.0, 0.63, 0.35)
+# each speaker's formants sit within +-8 % of the corpus's (timbre-scaled) base
+SPEAKER_TIMBRE_SPREAD = 0.08
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,6 @@ class SynthCorpusSpec:
     classes: tuple[str, ...] = EMOTIONS_4
     duration_range: tuple[float, float] = (1.0, 1.4)
     seed: int = 0
-    speaker_timbre_spread: float = 0.08
     timbre_scale: float = 1.0
     pitch_scale: float = 1.0
     reverb_seconds: float = 0.0
@@ -101,11 +102,7 @@ class SynthCorpusSpec:
                 raise ValidationFailure(f"no class signature for {cls!r}")
 
     def to_json(self) -> dict:
-        obj = asdict(self)
-        obj["classes"] = list(self.classes)
-        obj["duration_range"] = list(self.duration_range)
-        obj["signatures"] = {c: asdict(s) for c, s in self.signatures.items()}
-        return obj
+        return asdict(self)  # tuples are written as JSON arrays
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthCorpusSpec":
@@ -142,9 +139,9 @@ class SpeakerVoice:
 def _speaker_voice(spec: SynthCorpusSpec, speaker_id: str) -> SpeakerVoice:
     rng = np.random.default_rng(stable_hash64(spec.seed, "speaker", speaker_id))
     u = rng.uniform(-1.0, 1.0, size=7)
-    spread = spec.speaker_timbre_spread
     formants = tuple(
-        spec.timbre_scale * f * (1.0 + spread * u[i]) for i, f in enumerate(_BASE_FORMANTS)
+        spec.timbre_scale * f * (1.0 + SPEAKER_TIMBRE_SPREAD * u[i])
+        for i, f in enumerate(_BASE_FORMANTS)
     )
     gains = tuple(g * (1.0 + 0.15 * u[3 + i]) for i, g in enumerate(_FORMANT_GAINS))
     # keep per-speaker pitch variation tighter than the cross-corpus shift
@@ -272,32 +269,30 @@ def _render_utterance(
     return np.clip(x, -1.0, 1.0, out=x)
 
 
-def generate_corpus(spec: SynthCorpusSpec, out_dir: str | Path) -> CorpusManifest:
-    """Render every utterance to WAV under `out_dir` and write
-    manifest.jsonl next to them. Class balance is exact by construction."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def corpus_manifest(spec: SynthCorpusSpec, out_dir: str | Path) -> CorpusManifest:
+    """The records `generate_corpus` writes under `out_dir`, from the spec
+    alone, with nothing rendered. Class balance is exact by construction."""
     records = []
     for s in range(spec.n_speakers):
         speaker_id = f"{spec.name}_s{s:02d}"
-        voice = _speaker_voice(spec, speaker_id)
         for cls in spec.classes:
             for j in range(spec.utterances_per_class_per_speaker):
                 utt_id = f"{spec.name}_{cls}_{speaker_id}_u{j:03d}"
-                samples = _render_utterance(spec, voice, spec.signatures[cls], utt_id)
-                path = out_dir / f"{utt_id}.wav"
-                write_wav(AudioBuffer(samples, spec.sample_rate), path)
-                records.append(
-                    UtteranceRecord(
-                        id=utt_id,
-                        audio_path=str(path),
-                        corpus=spec.name,
-                        speaker=speaker_id,
-                        style="acted",
-                        emotion=cls,
-                    )
-                )
-    manifest = CorpusManifest(name=spec.name, records=tuple(records))
+                records.append(UtteranceRecord(
+                    id=utt_id, audio_path=str(Path(out_dir) / f"{utt_id}.wav"),
+                    corpus=spec.name, speaker=speaker_id, style="acted", emotion=cls))
+    return CorpusManifest(name=spec.name, records=tuple(records))
+
+
+def generate_corpus(spec: SynthCorpusSpec, out_dir: str | Path) -> CorpusManifest:
+    """Render each record of `corpus_manifest`; write manifest.jsonl and spec.json."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = corpus_manifest(spec, out_dir)
+    for r in manifest.records:
+        voice = _speaker_voice(spec, r.speaker)
+        samples = _render_utterance(spec, voice, spec.signatures[r.emotion], r.id)
+        write_wav(AudioBuffer(samples, spec.sample_rate), r.audio_path)
     save_manifest(manifest, out_dir / "manifest.jsonl")
     write_json(out_dir / "spec.json", spec.to_json())
     return manifest

@@ -41,28 +41,26 @@ from .nn.models import ModelGraph
 from .nn.ops import softmax_cross_entropy
 
 
+# the paper's Adam (Kingma & Ba, arXiv:1412.6980), plateau schedule (see
+# plateau_update) and share of each class held out of the train side for validation
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+PLATEAU_PATIENCE = 4
+PLATEAU_FACTOR = 0.8
+PLATEAU_MIN_DELTA = 1e-6
+LR_FLOOR = 1e-7
+VALIDATION_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-4
     batch_size: int = 186
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    plateau_patience: int = 4
-    plateau_factor: float = 0.8
-    plateau_min_delta: float = 1e-6
-    lr_floor: float = 1e-7
-    validation_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ValidationFailure("plateau_factor must be in (0, 1)")
-        if self.plateau_patience < 1:
-            raise ValidationFailure("plateau_patience must be >= 1")
-        if not 0.0 < self.validation_fraction < 0.5:
-            raise ValidationFailure("validation_fraction must be in (0, 0.5)")
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ValidationFailure("epochs, batch_size, learning_rate must be positive")
 
@@ -80,13 +78,13 @@ class AdamState:
         return {f"{p}::{k}": a for p, d in (("m", self.m), ("v", self.v)) for k, a in d.items()}
 
 
-def adam_step(params: dict, state: AdamState, lr: float, cfg: TrainConfig) -> None:
+def adam_step(params: dict, state: AdamState, lr: float) -> None:
     """One Adam update from the gradients stored on the parameters.
     Parameters without a gradient this step are left untouched."""
     state.t += 1
     t = state.t
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -95,11 +93,11 @@ def adam_step(params: dict, state: AdamState, lr: float, cfg: TrainConfig) -> No
             raise ShapeMismatch(f"{name}: gradient {g.shape} vs parameter {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -109,17 +107,17 @@ class PlateauState:
     stall: int = 0
 
 
-def plateau_update(state: PlateauState, val_metric: float, cfg: TrainConfig) -> PlateauState:
-    """Higher-is-better metric. An improvement beyond min_delta resets the
-    stall counter; once the counter reaches the patience the learning rate
-    is multiplied by the factor (floored at lr_floor) and the counter
-    resets. The rate never increases."""
-    if val_metric > state.best + cfg.plateau_min_delta:
+def plateau_update(state: PlateauState, val_metric: float) -> PlateauState:
+    """Higher-is-better metric. An improvement beyond PLATEAU_MIN_DELTA
+    resets the stall counter; once the counter reaches PLATEAU_PATIENCE the
+    learning rate is multiplied by PLATEAU_FACTOR (floored at LR_FLOOR) and
+    the counter resets. The rate never increases."""
+    if val_metric > state.best + PLATEAU_MIN_DELTA:
         return PlateauState(lr=state.lr, best=val_metric, stall=0)
     stall = state.stall + 1
-    if stall >= cfg.plateau_patience:
+    if stall >= PLATEAU_PATIENCE:
         return PlateauState(
-            lr=max(state.lr * cfg.plateau_factor, cfg.lr_floor), best=state.best, stall=0
+            lr=max(state.lr * PLATEAU_FACTOR, LR_FLOOR), best=state.best, stall=0
         )
     return PlateauState(lr=state.lr, best=state.best, stall=stall)
 
@@ -194,11 +192,11 @@ class TrainResult:
     val_ids: tuple
 
 
-def predict_ids(graph: ModelGraph, store, ids, classes, batch_size: int = 64):
+def predict_ids(graph: ModelGraph, store, ids, classes):
     """Eval-mode argmax predictions: list of (id, predicted class)."""
     return [
         (utt_id, classes[int(np.argmax(row))])
-        for chunk, logits in batched_logits(graph, store, ids, batch_size)
+        for chunk, logits in batched_logits(graph, store, ids)
         for utt_id, row in zip(chunk, logits)
     ]
 
@@ -231,7 +229,7 @@ def train_model(
         if labels.get(utt_id) is None:
             raise ValidationFailure(f"record {utt_id!r} has no emotion label")
 
-    fit_ids, val_ids = carve_validation(fold.train_ids, labels, cfg.validation_fraction, cfg.seed)
+    fit_ids, val_ids = carve_validation(fold.train_ids, labels, VALIDATION_FRACTION, cfg.seed)
     val_set = set(val_ids)
     fit_ids += tuple(u for u in copies if manifest.get(u).source_id not in val_set)
 
@@ -296,7 +294,7 @@ def train_model(
                     f"{out_dir / 'diverged_state.json'}"
                 )
             loss.backward()
-            adam_step(graph.params, adam, plateau.lr, cfg)
+            adam_step(graph.params, adam, plateau.lr)
             losses.append(loss_value)
 
         preds = predict_ids(graph, store, val_ids, classes)
@@ -316,7 +314,7 @@ def train_model(
             best_val = metrics.ua_eq1
             best_epoch = epoch
             save_checkpoint(graph, best_path, epoch, asdict(extra))
-        plateau = plateau_update(plateau, metrics.ua_eq1, cfg)
+        plateau = plateau_update(plateau, metrics.ua_eq1)
         run = RunState(adam.t, plateau, best_val, best_epoch, tuple(history))
         save_checkpoint(graph, last_path, epoch, asdict(replace(extra, run=run)), adam.moments())
         write_jsonl(history_path, history)

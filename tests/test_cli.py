@@ -208,6 +208,27 @@ def test_eval_checkpoint_with_removed_model_keys_exits_2(tiny, trained, tmp_path
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_eval_non_finite_logits_exits_3(tiny, trained, tmp_path, capsys):
+    # finite classifier weights of 3e38 overflow every logit; eval once
+    # exited 0 with every score inf and every prediction the first class
+    raw = bytearray((trained / "checkpoint_last.bin").read_bytes())
+    (n,) = struct.unpack_from("<I", raw, 8)
+    offset = 12 + n
+    for entry in json.loads(raw[12:offset])["index"]:
+        size = 4 * math.prod(entry["shape"])
+        if entry["name"] == "classifier.w":
+            raw[offset : offset + size] = struct.pack(f"<{size // 4}f", *[3e38] * (size // 4))
+        offset += size
+    (tmp_path / "big.bin").write_bytes(raw)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", tmp_path / "big.bin", "--manifests", tiny["shift"],
+               "--out", tmp_path / "eval") == 3
+    err = capsys.readouterr().err
+    assert "non-finite logits in eval batch 0" in err and "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
+
+
 def eval_damaged(tiny, trained, tmp_path, capsys, damage) -> str:
     """`crossemo eval` of the trained last checkpoint as `damage(src, dst)`
     copies it into a fresh run directory. Requires exit 2, no traceback and
@@ -346,6 +367,7 @@ def test_synth_bad_sample_rate_exits_2(tmp_path, capsys, rate):
     ("n_speakers", True),
     ("duration_range", ["1.0", 1.4]),
     ("duration_range", [1.0, 1.2, 1.4]),
+    ("speaker_timbre_spread", 0.08),  # no longer a key, at its old default
 ])
 def test_synth_mistyped_field_exits_2(tmp_path, capsys, key, value):
     write_json(tmp_path / "spec.json", {"name": "bad", key: value})
@@ -488,6 +510,20 @@ def test_train_misspelled_key(prepared, tmp_path, section):
     ("model", "conv_stride", 1),
     ("features", "per_band_norm", False),
     ("train", "early_stop_patience", None),
+    ("train", "beta1", 0.9),
+    ("train", "beta2", 0.999),
+    ("train", "adam_eps", 1e-8),
+    ("train", "plateau_patience", 4),
+    ("train", "plateau_factor", 0.8),
+    ("train", "plateau_min_delta", 1e-6),
+    ("train", "lr_floor", 1e-7),
+    ("train", "validation_fraction", 0.1),
+    ("features", "window_ms", 26.0),
+    ("features", "shift_ms", 9.0),
+    ("features", "fft_size", 512),
+    ("features", "log_floor", 1e-10),
+    ("model", "conv_kernel", 3),
+    ("model", "dropout", 0.2),
 ])
 def test_train_mistyped_value_exits_2(prepared, tmp_path, capsys, section, key, value):
     write_json(tmp_path / "bad.json", {
@@ -565,6 +601,33 @@ def test_train_scores_eval_manifests(tiny, prepared, trained, tmp_path):
     assert not (tmp_path / "run2" / "checkpoint_last.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "pipeline"])
+def test_test_sets_of_one_name_exit_2_before_training(tiny, prepared, trained, tmp_path,
+                                                      capsys, command):
+    # each test set writes metrics_<name>.json: one result was once lost, and
+    # the pipeline trained every fold before refusing its report
+    shutil.copy(tiny["shift"], tmp_path / "again.jsonl")
+    twins = [str(tiny["shift"]), str(tmp_path / "again.jsonl")]
+    out = tmp_path / "run"
+    configs = {
+        "train": {"profile": "desk-scale", **prepared, "train": {"epochs": 1},
+                  "eval_manifests": twins, "out_dir": str(out)},
+        # the corpus's own name is the name of the pipeline's matched set
+        "pipeline": pipeline_config(tiny, out, eval_manifests=[str(tiny["manifest"])]),
+    }
+    argv = ["eval", "--checkpoint", trained / "checkpoint_last.bin", "--manifests", *twins,
+            "--out", out]
+    if command in configs:
+        write_json(tmp_path / "bad.json", configs[command])
+        argv = [command, "--config", tmp_path / "bad.json"]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    name = "tiny" if command == "pipeline" else "tiny-shift"
+    assert f"more than one test set is named {name}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def pipeline_config(tiny, out_dir, **overrides) -> dict:
     return {
         "profile": "desk-scale",
@@ -617,6 +680,18 @@ def test_pipeline_missing_synth_signature_field(tiny, tmp_path, capsys):
     assert run("pipeline", "--config", tmp_path / "pipe.json") == 2
     err = capsys.readouterr().err
     assert "f0_slope" in err and "Traceback" not in err
+
+
+def test_pipeline_fold_options_checked_before_synthesis(tiny, tmp_path, capsys):
+    # a 2-speaker corpus cannot hold out 5 speakers: refused before any WAV is rendered
+    synth = {"name": "tiny", "n_speakers": 2, "utterances_per_class_per_speaker": 2,
+             "duration_range": [0.6, 0.7], "seed": 3}
+    write_json(tmp_path / "pipe.json", pipeline_config(
+        tiny, tmp_path / "run", synth=synth, folds={"strategy": "speaker-rotation"}))
+    capsys.readouterr()
+    assert run("pipeline", "--config", tmp_path / "pipe.json") == 2
+    assert "speakers" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.json"]
 
 
 def test_pipeline_computes_features_once_per_utterance(tiny, tmp_path, monkeypatch):
@@ -702,6 +777,13 @@ MALFORMED = {
     "augment-int": ("pipeline", {"augment": 5}),
     "synth-int": ("pipeline", {"synth": 5}),
     "out_dir-int": ("pipeline", {"out_dir": 5}),
+    # the pipeline writes its own plan and trains fold_indices
+    "pipeline-fold_plan": ("pipeline", {"fold_plan": "/nonexistent/folds.json"}),
+    "pipeline-fold_index": ("pipeline", {"fold_index": 7}),
+    # keys that no longer exist, at the values they used to default to
+    "pipeline-train-removed-key": ("pipeline", {"train": {"epochs": 1, "beta1": 0.9}}),
+    "pipeline-synth-removed-key": ("pipeline", {"synth": {"name": "tiny",
+                                                          "speaker_timbre_spread": 0.08}}),
     # files the subcommands read
     "folds-json-corrupt": ("file", None),
     "folds-json-empty": ("file", None),

@@ -6,16 +6,19 @@ from dataclasses import fields
 import pytest
 
 from crossemo.config import (
+    PROFILES,
     AugmentOptions,
     ExperimentConfig,
     PipelineSections,
     load_json_config,
+    resolve_experiment_config,
     strip_json_comments,
 )
 from crossemo.corpus import FoldOptions
 from crossemo.errors import ValidationFailure
 from crossemo.features import FbankConfig
 from crossemo.nn.models import BlstmAttConfig, CnnBlstmAttConfig
+from crossemo.synth import SynthCorpusSpec
 from crossemo.train import TrainConfig
 
 
@@ -48,22 +51,15 @@ def test_config_surface_is_pinned():
         "manifest", "fold_plan", "out_dir", "fold_index", "features", "feature_cache", "arch",
         "model", "train", "eval_manifests", "restrict_classes", "seed",
     )
-    assert field_names(FbankConfig) == (
-        "window_ms", "shift_ms", "n_bands", "max_seconds", "sample_rate", "fft_size",
-        "log_floor",
-    )
+    assert field_names(FbankConfig) == ("n_bands", "max_seconds", "sample_rate")
     assert field_names(CnnBlstmAttConfig) == (
-        "conv_channels", "conv_kernel", "pool_after", "blstm_hidden", "fc_sizes", "dropout",
-        "attention_dim", "n_classes", "input_bands",
+        "conv_channels", "pool_after", "blstm_hidden", "fc_sizes", "attention_dim",
+        "n_classes", "input_bands",
     )
     assert field_names(BlstmAttConfig) == (
         "blstm_layers", "hidden", "attention_dim", "n_classes", "input_bands",
     )
-    assert field_names(TrainConfig) == (
-        "epochs", "learning_rate", "batch_size", "beta1", "beta2", "adam_eps",
-        "plateau_patience", "plateau_factor", "plateau_min_delta", "lr_floor",
-        "validation_fraction", "seed",
-    )
+    assert field_names(TrainConfig) == ("epochs", "learning_rate", "batch_size", "seed")
     assert field_names(FoldOptions) == (
         "strategy", "n_folds", "test_speakers", "test_fraction", "reverse_sessions", "seed",
     )
@@ -71,3 +67,19 @@ def test_config_surface_is_pinned():
     assert field_names(PipelineSections) == (
         "synth", "manifest", "folds", "augment", "fold_indices", "out_dir",
     )
+    assert field_names(SynthCorpusSpec) == (
+        "name", "n_speakers", "utterances_per_class_per_speaker", "classes", "duration_range",
+        "seed", "timbre_scale", "pitch_scale", "reverb_seconds", "sample_rate", "signatures",
+    )
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_shipped_profile_resolves(profile):
+    cfg = resolve_experiment_config(
+        {"profile": profile, "manifest": "m.jsonl", "fold_plan": "f.json", "out_dir": "run"}
+    )
+    if profile == "paper-default":
+        # the defaults the unit tests take as the paper's configuration
+        assert (cfg.model, cfg.features, cfg.train) == (
+            CnnBlstmAttConfig(), FbankConfig(), TrainConfig()
+        )

@@ -70,8 +70,11 @@ class TestFrameCount:
         assert DEFAULT.shift_samples == 144
 
     def test_invalid_config(self):
-        with pytest.raises(ValidationFailure):
-            FbankConfig(window_ms=5.0, shift_ms=9.0)
+        # at 48 kHz the 26-ms window is 1,248 samples, more than the 512-point
+        # FFT; at 50 Hz the 9-ms shift rounds to 0 samples
+        for rate in (48000, 50):
+            with pytest.raises(ValidationFailure, match=f"at {rate} Hz"):
+                FbankConfig(sample_rate=rate)
 
 
 class TestMelFilterbank:

@@ -151,9 +151,6 @@ class TestShapeContracts:
             CnnBlstmAttConfig(n_classes=1)
         with pytest.raises(BadConfig):
             CnnBlstmAttConfig(pool_after=(9,))
-        for rate in (1.0, -0.1):
-            with pytest.raises(BadConfig):
-                CnnBlstmAttConfig(dropout=rate)
         with pytest.raises(BadConfig):
             # 23 bands cannot survive five halvings
             build_cnn_blstm_att(

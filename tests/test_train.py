@@ -31,8 +31,6 @@ from crossemo.train import (
 )
 from conftest import make_record
 
-BASE = TrainConfig(epochs=1, learning_rate=1e-4, batch_size=4, seed=0)
-
 
 class TestAdam:
     def make_params(self, values):
@@ -43,18 +41,18 @@ class TestAdam:
         params["w"].grad = np.zeros(2)
         state = AdamState(params)
         state.m["w"][:] = 0.5
-        adam_step(params, state, 1e-3, BASE)
+        adam_step(params, state, 1e-3)
         assert np.array_equal(params["w"].data, [1.0, -2.0]) is False  # moments decay, tiny drift
         # with zero gradient AND zero moments nothing moves
         params2 = self.make_params([1.0, -2.0])
         params2["w"].grad = np.zeros(2)
-        adam_step(params2, AdamState(params2), 1e-3, BASE)
+        adam_step(params2, AdamState(params2), 1e-3)
         assert np.array_equal(params2["w"].data, [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
         params = self.make_params([0.0, 0.0])
         params["w"].grad = np.array([0.3, -7.0])
-        adam_step(params, AdamState(params), 1e-3, BASE)
+        adam_step(params, AdamState(params), 1e-3)
         # bias correction makes the first update ~ lr * sign(g)
         assert np.allclose(params["w"].data, [-1e-3, 1e-3], rtol=1e-4)
 
@@ -64,7 +62,7 @@ class TestAdam:
             state = AdamState(params)
             for g in ([0.2], [-0.4], [0.1]):
                 params["w"].grad = np.array(g)
-                adam_step(params, state, 1e-3, BASE)
+                adam_step(params, state, 1e-3)
             return params["w"].data.copy()
 
         assert np.array_equal(run(), run())
@@ -75,18 +73,16 @@ class TestAdam:
             "unused": Tensor(np.ones(2), requires_grad=True),
         }
         params["used"].grad = np.ones(2)
-        adam_step(params, AdamState(params), 1e-3, BASE)
+        adam_step(params, AdamState(params), 1e-3)
         assert np.array_equal(params["unused"].data, np.ones(2))
         assert not np.array_equal(params["used"].data, np.ones(2))
 
 
 class TestPlateau:
-    CFG = TrainConfig(epochs=1, plateau_patience=4, plateau_factor=0.8, seed=0)
-
     def run_metrics(self, metrics, lr=1e-4):
         state = PlateauState(lr=lr)
         for m in metrics:
-            state = plateau_update(state, m, self.CFG)
+            state = plateau_update(state, m)
         return state
 
     def test_improving_metrics_keep_lr(self):
@@ -110,7 +106,7 @@ class TestPlateau:
         state = PlateauState(lr=1e-4)
         last = state.lr
         for _ in range(100):
-            state = plateau_update(state, float(rng.uniform(0, 1)), self.CFG)
+            state = plateau_update(state, float(rng.uniform(0, 1)))
             assert state.lr <= last
             last = state.lr
 
@@ -359,12 +355,9 @@ class TestTrainModel:
         assert out.shape == (2, 4)
 
     def test_config_invariants(self):
-        with pytest.raises(ValidationFailure):
-            TrainConfig(plateau_factor=1.5)
-        with pytest.raises(ValidationFailure):
-            TrainConfig(validation_fraction=0.9)
-        with pytest.raises(ValidationFailure):
-            TrainConfig(plateau_patience=0)
+        for bad in ({"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}):
+            with pytest.raises(ValidationFailure):
+                TrainConfig(**bad)
 
 
 def test_config_fields_take_null_when_optional_and_an_int_for_a_float():
