@@ -220,7 +220,7 @@ def cmd_pipeline(args) -> int:
     """Thin driver: synth -> folds -> (augment) -> train -> eval -> report
     from one config file."""
     from . import corpus
-    from .augment import augment_corpus
+    from .augment import augment_corpus, get_recipe
     from .config import PipelineSections, load_json_config, resolve_experiment_config
     from .features import FeatureStore
     from .report import build_cross_matrix, save_report
@@ -236,8 +236,9 @@ def cmd_pipeline(args) -> int:
     augment = sections.augment
     manifest_file = "manifest.jsonl" if augment is None else "manifest.augmented.jsonl"
     # the rest of the config is one `crossemo train` reads over the files
-    # written below. It, the corpus, the fold plan and the test sets are all
-    # checked before any work: a synthetic corpus is rendered only after
+    # written below. It, the corpus, the fold plan, the augmentation recipe
+    # and the test sets are all checked before any work, so a synthetic
+    # corpus is rendered only once they pass
     run_raw = {k: v for k, v in raw.items() if k not in own}
     if ignored := sorted({"fold_plan", "fold_index"} & set(run_raw)):
         raise ValidationFailure(f"the pipeline plans its own folds; drop {', '.join(ignored)}")
@@ -260,6 +261,8 @@ def cmd_pipeline(args) -> int:
         raise ValidationFailure(f"fold_indices {list(fold_indices)} must name distinct folds "
                                 f"of the {len(plan.folds)} in the plan")
     eval_sets = _eval_sets(cfg.eval_manifests, cfg.features, cfg.restrict_classes, manifest.name)
+    if augment is not None:
+        get_recipe(augment.recipe)
 
     if spec is not None:
         generate_corpus(spec, corpus_dir)

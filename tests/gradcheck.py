@@ -1,6 +1,8 @@
 """Central finite-difference gradient checking shared by the op tests and
 the acceptance gradient suite. All checks run in float64."""
 
+from unittest import mock
+
 import numpy as np
 
 from crossemo.nn import layers, ops
@@ -108,6 +110,14 @@ def blstm_inputs(rng, n_steps=3):
         arrays[f"l.{direction}.wh"] = rng.normal(size=(3, 12)) * 0.5
         arrays[f"l.{direction}.b"] = rng.normal(size=12) * 0.1
     return arrays
+
+
+def check_blstm_threaded(seed: int) -> float:
+    """The blstm check with direction 1 on the worker thread: the gate is
+    lowered below the case's width, and two cores are assumed."""
+    with mock.patch.object(ops, "BLSTM_THREAD_MIN_HIDDEN", 1), \
+            mock.patch.object(ops, "_cores", lambda: 2):
+        return check_op(blstm_inputs, blstm_case, seed)
 
 
 def attention_case(tensors):
@@ -233,6 +243,7 @@ GRADIENT_SUITE = {
     "blstm_one_step": lambda seed: check_op(
         lambda rng: blstm_inputs(rng, n_steps=1), blstm_case, seed
     ),
+    "blstm_threaded": check_blstm_threaded,
     "attention": lambda seed: check_op(attention_inputs, attention_case, seed),
     # fc_block by the stage its mode switches: batch norm in train mode
     # (no dropout) and in eval mode, then dropout

@@ -694,6 +694,18 @@ def test_pipeline_fold_options_checked_before_synthesis(tiny, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.json"]
 
 
+def test_pipeline_recipe_checked_before_synthesis(tiny, tmp_path, capsys):
+    # no WAV, manifest or fold plan is written for a recipe that does not exist
+    synth = {"name": "tiny", "n_speakers": 2, "utterances_per_class_per_speaker": 2,
+             "duration_range": [0.6, 0.7], "seed": 3}
+    write_json(tmp_path / "pipe.json", pipeline_config(
+        tiny, tmp_path / "run", synth=synth, augment={"recipe": "nope", "seed": 0}))
+    capsys.readouterr()
+    assert run("pipeline", "--config", tmp_path / "pipe.json") == 2
+    assert "unknown recipe 'nope'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.json"]
+
+
 def test_pipeline_computes_features_once_per_utterance(tiny, tmp_path, monkeypatch):
     computed = []  # the audio of each front-end call; every utterance's audio differs
 

@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -42,6 +47,7 @@ DESK_CNN = CnnBlstmAttConfig(
     fc_sizes=(32, 16), attention_dim=16,
 )
 DESK_BLSTM = BlstmAttConfig(hidden=24, attention_dim=12)
+BLSTM_GATE = ops.BLSTM_THREAD_MIN_HIDDEN
 
 
 def random_features(batch=2, frames=40, bands=23, seed=0):
@@ -367,13 +373,115 @@ class TestBlstmProperties:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_numpy_reference_bit_for_bit(self, dtype):
+        # hidden 256 is at the threading gate; an eval forward keeps its
+        # state in a two-step ring
+        for hidden in (4, BLSTM_GATE):
+            params = {}
+            layers.add_blstm(params, np.random.default_rng(3), "l", 5, hidden, dtype=dtype)
+            arrays = {k: p.data for k, p in params.items()}
+            x = np.random.default_rng(4).normal(size=(3, 7, 5)).astype(dtype)
+            want = numpy_blstm(x, arrays, hidden)
+            for mode_params in (params, {k: Tensor(a) for k, a in arrays.items()}):
+                out = layers.blstm_forward(mode_params, "l", Tensor(x), hidden)
+                assert out.requires_grad == (mode_params is params)
+                assert out.dtype == dtype
+                assert np.array_equal(out.data, want), hidden
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_threaded_and_serial_schedules_bit_identical(self, dtype, monkeypatch):
+        rng = np.random.default_rng(8)
         params = {}
-        layers.add_blstm(params, np.random.default_rng(3), "l", 5, 4, dtype=dtype)
-        x = np.random.default_rng(4).normal(size=(3, 7, 5)).astype(dtype)
-        out = layers.blstm_forward(params, "l", Tensor(x), 4).data
-        arrays = {k: p.data for k, p in params.items()}
-        assert out.dtype == dtype
-        assert np.array_equal(out, numpy_blstm(x, arrays, 4))
+        layers.add_blstm(params, rng, "l", 5, BLSTM_GATE, dtype=dtype)
+        x = rng.normal(size=(2, 6, 5)).astype(dtype)
+        gy = rng.normal(size=(2, 6, 2 * BLSTM_GATE)).astype(dtype)
+        monkeypatch.setattr(ops, "_cores", lambda: 2)
+        forward_threads = []
+        lstm_forward = ops._lstm_forward
+
+        def spy(*args):
+            forward_threads.append(threading.current_thread())
+            lstm_forward(*args)
+
+        monkeypatch.setattr(ops, "_lstm_forward", spy)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads take turns as often as they can
+        try:
+            for gate in (BLSTM_GATE, BLSTM_GATE + 1):  # threaded, then serial
+                monkeypatch.setattr(ops, "BLSTM_THREAD_MIN_HIDDEN", gate)
+                for p in params.values():
+                    p.zero_grad()
+                xt = Tensor(x, requires_grad=True)
+                out = layers.blstm_forward(params, "l", xt, BLSTM_GATE)
+                out.backward(gy.copy())
+                runs.append([out.data, xt.grad] + [p.grad for p in params.values()])
+        finally:
+            sys.setswitchinterval(interval)
+        main = threading.main_thread()
+        assert sorted(t is main for t in forward_threads[:2]) == [False, True]
+        assert forward_threads[2:] == [main, main]
+        for threaded, serial in zip(*runs):
+            assert threaded.dtype == dtype and np.array_equal(threaded, serial)
+
+    def test_error_in_worker_direction_raised_after_both_stop(self):
+        stopped = []
+
+        def run(k):
+            if k == 1:
+                raise ShapeMismatch("direction 1")
+            time.sleep(0.05)
+            stopped.append(k)
+
+        with pytest.raises(ShapeMismatch, match="direction 1"):
+            ops._both_directions(run, threaded=True)
+        assert stopped == [0]
+
+    def test_eval_forward_holds_no_per_step_history(self):
+        params = {}
+        layers.add_blstm(params, np.random.default_rng(9), "l", 23, 128)
+        fw, bw = ([Tensor(params[f"l.{d}.{n}"].data) for n in ("wx", "wh", "b")]
+                  for d in ("fw", "bw"))
+        batch, n_steps, hidden = 48, 131, 128
+        x = Tensor(random_features(batch=batch, frames=n_steps))
+        tracemalloc.start()
+        try:
+            out = ops.blstm(x, fw, bw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gate_inputs = 2 * batch * n_steps * 4 * hidden * 4
+        every_step = 2 * n_steps * 6 * batch * hidden * 4  # i, f, g, o, c, tanh(c)
+        # beyond its output (6.1 MiB) and both directions' gate inputs (24.6),
+        # the peak was 0.7 MiB with a two-step ring; keeping every step's
+        # state (36.8 MiB) gave a 61.7-MiB peak
+        assert peak - out.data.nbytes - gate_inputs < every_step / 8
+
+    @pytest.mark.parametrize("builder,cfg", [(build_cnn_blstm_att, DESK_CNN),
+                                             (build_blstm_att, DESK_BLSTM)],
+                             ids=["cnn-desk", "blstm-desk"])
+    def test_no_thread_at_desk_width(self, builder, cfg, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a desk-width BLSTM used the worker thread")
+
+        monkeypatch.setattr(ops._DIRECTION_WORKER, "submit", refuse)
+        before = threading.active_count()
+        graph = builder(cfg, seed=7)
+        x = random_features(batch=3, seed=7)
+        graph.set_mode("eval")
+        graph.forward(x)
+        graph.set_mode("train")
+        logits = graph.forward(x, dropout_rng=np.random.default_rng(0))
+        softmax_cross_entropy(logits, np.array([0, 1, 2])).backward()
+        assert threading.active_count() == before
+
+    def test_import_starts_no_thread(self):
+        code = ("import threading, crossemo, crossemo.cli, crossemo.nn; "
+                "print(threading.active_count())")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
 
     def test_one_node_whatever_the_length(self):
         params = {}
