@@ -12,8 +12,11 @@ A pooling `conv2d` keeps only the pooled output and a one-byte winner per
 window; `max_pool2d` shares its pooling kernels and is the reference it
 is tested against. `blstm` runs its step loops on arrays the calling thread
 allocates: a forward that needs no gradient keeps two steps of state, not
-the whole sequence, and at `BLSTM_THREAD_MIN_HIDDEN` and wider its two
-directions run at once on two threads. Everything here
+the whole sequence. Two ops share one worker thread with the caller
+(`_run_pair`) on arrays the caller allocates: `blstm` at
+`BLSTM_THREAD_MIN_HIDDEN` and wider runs its two directions at once, and
+`conv2d` from `CONV_THREAD_MIN_WORK` up runs its forward on two halves of
+the batch and its backward's `dw` and `dx` at once. Everything here
 passes central finite-difference checks at float64 with relative error
 below 1e-4 (see the gradient suite in the tests). `fc_block`, whose batch
 norm and dropout switch with the mode, takes the mode explicitly; there is
@@ -81,8 +84,31 @@ def transpose(a, axes) -> Tensor:
 # directions in the calling thread and never start the worker.
 BLSTM_THREAD_MIN_HIDDEN = 256
 
+# From this much work per utterance up (w.size * bands * time, the
+# multiply-adds of its forward GEMM), with a batch of two or more and two
+# usable cores, a `conv2d` runs on the caller and the worker thread at
+# once. Medians with one BLAS thread on two cores, threaded against serial:
+# the paper's six layers at batch 8, with the five above the gate (71 M to
+# 164 M) threaded, took 121 against 198 ms for the training forward, 113
+# against 189 for the eval forward and 228 against 456 for the backward.
+# Below the gate the outcome turns on the shape: batch-16 eval forwards of
+# the desk layers (0.2 M and 0.75 M) took 1.2-1.5 against 0.6-0.7 ms, and
+# of 16 -> 16 channels at 11 x 59 (1.5 M) 1.4-1.6 against 1.1-1.3, while
+# the paper's first layer (5.1 M, batch 8) took 3.7-4.2 against 7.6-8.6.
+# Layers below the gate never start the worker.
+CONV_THREAD_MIN_WORK = 16_000_000
+
+# Up to this many cells in one utterance's column gradient [in_ch*kt*kb,
+# bands * Wp], `conv2d`'s col2im takes all kernel offsets in one GEMM,
+# above it one GEMM per offset, into a buffer a ninth of the size. Per
+# utterance, float32, one BLAS thread: 8 -> 16 channels at 11 x 59 (48 K
+# cells) took 63 against 76 us in one GEMM, 4 -> 8 at 23 x 118 (99 K) 66
+# against 100. The paper's first layer has 161 K cells; its wider layers,
+# 562 K to 5.1 M, go per offset.
+_COL2IM_ONE_GEMM_CELLS = 2**18
+
 # starts its one thread on the first threaded call and keeps it
-_DIRECTION_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="blstm")
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ops")
 
 # slots of one step's state: gates i, f, o (sigmoid), g (tanh), cell, tanh(cell)
 _I, _F, _O, _G, _C, _TC = range(6)
@@ -95,15 +121,17 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _both_directions(run, threaded: bool) -> None:
+def _run_pair(run, threaded: bool) -> None:
     """`run(0)` in the calling thread and `run(1)` on the worker at the same
     time when `threaded`, else one after the other. Returns once both have
-    stopped; an exception in either is raised only then, direction 0's first."""
+    stopped; an exception in either is raised only then, `run(0)`'s first.
+    The caller allocates what both write: glibc gives each thread its own
+    malloc arena, whose freed memory the main thread does not reuse."""
     if not threaded:
         run(0)
         run(1)
         return
-    job = _DIRECTION_WORKER.submit(run, 1)
+    job = _WORKER.submit(run, 1)
     try:
         run(0)
     finally:
@@ -185,13 +213,12 @@ def blstm(x, forward, backward) -> Tensor:
     when it is the first, not copied.
 
     The directions are independent, so from `BLSTM_THREAD_MIN_HIDDEN` up,
-    with two usable cores, direction 1 runs on one persistent worker
-    thread while the caller runs direction 0, as Appleyard et al. do: a
-    wide step is bound by streaming `wh` through its GEMM, which drops the
-    GIL. The worker allocates nothing bigger than one step's scratch: glibc
-    gives each thread its own malloc arena, whose freed memory the main
-    thread does not reuse, and in trials worker-allocated state raised
-    peak RSS by 12 %. Either schedule computes the same bits.
+    with two usable cores, direction 1 runs on the persistent worker
+    thread (`_run_pair`) while the caller runs direction 0, as Appleyard
+    et al. do: a wide step is bound by streaming `wh` through its GEMM,
+    which drops the GIL. The worker allocates nothing bigger than one
+    step's scratch: in trials worker-allocated state raised peak RSS by
+    12 %. Either schedule computes the same bits.
     """
     x = as_tensor(x)
     directions = [tuple(as_tensor(p) for p in d) for d in (forward, backward)]
@@ -210,7 +237,7 @@ def blstm(x, forward, backward) -> Tensor:
     zeros = np.zeros((batch, hidden), dtype=x.dtype)
     gx = np.empty((2, batch, n_steps, 4 * hidden), dtype=x.dtype)
     state = np.empty((2, n_steps if req else 2, 6, batch, hidden), dtype=x.dtype)
-    _both_directions(lambda k: _lstm_forward(
+    _run_pair(lambda k: _lstm_forward(
         x2, *(p.data for p in directions[k]), gx[k], state[k], halves[k], orders[k], zeros,
     ), threaded)
 
@@ -220,7 +247,7 @@ def blstm(x, forward, backward) -> Tensor:
             dz = np.empty((2, batch, n_steps, 4 * hidden), dtype=x.dtype)
             # a GEMM against a transposed view runs at about half speed
             wh_ts = [np.ascontiguousarray(wh.data.T) for _, wh, _ in directions]
-            _both_directions(lambda k: _lstm_backward(
+            _run_pair(lambda k: _lstm_backward(
                 gy[..., k * hidden : (k + 1) * hidden], wh_ts[k], state[k], dz[k],
                 orders[k], zeros,
             ), threaded)
@@ -367,14 +394,16 @@ def _same_padding(kernel: int) -> int:
 
 class _FlatPad:
     """One utterance's zero-bordered channels [C, bands + kb - 1, Wp], each
-    plane stored flat with kt - 1 trailing zeros, Wp = time + kt - 1.
+    plane stored flat with kt - 1 trailing zeros, Wp = time + kt - 1, and a
+    column workspace `cols` [C, width, span] of `width` kernel offsets.
 
     Kernel offset (time i, band j) is then the contiguous run of the
     `span` = bands * Wp cells from j * Wp + i: cell b * Wp + t of that run
     is padded cell (b + j, t + i), so each Wp-long row's first `time` cells
-    are the offset's im2col row and the other kt - 1 are junk."""
+    are the offset's im2col row and the other kt - 1 are junk. `pairs`
+    matches offset k's run with column block k % width."""
 
-    def __init__(self, ch, bands, time, kt, kb, dtype):
+    def __init__(self, ch, bands, time, kt, kb, dtype, width):
         self.wp = time + kt - 1
         self.span = bands * self.wp
         rows = bands + kb - 1
@@ -382,27 +411,40 @@ class _FlatPad:
         pb, pt = _same_padding(kb), _same_padding(kt)
         planes = self.flat[:, : rows * self.wp].reshape(ch, rows, self.wp)
         self.interior = planes[:, pb : pb + bands, pt : pt + time]
+        self.cols = np.empty((ch, width, self.span), dtype=dtype)
         # offsets in the stored kernel order [k_time, k_band]
-        self.runs = [self.flat[:, j * self.wp + i : j * self.wp + i + self.span]
-                     for i, j in np.ndindex(kt, kb)]
+        self.pairs = [(self.flat[:, j * self.wp + i : j * self.wp + i + self.span],
+                       self.cols[:, k % width]) for k, (i, j) in enumerate(np.ndindex(kt, kb))]
 
 
-def _im2col(x: np.ndarray, kt: int, kb: int):
-    """Yield `(n, cols)` for each utterance n of x [B, C, bands, time]: its
-    columns [C*kt*kb, bands * Wp] in the stored kernel order, one
-    contiguous [C, bands * Wp] copy per kernel offset (Chellapilla et al.,
-    2006, with the shifted flat views of Anderson et al., arXiv:1709.03395).
-    Every utterance's columns are built into the same workspace, so the
-    caller uses them before the next."""
-    batch, ch, bands, time = x.shape
-    pad = _FlatPad(ch, bands, time, kt, kb, x.dtype)
-    cols = np.empty((ch, kt * kb, pad.span), dtype=x.dtype)
-    offsets = list(zip((cols[:, k] for k in range(kt * kb)), pad.runs))
-    for n in range(batch):
-        pad.interior[...] = x[n]
-        for dst, src in offsets:
-            np.copyto(dst, src)
-        yield n, cols.reshape(ch * kt * kb, pad.span)
+def _im2col(xn: np.ndarray, pad: _FlatPad) -> np.ndarray:
+    """Utterance xn [C, bands, time]'s columns [C*kt*kb, bands * Wp] in the
+    stored kernel order, built in `pad` (of width kt*kb): one contiguous
+    [C, span] copy per kernel offset (Chellapilla et al., 2006, with the
+    shifted flat views of Anderson et al., arXiv:1709.03395). Every
+    utterance's columns go into the same workspace, so the caller uses them
+    before the next."""
+    pad.interior[...] = xn
+    for run, col in pad.pairs:
+        np.copyto(col, run)
+    return pad.cols.reshape(-1, pad.span)
+
+
+def _col2im(gp2: np.ndarray, w_off: np.ndarray, pad: _FlatPad) -> np.ndarray:
+    """One utterance's input gradient [C, bands, time], the transpose of
+    `_im2col`, from its output gradient gp2 [out_ch, bands * Wp] on the Wp
+    grid. w_off [groups, out_ch, C*width] holds the slices of w for `pad`'s
+    width of kernel offsets per group. Groups run last to first: one GEMM,
+    w_off[q].T @ gp2, into `pad.cols`, then each offset's [C, span] is added
+    into its run, last to first, so every padded cell sums in output order.
+    Returns a view into `pad`, which the next call overwrites."""
+    pad.flat.fill(0)
+    width = pad.cols.shape[1]
+    for q in reversed(range(len(w_off))):
+        np.matmul(w_off[q].T, gp2, out=pad.cols.reshape(-1, pad.span))
+        for run, col in reversed(pad.pairs[q * width : (q + 1) * width]):
+            run += col
+    return pad.interior
 
 
 def _pool_cells(size: int, oh: int, ow: int) -> list:
@@ -459,16 +501,32 @@ def conv2d(x, w, b=None, pool: int = 1) -> Tensor:
     full-resolution output exists. ReLU and the max commute, so the ReLU
     runs on the pooled output. When the node needs a gradient, the bias is
     added before the max and each window's first maximum is kept as a
-    `uint8` winner; otherwise the bias is added once to the pooled output,
+    `uint8` winner; otherwise the bias is added to the pooled output,
     which is exact because rounding is monotone: max(a) + b == max(a + b).
     The backward routes the masked `g` to the winners (`_pool_scatter`).
 
-    The columns are not saved: the backward builds them again, per
-    utterance, for `dw`, against `g` laid out on the Wp grid with zero junk
-    cells, and adds each utterance's `g @ cols.T` in utterance order. `dx`
-    is col2im: w.T @ g, then kt*kb contiguous slice-adds into one
-    utterance's flat padding at a time. So nothing holds the whole batch's
-    columns, which are kt*kb times the input's size.
+    The columns are not saved. The backward gets `dw` by building them
+    again, per utterance, against `g` laid out on the Wp grid with zero
+    junk cells, and adds each utterance's `g @ cols.T` in utterance order.
+    `dx` is col2im (`_col2im`) one kernel offset at a time: that offset's
+    [in_ch, out_ch] slice of w times the utterance's grid, added into its
+    flat padding, offsets last to first. So nothing holds the whole
+    batch's columns, nor one utterance's column gradient: each is kt*kb
+    times the input's size. Only a gradient of at most
+    `_COL2IM_ONE_GEMM_CELLS` cells is formed whole, in one GEMM.
+
+    From `CONV_THREAD_MIN_WORK` up, with a batch of two or more and two
+    usable cores, the op runs on the caller and the worker thread
+    (`_run_pair`); its GEMMs and copies drop the GIL. The forward splits
+    the batch: the caller takes the first half (rounded up), the worker the
+    rest. The backward splits by role: the caller gets `dw`, the worker
+    `dx`, each from its own gradient grid; only `dw` needs a column
+    workspace, so one exists. The caller allocates every workspace, one
+    array each. In `train-paper` runs, where the role split read 215-228 MB
+    peak RSS, a backward with a column workspace per thread read 238, and
+    a forward with both threads' workspaces in one block 254-270. Both
+    schedules run the same code on the same arrays, so they compute the
+    same bits.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
@@ -483,23 +541,41 @@ def conv2d(x, w, b=None, pool: int = 1) -> Tensor:
     dtype = np.result_type(x.data, w.data)
     parents = (x, w) if b is None else (x, w, b)
     req = any(p.requires_grad for p in parents)
+    threaded = (batch >= 2 and w.data.size * bands * time >= CONV_THREAD_MIN_WORK
+                and _cores() >= 2)
+    bounds = (0, (batch + 1) // 2, batch)  # the caller's utterances, then the worker's
     out_data = np.empty((batch, out_ch, oh, ow), dtype=dtype)
-    rows = np.empty((out_ch, bands, wp), dtype=dtype)
+    bias = None if b is None else b.data[:, None, None]
     cells = _pool_cells(pool, oh, ow)
     winners = req and pool > 1
     if winners:
         win = np.empty(out_data.shape, dtype=np.min_scalar_type(len(cells) - 1))
-        free, differ = (np.empty(out_data.shape[1:], dtype=bool) for _ in range(2))
-    for n, cols in _im2col(x.data, kt, kb):
-        np.matmul(w2, cols, out=rows.reshape(out_ch, -1))
-        if winners and b is not None:
-            rows += b.data[:, None, None]
-        _pool_max(rows, cells, out_data[n])
-        if winners:
-            _pool_winners(rows, cells, out_data[n], win[n], free, differ)
-    if b is not None and not winners:
-        out_data += b.data[:, None, None]
-    np.maximum(out_data, 0, out=out_data)
+
+    def columns(width=kt * kb):  # one thread's flat padding and column workspace
+        return _FlatPad(in_ch, bands, time, kt, kb, x.dtype, width)
+
+    def forward_space():
+        flags = [np.empty(out_data.shape[1:], dtype=bool) for _ in range(2 * winners)]
+        return columns(), np.empty((out_ch, bands, wp), dtype=dtype), flags
+
+    spaces = [forward_space()]
+    spaces.append(forward_space() if threaded else spaces[0])
+
+    def forward(k):
+        pad, rows, flags = spaces[k]
+        for n in range(bounds[k], bounds[k + 1]):
+            np.matmul(w2, _im2col(x.data[n], pad), out=rows.reshape(out_ch, -1))
+            if winners and bias is not None:
+                rows += bias
+            _pool_max(rows, cells, out_data[n])
+            if winners:
+                _pool_winners(rows, cells, out_data[n], win[n], *flags)
+        part = out_data[bounds[k] : bounds[k + 1]]
+        if bias is not None and not winners:
+            part += bias
+        np.maximum(part, 0, out=part)
+
+    _run_pair(forward, threaded)
 
     out = Tensor(out_data, req, parents=parents)
     if req:
@@ -507,37 +583,50 @@ def conv2d(x, w, b=None, pool: int = 1) -> Tensor:
             g *= out_data > 0  # in place: `g` is this node's own `.grad`
             if b is not None and b.requires_grad:
                 b.accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
-            gp = np.zeros((out_ch, bands, wp), dtype=g.dtype)  # junk cells stay 0
-            gp2 = gp.reshape(out_ch, -1)
-            if winners:
-                hit = np.empty(g.shape[1:], dtype=bool)
 
-            def load(n):  # utterance n's gradient onto the Wp grid
-                if winners:
-                    _pool_scatter(g[n], win[n], cells, gp, hit)
-                else:
-                    gp[..., :time] = g[n]
+            def grid():  # one thread's gradient grid and its loader
+                gp = np.zeros((out_ch, bands, wp), dtype=g.dtype)  # junk cells stay 0
+                hit = np.empty(g.shape[1:], dtype=bool) if winners else None
 
+                def load(n):  # utterance n's gradient onto the Wp grid
+                    if winners:
+                        _pool_scatter(g[n], win[n], cells, gp, hit)
+                    else:
+                        gp[..., :time] = g[n]
+                    return gp.reshape(out_ch, -1)
+                return load
+
+            roles = []
             if w.requires_grad:
+                load_w, pad_w = grid(), columns()
                 dw = np.zeros(w2.shape, dtype=np.result_type(g, x.data))
-                for n, cols in _im2col(x.data, kt, kb):
-                    load(n)
-                    dw += gp2 @ cols.T
-                cols = None  # the columns go before the col2im workspace comes
+
+                def grad_w():
+                    for n in range(batch):
+                        np.add(dw, load_w(n) @ _im2col(x.data[n], pad_w).T, out=dw)
+                roles.append(grad_w)
+            if x.requires_grad:
+                # one GEMM for all offsets while their product is small: nine
+                # small GEMMs cost more in calls than in work, and a one-channel
+                # input's would go to gemv, which sums in another order
+                width = kt * kb if in_ch * kt * kb * bands * wp <= _COL2IM_ONE_GEMM_CELLS else 1
+                load_x, pad_x = grid(), columns(width)
+                w_off = np.ascontiguousarray(w.data.reshape(out_ch, in_ch, -1, width)
+                                             .transpose(2, 0, 1, 3))
+                w_off = w_off.reshape(-1, out_ch, in_ch * width)
+                dx = np.empty(x.shape, dtype=x.dtype)
+
+                def grad_x():
+                    for n in range(batch):
+                        dx[n] = _col2im(load_x(n), w_off, pad_x)
+                roles.append(grad_x)
+            if len(roles) == 2:
+                _run_pair(lambda k: roles[k](), threaded)
+            elif roles:
+                roles[0]()
+            if w.requires_grad:
                 w.accumulate(dw.reshape(w.shape), fresh=True)
             if x.requires_grad:
-                # offsets run last to first: every cell sums in output order
-                pad = _FlatPad(in_ch, bands, time, kt, kb, x.dtype)
-                dcols = np.empty((in_ch, kt * kb, pad.span), dtype=np.result_type(g, w.data))
-                offsets = list(zip(pad.runs, (dcols[:, k] for k in range(kt * kb))))[::-1]
-                dx = np.empty(x.shape, dtype=x.dtype)
-                for n in range(batch):
-                    load(n)
-                    np.matmul(w2.T, gp2, out=dcols.reshape(-1, pad.span))
-                    pad.flat.fill(0)
-                    for dst, src in offsets:
-                        dst += src
-                    dx[n] = pad.interior
                 x.accumulate(dx, fresh=True)
 
         out._backward = _bw

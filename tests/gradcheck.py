@@ -58,10 +58,10 @@ def conv2d_case(tensors):
     return ops.conv2d(tensors["x"], tensors["w"], tensors["b"])
 
 
-def conv2d_inputs(rng, batch=2, kernel=(3, 3), size=(5, 4)):
+def conv2d_inputs(rng, batch=2, kernel=(3, 3), size=(5, 4), in_ch=2):
     return {
-        "x": rng.normal(size=(batch, 2) + size),
-        "w": rng.normal(size=(3, 2) + kernel),
+        "x": rng.normal(size=(batch, in_ch) + size),
+        "w": rng.normal(size=(3, in_ch) + kernel),
         "b": rng.normal(size=3),
     }
 
@@ -88,6 +88,24 @@ def conv2d_pool_case(tensors):
 
 # odd bands and time: the pool drops the trailing row and column
 POOL_SIZE = (5, 7)
+
+
+def check_conv2d_per_offset(seed: int) -> float:
+    """The conv2d checks, one channel unpooled and two pooled, with col2im
+    one kernel offset per GEMM, the path of the paper's wider layers: the
+    one-GEMM limit is lowered below the cases' size."""
+    with mock.patch.object(ops, "_COL2IM_ONE_GEMM_CELLS", 0):
+        return max(check_op(lambda rng: conv2d_inputs(rng, in_ch=1), conv2d_case, seed),
+                   check_op(lambda rng: conv2d_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed))
+
+
+def check_conv2d_threaded(seed: int) -> float:
+    """The conv2d checks, unpooled and pooled, with the worker thread: the
+    gate is lowered below the cases' work, and two cores are assumed."""
+    with mock.patch.object(ops, "CONV_THREAD_MIN_WORK", 1), \
+            mock.patch.object(ops, "_cores", lambda: 2):
+        return max(check_op(conv2d_inputs, conv2d_case, seed),
+                   check_op(lambda rng: conv2d_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed))
 
 
 def dense_case(tensors):
@@ -226,6 +244,8 @@ GRADIENT_SUITE = {
     "conv2d_2x3": lambda seed: check_op(  # k_time != k_band, one of them even
         lambda rng: conv2d_inputs(rng, kernel=(2, 3)), conv2d_case, seed
     ),
+    "conv2d_per_offset": check_conv2d_per_offset,
+    "conv2d_threaded": check_conv2d_threaded,
     "conv2d_pool": lambda seed: check_op(
         lambda rng: conv2d_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed
     ),

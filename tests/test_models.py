@@ -433,7 +433,7 @@ class TestBlstmProperties:
             stopped.append(k)
 
         with pytest.raises(ShapeMismatch, match="direction 1"):
-            ops._both_directions(run, threaded=True)
+            ops._run_pair(run, threaded=True)
         assert stopped == [0]
 
     def test_eval_forward_holds_no_per_step_history(self):
@@ -461,9 +461,9 @@ class TestBlstmProperties:
                              ids=["cnn-desk", "blstm-desk"])
     def test_no_thread_at_desk_width(self, builder, cfg, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a desk-width BLSTM used the worker thread")
+            raise AssertionError("a desk-width layer used the worker thread")
 
-        monkeypatch.setattr(ops._DIRECTION_WORKER, "submit", refuse)
+        monkeypatch.setattr(ops._WORKER, "submit", refuse)
         before = threading.active_count()
         graph = builder(cfg, seed=7)
         x = random_features(batch=3, seed=7)

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -200,6 +202,106 @@ class TestPooledConv:
     def test_too_small_for_one_window(self):
         with pytest.raises(ShapeMismatch):
             ops.conv2d(Tensor(np.zeros((1, 1, 1, 4))), Tensor(np.ones((1, 1, 3, 3))), pool=2)
+
+
+class TestConvThreads:
+    """`conv2d` from `ops.CONV_THREAD_MIN_WORK` up: the forward's two batch
+    halves and the backward's `dw` and `dx` on the caller and the worker."""
+
+    @staticmethod
+    def spy(monkeypatch, calls, x):
+        """Record (kind, thread, utterance) for each `_im2col` call and
+        (kind, thread) for each `_col2im` call."""
+        im2col, col2im = ops._im2col, ops._col2im
+
+        def spy_im2col(xn, *args):
+            n = (xn.ctypes.data - x.ctypes.data) // xn.nbytes
+            calls.append(("im2col", threading.current_thread(), n))
+            return im2col(xn, *args)
+
+        def spy_col2im(*args):
+            calls.append(("col2im", threading.current_thread()))
+            return col2im(*args)
+
+        monkeypatch.setattr(ops, "_im2col", spy_im2col)
+        monkeypatch.setattr(ops, "_col2im", spy_col2im)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("one_gemm", [True, False], ids=["col2im-one-gemm", "col2im-per-offset"])
+    def test_threaded_and_serial_schedules_bit_identical(self, dtype, pool, batch, one_gemm,
+                                                         monkeypatch):
+        if not one_gemm:
+            monkeypatch.setattr(ops, "_COL2IM_ONE_GEMM_CELLS", 0)
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, 3, 7, 10)).astype(dtype)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+        b = rng.normal(size=4).astype(dtype)
+        g = rng.normal(size=(batch, 4, 7 // pool, 10 // pool)).astype(dtype)
+        work = w.size * 7 * 10
+        monkeypatch.setattr(ops, "_cores", lambda: 2)
+        calls = []
+        self.spy(monkeypatch, calls, x)
+        runs, schedules = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads take turns as often as they can
+        try:
+            for gate in (work, work + 1):  # threaded (from batch 2), then serial
+                monkeypatch.setattr(ops, "CONV_THREAD_MIN_WORK", gate)
+                xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+                out = ops.conv2d(xt, wt, bt, pool)
+                forward = calls[:]
+                calls.clear()
+                out.backward(g.copy())
+                schedules.append((forward, calls[:]))
+                calls.clear()
+                runs.append([out.data, xt.grad, wt.grad, bt.grad])
+        finally:
+            sys.setswitchinterval(interval)
+        main = threading.main_thread()
+        half = (batch + 1) // 2
+        for threaded, (forward, backward) in zip((batch >= 2, False), schedules):
+            # forward: utterances [0, half) in the caller, the rest on the worker
+            assert sorted((n, t is main) for _, t, n in forward) == [
+                (n, n < half or not threaded) for n in range(batch)]
+            # backward: dw's columns in the caller in utterance order, dx on the worker
+            assert [(c[0], c[2]) for c in backward if c[0] == "im2col"] == [
+                ("im2col", n) for n in range(batch)]
+            assert all(c[1] is main for c in backward if c[0] == "im2col")
+            assert [c[1] is main for c in backward if c[0] == "col2im"] == [not threaded] * batch
+        for threaded, serial in zip(*runs):
+            assert threaded.dtype == dtype and np.array_equal(threaded, serial)
+
+    def test_threaded_backward_holds_one_column_workspace(self, monkeypatch):
+        monkeypatch.setattr(ops, "_cores", lambda: 2)
+        submitted = []
+        submit = ops._WORKER.submit
+        monkeypatch.setattr(ops._WORKER, "submit",
+                            lambda *args: submitted.append(args) or submit(*args))
+        rng = np.random.default_rng(5)
+        batch, ch, bands, time, f32 = 8, 32, 23, 120, 4  # the paper's conv2, 120 frames
+        x = Tensor(rng.normal(size=(batch, ch, bands, time)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor((rng.normal(size=(ch, ch, 3, 3)) * 0.1).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(ch, np.float32), requires_grad=True)
+        out = ops.conv2d(x, w, b, pool=2)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out.backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(submitted) == 2  # the forward's second half, then the backward's dx
+        grid = ch * bands * (time + 2) * f32  # one [out_ch, bands, Wp] gradient grid
+        columns = 9 * grid  # one column workspace [in_ch, kt*kb, bands * Wp]: 3.08 MiB
+        # slack 2.5 MiB: the upstream gradient's copy (0.64), the ReLU mask
+        # (0.16), two flat paddings (0.75), col2im's one-offset buffer (0.34),
+        # and dw, the offsets' weights and pool scratch (0.15). The peak was
+        # 8.4 MiB against a bound of 9.0; a backward that splits the batch
+        # instead, each half with its own column workspace, peaked at 12.6
+        assert peak < columns + x.data.nbytes + 2 * grid + 2.5 * 2**20
 
 
 class TestMaxPool:
