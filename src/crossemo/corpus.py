@@ -322,9 +322,6 @@ def make_folds_proportional(
     if not 0.0 < test_fraction < 1.0:
         raise ValidationFailure(f"test_fraction must be in (0, 1), got {test_fraction}")
     by_class = _ids_by_class(manifest)
-    for c, ids in by_class.items():
-        if not ids:
-            raise ClassTooSmall(f"class {c!r} has no utterances")
     folds = []
     for k in range(n_folds):
         rng = np.random.default_rng([seed, k])

@@ -1,6 +1,8 @@
 """Metrics, confusion matrices, fold aggregation, and model evaluation.
 
-Four metric variants are always reported side by side:
+`one_vs_rest` reduces a confusion matrix to per-class (tp, tn, fp, fn)
+arrays once, and `metric_set` computes four variants from them, always
+reported side by side:
 
 * ua_eq1 -- one-vs-rest accuracy (tp+tn)/(tp+tn+fp+fn), macro-averaged over
   classes for more than two classes;
@@ -17,7 +19,7 @@ and names the one being displayed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,67 +61,13 @@ def confusion_from_predictions(pairs, classes) -> ConfusionMatrix:
     return ConfusionMatrix(classes, counts)
 
 
-def binary_reduce(cm: ConfusionMatrix, cls) -> tuple:
-    """One-vs-rest (tp, tn, fp, fn) for one class."""
-    if cls not in cm.classes:
-        raise UnknownLabel(f"{cls!r} not in {cm.classes}")
-    i = cm.classes.index(cls)
-    tp = int(cm.counts[i, i])
-    fn = int(cm.counts[i, :].sum() - tp)
-    fp = int(cm.counts[:, i].sum() - tp)
-    tn = int(cm.total - tp - fn - fp)
+def one_vs_rest(cm: ConfusionMatrix) -> tuple:
+    """One-vs-rest (tp, tn, fp, fn), each an int64 array in class order."""
+    tp = np.diag(cm.counts)
+    fn = cm.counts.sum(axis=1) - tp
+    fp = cm.counts.sum(axis=0) - tp
+    tn = cm.total - tp - fn - fp
     return tp, tn, fp, fn
-
-
-def _require_counts(cm: ConfusionMatrix) -> None:
-    if cm.total == 0:
-        raise EmptyMatrix("confusion matrix has no counts")
-
-
-def ua_eq1(cm: ConfusionMatrix) -> float:
-    """Percent. Binary: (tp+tn)/(tp+tn+fp+fn) exactly; otherwise the
-    macro-average of that quantity over one-vs-rest reductions."""
-    _require_counts(cm)
-    values = []
-    for cls in cm.classes:
-        tp, tn, fp, fn = binary_reduce(cm, cls)
-        values.append((tp + tn) / (tp + tn + fp + fn))
-    return 100.0 * float(np.mean(values))
-
-
-def wa_eq2(cm: ConfusionMatrix) -> float:
-    """Percent. Binary: 0.5*(tp/(tp+fn) + tn/(tn+fp)) exactly; otherwise the
-    macro-average over one-vs-rest reductions. Classes absent from the truth
-    are skipped with a warning."""
-    _require_counts(cm)
-    values = []
-    for cls in cm.classes:
-        tp, tn, fp, fn = binary_reduce(cm, cls)
-        if tp + fn == 0 or tn + fp == 0:
-            warnings.warn(f"class {cls!r} degenerate in wa_eq2; skipped", stacklevel=2)
-            continue
-        values.append(0.5 * (tp / (tp + fn) + tn / (tn + fp)))
-    if not values:
-        raise EmptyMatrix("every class degenerate in wa_eq2")
-    return 100.0 * float(np.mean(values))
-
-
-def conventional_metrics(cm: ConfusionMatrix) -> tuple:
-    """(mean class recall, overall accuracy), both percent. Classes with no
-    true instances are skipped from the recall average with a warning."""
-    _require_counts(cm)
-    recalls = []
-    for i, cls in enumerate(cm.classes):
-        row = cm.counts[i, :].sum()
-        if row == 0:
-            warnings.warn(f"class {cls!r} has no true instances; skipped", stacklevel=2)
-            continue
-        recalls.append(cm.counts[i, i] / row)
-    if not recalls:
-        raise EmptyMatrix("no class has true instances")
-    mean_recall = 100.0 * float(np.mean(recalls))
-    overall = 100.0 * float(np.trace(cm.counts)) / cm.total
-    return mean_recall, overall
 
 
 @dataclass(frozen=True)
@@ -129,20 +77,39 @@ class MetricSet:
     mean_class_recall: float
     overall_accuracy: float
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 METRIC_KEYS = tuple(f.name for f in fields(MetricSet))
 
 
+def _skip(cm: ConfusionMatrix, keep: np.ndarray, message: str) -> None:
+    for cls, kept in zip(cm.classes, keep):
+        if not kept:
+            warnings.warn(message.format(cls=cls), stacklevel=3)
+
+
 def metric_set(cm: ConfusionMatrix) -> MetricSet:
-    recall, overall = conventional_metrics(cm)
+    """All four variants, in percent, from one one-vs-rest reduction. Each
+    macro-average runs over the classes in order. Classes with no true
+    instances leave mean_class_recall, and classes without both a positive
+    and a negative leave wa_eq2, each with a warning."""
+    if cm.total == 0:
+        raise EmptyMatrix("confusion matrix has no counts")
+    tp, tn, fp, fn = one_vs_rest(cm)
+    true = tp + fn
+    has_true = true > 0
+    _skip(cm, has_true, "class {cls!r} has no true instances; skipped")
+    if not has_true.any():
+        raise EmptyMatrix("no class has true instances")
+    two_sided = has_true & (tn + fp > 0)
+    _skip(cm, two_sided, "class {cls!r} degenerate in wa_eq2; skipped")
+    if not two_sided.any():
+        raise EmptyMatrix("every class degenerate in wa_eq2")
+    tp2, tn2, fp2, fn2 = (a[two_sided] for a in (tp, tn, fp, fn))
     return MetricSet(
-        ua_eq1=ua_eq1(cm),
-        wa_eq2=wa_eq2(cm),
-        mean_class_recall=recall,
-        overall_accuracy=overall,
+        ua_eq1=100.0 * float(np.mean((tp + tn) / (tp + tn + fp + fn))),
+        wa_eq2=100.0 * float(np.mean(0.5 * (tp2 / (tp2 + fn2) + tn2 / (tn2 + fp2)))),
+        mean_class_recall=100.0 * float(np.mean(tp[has_true] / true[has_true])),
+        overall_accuracy=100.0 * float(tp.sum()) / cm.total,
     )
 
 

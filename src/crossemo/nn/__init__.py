@@ -1,37 +1,1 @@
-from .tensor import Tensor
-from . import ops, layers
-from .models import (
-    ARCH_BLSTM,
-    ARCH_CNN,
-    BlstmAttConfig,
-    CnnBlstmAttConfig,
-    ModelGraph,
-    build_blstm_att,
-    build_cnn_blstm_att,
-    build_model,
-)
-from .checkpoint import (
-    CheckpointData,
-    graph_from_checkpoint,
-    load_checkpoint,
-    load_into_graph,
-    save_checkpoint,
-)
-
-__all__ = [
-    "Tensor",
-    "ops",
-    "layers",
-    "ARCH_BLSTM",
-    "ARCH_CNN",
-    "BlstmAttConfig",
-    "CnnBlstmAttConfig",
-    "ModelGraph",
-    "build_blstm_att",
-    "build_cnn_blstm_att",
-    "build_model",
-    "CheckpointData",
-    "graph_from_checkpoint",
-    "load_checkpoint",
-    "save_checkpoint",
-]
+"""Hand-written autodiff (`tensor`, `ops`), layers, models and checkpoints."""

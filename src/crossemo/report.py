@@ -4,16 +4,15 @@ A report is a pure function of a set of run results: one column per model
 (train set), one row per test set, per-cell fold mean and population std
 for all four metric variants, matched cells marked, a per-model average
 row, and global matched/mismatched averages. Cells without runs are flagged
-missing, never fabricated. Emitted as canonical JSON, CSV, and a rendered
-text table.
+missing, never fabricated. Every average is `aggregate_folds`'s mean of cell
+means. Emitted as canonical JSON, and as CSV and a rendered text table that
+format one grid of cell texts (`_grid`) at 2 and 1 decimals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ValidationFailure, from_fields
 from .evaluation import METRIC_KEYS, MetricSet, aggregate_folds
@@ -36,13 +35,7 @@ class RunRecord:
         return self.test_tag == self.train_tag or self.test_tag in self.train_components
 
     def to_json(self) -> dict:
-        return {
-            "train_tag": self.train_tag,
-            "test_tag": self.test_tag,
-            "fold": self.fold,
-            "metrics": self.metrics.to_json(),
-            "train_components": list(self.train_components),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj) -> "RunRecord":
@@ -103,37 +96,28 @@ def build_cross_matrix(runs) -> CrossCorpusReport:
                 stats[metric] = {"mean": mean, "std": std, "n_folds": len(cell_runs)}
             cells[key] = {"missing": False, "matched": matched_flags[key], **stats}
 
-    per_model_avg: dict = {}
-    for train in models:
-        per_metric = {}
-        for metric in METRIC_KEYS:
-            values = [
-                cells[(train, test)][metric]["mean"]
-                for test in test_sets
-                if not cells[(train, test)]["missing"]
-            ]
-            per_metric[metric] = float(np.mean(values)) if values else None
-        per_model_avg[train] = per_metric
-
-    def _condition_avg(want_matched: bool):
-        out = {}
-        for metric in METRIC_KEYS:
-            values = [
-                cell[metric]["mean"]
-                for cell in cells.values()
-                if not cell["missing"] and cell["matched"] == want_matched
-            ]
-            out[metric] = float(np.mean(values)) if values else None
-        return None if all(v is None for v in out.values()) else out
-
+    present = [cell for cell in cells.values() if not cell["missing"]]
+    per_model_avg = {
+        train: _average([cells[(train, test)] for test in test_sets
+                         if not cells[(train, test)]["missing"]])
+        for train in models
+    }
+    matched = [cell for cell in present if cell["matched"]]
+    mismatched = [cell for cell in present if not cell["matched"]]
     return CrossCorpusReport(
         models=models,
         test_sets=test_sets,
         cells=cells,
         per_model_avg=per_model_avg,
-        matched_avg=_condition_avg(True),
-        mismatched_avg=_condition_avg(False),
+        matched_avg=_average(matched) if matched else None,
+        mismatched_avg=_average(mismatched) if mismatched else None,
     )
+
+
+def _average(cells: list) -> dict:
+    """Per metric, the mean of the cells' fold means; None for no cells."""
+    return {metric: aggregate_folds([cell[metric]["mean"] for cell in cells])[0] if cells else None
+            for metric in METRIC_KEYS}
 
 
 def report_to_json(report: CrossCorpusReport) -> dict:
@@ -153,55 +137,39 @@ def report_to_json(report: CrossCorpusReport) -> dict:
     }
 
 
+def _grid(report: CrossCorpusReport, metric: str, digits: int, blank: str) -> tuple:
+    """Cell texts at `digits` decimals: one row per test set (its name, then
+    per model "mean (std)" with `*` when matched, or "missing"), and per model
+    its average (`blank` when it has none)."""
+    if metric not in METRIC_KEYS:
+        raise ValidationFailure(f"unknown metric {metric!r}; pick from {METRIC_KEYS}")
+
+    def text(cell: dict) -> str:
+        if cell["missing"]:
+            return "missing"
+        stat = cell[metric]
+        std = "" if stat["std"] is None else f" ({stat['std']:.{digits}f})"
+        return f"{stat['mean']:.{digits}f}{std}{'*' if cell['matched'] else ''}"
+
+    rows = [[test] + [text(report.cell(m, test)) for m in report.models]
+            for test in report.test_sets]
+    avg = [blank if report.per_model_avg[m][metric] is None
+           else f"{report.per_model_avg[m][metric]:.{digits}f}" for m in report.models]
+    return rows, avg
+
+
 def report_to_csv(report: CrossCorpusReport, metric: str = "ua_eq1") -> str:
-    lines = ["test_set," + ",".join(report.models)]
-    for test in report.test_sets:
-        row = [test]
-        for train in report.models:
-            cell = report.cell(train, test)
-            if cell["missing"]:
-                row.append("missing")
-            else:
-                stat = cell[metric]
-                std = "" if stat["std"] is None else f" ({stat['std']:.2f})"
-                mark = "*" if cell["matched"] else ""
-                row.append(f"{stat['mean']:.2f}{std}{mark}")
-        lines.append(",".join(row))
-    avg_row = ["avg"]
-    for train in report.models:
-        value = report.per_model_avg[train][metric]
-        avg_row.append("" if value is None else f"{value:.2f}")
-    lines.append(",".join(avg_row))
-    return "\n".join(lines) + "\n"
-
-
-def _format_cell(cell: dict, metric: str) -> str:
-    if cell["missing"]:
-        return "missing"
-    stat = cell[metric]
-    text = f"{stat['mean']:.1f}"
-    if stat["std"] is not None:
-        text += f" ({stat['std']:.1f})"
-    if cell["matched"]:
-        text += "*"
-    return text
+    rows, avg = _grid(report, metric, digits=2, blank="")
+    header = ["test_set", *report.models]
+    return "".join(",".join(row) + "\n" for row in [header, *rows, ["avg", *avg]])
 
 
 def render_table(report: CrossCorpusReport, metric: str = "ua_eq1") -> str:
     """Human-readable grid; matched cells carry a trailing asterisk."""
-    if metric not in METRIC_KEYS:
-        raise ValidationFailure(f"unknown metric {metric!r}; pick from {METRIC_KEYS}")
-    header = ["Tested on"] + list(report.models)
-    rows = []
-    for test in report.test_sets:
-        rows.append([test] + [_format_cell(report.cell(m, test), metric) for m in report.models])
-    avg_row = ["Avg"]
-    for m in report.models:
-        value = report.per_model_avg[m][metric]
-        avg_row.append("-" if value is None else f"{value:.1f}")
-    rows.append(avg_row)
+    rows, avg = _grid(report, metric, digits=1, blank="-")
+    header, avg = ["Tested on", *report.models], ["Avg", *avg]
+    widths = [max(len(r[i]) for r in [header, *rows, avg]) for i in range(len(header))]
 
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     def fmt(row):
         return " | ".join(cell.ljust(w) for cell, w in zip(row, widths))
 
@@ -209,17 +177,11 @@ def render_table(report: CrossCorpusReport, metric: str = "ua_eq1") -> str:
     lines = [
         f"Cross-corpus report -- metric: {metric}; cell = mean (std) over folds; "
         "* marks matched train/test conditions",
-        fmt(header),
-        sep,
+        fmt(header), sep, *map(fmt, rows), sep, fmt(avg),
     ]
-    for row in rows[:-1]:
-        lines.append(fmt(row))
-    lines.append(sep)
-    lines.append(fmt(rows[-1]))
-    if report.matched_avg is not None and report.matched_avg[metric] is not None:
-        lines.append(f"Matched average: {report.matched_avg[metric]:.1f}")
-    if report.mismatched_avg is not None and report.mismatched_avg[metric] is not None:
-        lines.append(f"Mismatched average: {report.mismatched_avg[metric]:.1f}")
+    for name, condition in (("Matched", report.matched_avg), ("Mismatched", report.mismatched_avg)):
+        if condition is not None:
+            lines.append(f"{name} average: {condition[metric]:.1f}")
     lines.append(
         "Metric variants reported in the JSON output: " + ", ".join(METRIC_KEYS)
         + ". std is the population standard deviation; single-fold cells omit it."

@@ -8,14 +8,11 @@ from crossemo.errors import ClassSetMismatch, EmptyMatrix, UnknownLabel
 from crossemo.evaluation import (
     ConfusionMatrix,
     aggregate_folds,
-    binary_reduce,
     confusion_from_predictions,
-    conventional_metrics,
     evaluate_model,
     metric_set,
+    one_vs_rest,
     predictions_to_csv,
-    ua_eq1,
-    wa_eq2,
 )
 from conftest import make_record
 
@@ -71,25 +68,24 @@ class TestConfusion:
 
 class TestBinaryReduce:
     def test_definition(self):
-        assert binary_reduce(BINARY, "pos") == (3, 4, 2, 1)
+        assert [int(a[0]) for a in one_vs_rest(BINARY)] == [3, 4, 2, 1]
 
     def test_symmetric_swap(self):
-        assert binary_reduce(BINARY, "neg") == (4, 3, 1, 2)
+        assert [int(a[1]) for a in one_vs_rest(BINARY)] == [4, 3, 1, 2]
 
     def test_components_sum_to_total(self):
         cm = confusion_from_predictions(
             [("a", "b"), ("b", "c"), ("c", "c"), ("a", "a")], ("a", "b", "c")
         )
-        for c in cm.classes:
-            assert sum(binary_reduce(cm, c)) == cm.total
+        assert np.array_equal(sum(one_vs_rest(cm)), [cm.total] * 3)
 
 
 class TestMetricFormulas:
     def test_binary_ua_70(self):
-        assert ua_eq1(BINARY) == pytest.approx(70.0)
+        assert metric_set(BINARY).ua_eq1 == pytest.approx(70.0)
 
     def test_binary_wa_7083(self):
-        assert wa_eq2(BINARY) == pytest.approx(70.833, abs=0.01)
+        assert metric_set(BINARY).wa_eq2 == pytest.approx(70.833, abs=0.01)
 
     def test_perfect_predictions_100(self):
         cm = ConfusionMatrix(("a", "b", "c", "d"), np.diag([5, 6, 7, 8]))
@@ -100,16 +96,14 @@ class TestMetricFormulas:
         assert m.overall_accuracy == 100.0
 
     def test_conventional_balanced_case(self):
-        cm = ConfusionMatrix(("a", "b"), np.array([[8, 2], [4, 6]]))
-        recall, overall = conventional_metrics(cm)
-        assert recall == pytest.approx(70.0)
-        assert overall == pytest.approx(70.0)
+        m = metric_set(ConfusionMatrix(("a", "b"), np.array([[8, 2], [4, 6]])))
+        assert m.mean_class_recall == pytest.approx(70.0)
+        assert m.overall_accuracy == pytest.approx(70.0)
 
     def test_conventional_imbalanced_case(self):
-        cm = ConfusionMatrix(("a", "b"), np.array([[90, 10], [5, 5]]))
-        recall, overall = conventional_metrics(cm)
-        assert recall == pytest.approx(70.0)
-        assert overall == pytest.approx(100 * 95 / 110, abs=0.01)
+        m = metric_set(ConfusionMatrix(("a", "b"), np.array([[90, 10], [5, 5]])))
+        assert m.mean_class_recall == pytest.approx(70.0)
+        assert m.overall_accuracy == pytest.approx(100 * 95 / 110, abs=0.01)
 
     def test_binary_balanced_ua_equals_overall(self):
         rng = np.random.default_rng(1)
@@ -119,8 +113,8 @@ class TestMetricFormulas:
             cm = ConfusionMatrix(
                 ("x", "y"), np.array([[a[0], 50 - a[0]], [a[1], 50 - a[1]]])
             )
-            _, overall = conventional_metrics(cm)
-            assert ua_eq1(cm) == pytest.approx(overall, abs=1e-12)
+            m = metric_set(cm)
+            assert m.ua_eq1 == pytest.approx(m.overall_accuracy, abs=1e-12)
 
     def test_oracle_recomputation_random(self):
         rng = np.random.default_rng(2)
@@ -158,38 +152,38 @@ class TestMetricFormulas:
 
     def test_empty_matrix(self):
         with pytest.raises(EmptyMatrix):
-            ua_eq1(ConfusionMatrix(("a", "b"), np.zeros((2, 2), dtype=int)))
+            metric_set(ConfusionMatrix(("a", "b"), np.zeros((2, 2), dtype=int)))
 
     def test_binary_is_the_first_class_value_exactly(self):
         # both one-vs-rest reductions of a 2x2 matrix are the same numbers
         # swapped, so the macro-average is the first class's value, bit for bit
-        def first_class(cm, metric):
-            tp, tn, fp, fn = binary_reduce(cm, cm.classes[0])
-            if metric is ua_eq1:
-                return 100.0 * ((tp + tn) / (tp + tn + fp + fn)) if cm.total else None
+        def first_class(counts):
+            (tp, fn), (fp, tn) = counts.tolist()
             if tp + fn == 0 or tn + fp == 0:
-                return None
-            return 100.0 * (0.5 * (tp / (tp + fn) + tn / (tn + fp)))
+                return None  # no counts, or one class never true: EmptyMatrix
+            return (100.0 * ((tp + tn) / (tp + tn + fp + fn)),
+                    100.0 * (0.5 * (tp / (tp + fn) + tn / (tn + fp))))
 
         mismatches = []
         for cells in np.ndindex(7, 7, 7, 7):
-            cm = ConfusionMatrix(("a", "b"), np.array(cells).reshape(2, 2))
-            for metric in (ua_eq1, wa_eq2):
-                expected = first_class(cm, metric)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    try:
-                        got = metric(cm)
-                    except EmptyMatrix:
-                        got = None
-                if got != expected:
-                    mismatches.append((cells, metric.__name__, got, expected))
+            counts = np.array(cells).reshape(2, 2)
+            expected = first_class(counts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    m = metric_set(ConfusionMatrix(("a", "b"), counts))
+                    got = (m.ua_eq1, m.wa_eq2)
+                except EmptyMatrix:
+                    got = None
+            if got != expected:
+                mismatches.append((cells, got, expected))
         assert mismatches == []
 
     def test_degenerate_class_warns_and_skips(self):
         cm = ConfusionMatrix(("a", "b", "c"), np.array([[5, 1, 0], [2, 4, 0], [0, 0, 0]]))
-        with pytest.warns(UserWarning):
-            value = wa_eq2(cm)
+        with pytest.warns(UserWarning, match="'c' degenerate in wa_eq2"):
+            with pytest.warns(UserWarning, match="'c' has no true instances"):
+                value = metric_set(cm).wa_eq2
         assert 0 <= value <= 100
 
 
@@ -263,15 +257,20 @@ class TestEvaluateModel:
         # model always predicts the class missing from the test set
         manifest, store = two_class_setup()
         model = HandBuiltModel([0.0, 0.0, 0.0], bias=[0.0, 0.0, 10.0])  # always neutral
-        result = evaluate_model(model, ("angry", "happy", "neutral"), manifest, store)
+        with pytest.warns(UserWarning, match="'neutral' degenerate in wa_eq2"):
+            with pytest.warns(UserWarning, match="'neutral' has no true instances"):
+                result = evaluate_model(model, ("angry", "happy", "neutral"), manifest, store)
         assert result.metrics.overall_accuracy == 0.0
-        tp, tn, fp, fn = binary_reduce(result.confusion, "neutral")
-        assert fp == 10 and tp == 0
+        tp, tn, fp, fn = one_vs_rest(result.confusion)
+        assert fp[2] == 10 and tp[2] == 0
 
     def test_restrict_classes_reargmaxes(self):
         manifest, store = two_class_setup()
         model = HandBuiltModel([-1.0, 1.0, 0.0], bias=[0.0, 0.0, 10.0])
-        unrestricted = evaluate_model(model, ("angry", "happy", "neutral"), manifest, store)
+        with pytest.warns(UserWarning, match="'neutral' degenerate in wa_eq2"):
+            with pytest.warns(UserWarning, match="'neutral' has no true instances"):
+                unrestricted = evaluate_model(
+                    model, ("angry", "happy", "neutral"), manifest, store)
         assert unrestricted.metrics.overall_accuracy == 0.0
         restricted = evaluate_model(
             model, ("angry", "happy", "neutral"), manifest, store, restrict_classes=True

@@ -475,7 +475,7 @@ class TestBlstmProperties:
         assert threading.active_count() == before
 
     def test_import_starts_no_thread(self):
-        code = ("import threading, crossemo, crossemo.cli, crossemo.nn; "
+        code = ("import threading, crossemo, crossemo.cli, crossemo.nn.ops; "
                 "print(threading.active_count())")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
@@ -491,6 +491,52 @@ class TestBlstmProperties:
             x = Tensor(random_features(batch=2, frames=n_steps, bands=5), requires_grad=True)
             counts.append(len(graph_nodes(layers.blstm_forward(params, "l", x, 4))))
         assert counts[0] == counts[1]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# one desk-scale training step (batch 16, 120 frames) in a fresh process that
+# imports crossemo first, as the `crossemo` script does; saves the `wh` gradients
+DESK_STEP = """
+import sys
+import crossemo
+import numpy as np
+from crossemo.nn.models import CnnBlstmAttConfig, build_cnn_blstm_att
+from crossemo.nn.ops import softmax_cross_entropy
+cfg = CnnBlstmAttConfig(conv_channels=(8, 16), pool_after=(1, 2), blstm_hidden=32,
+                        fc_sizes=(32, 16), attention_dim=16)
+graph = build_cnn_blstm_att(cfg, seed=7)
+graph.set_mode("train")
+x = np.random.default_rng(7).normal(size=(16, 120, 23)).astype(np.float32)
+logits = graph.forward(x, dropout_rng=np.random.default_rng(0))
+softmax_cross_entropy(logits, np.arange(16) % cfg.n_classes).backward()
+np.savez(sys.argv[1], **{k: p.grad for k, p in graph.params.items() if k.endswith(".wh")})
+"""
+
+
+def run_fresh(args, **blas_env):
+    """`python *args` with the BLAS variables of `blas_env` only."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**env, **blas_env, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestBlasThreads:
+    def test_plain_run_computes_the_pinned_bits(self, tmp_path):
+        run_fresh(["-c", DESK_STEP, str(tmp_path / "plain.npz")])
+        run_fresh(["-c", DESK_STEP, str(tmp_path / "pinned.npz")],
+                  **dict.fromkeys(BLAS_VARS, "1"))
+        plain, pinned = np.load(tmp_path / "plain.npz"), np.load(tmp_path / "pinned.npz")
+        assert sorted(plain.files) == ["blstm0.bw.wh", "blstm0.fw.wh"]
+        for name in plain.files:
+            assert np.array_equal(plain[name], pinned[name]), name
+
+    def test_explicit_setting_kept(self):
+        code = "import os, crossemo; print(*(os.environ[v] for v in %r))" % (BLAS_VARS,)
+        assert run_fresh(["-c", code], OPENBLAS_NUM_THREADS="2").split() == ["2", "1", "1"]
 
 
 class TestFusedLayersExact:

@@ -322,7 +322,7 @@ class TestTrainModel:
         h = TrainHarness(tmp_path, desk_fbank, desk_model_config)
         graph = h.graph()
         graph.params["classifier.w"].data[:] = 1e38  # force non-finite logits
-        with pytest.raises(DivergedLoss):
+        with pytest.raises(DivergedLoss), pytest.warns(RuntimeWarning):
             train_model(
                 graph, h.manifest, Fold(h.ids, ()), h.store,
                 TrainConfig(epochs=1, batch_size=8, seed=0), tmp_path / "run",
