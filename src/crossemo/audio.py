@@ -19,15 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyAudio,
-    GainOutOfRange,
-    IoFailure,
-    MalformedHeader,
-    NonPositiveFactor,
-    ResultTooShort,
-    UnsupportedEncoding,
-)
+from .errors import RuntimeFailure, ValidationFailure
 from .ioutil import atomic_write_bytes
 
 PCM16_SCALE = 32768.0
@@ -61,7 +53,7 @@ class AudioBuffer:
         arr = np.asarray(self.samples, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "samples", arr)
         if self.sample_rate <= 0:
-            raise MalformedHeader(f"non-positive sample rate {self.sample_rate}")
+            raise ValidationFailure(f"non-positive sample rate {self.sample_rate}")
 
     @property
     def n_samples(self) -> int:
@@ -81,7 +73,7 @@ class EffectSpec:
 
     def __post_init__(self):
         if self.kind not in EFFECTS:
-            raise UnsupportedEncoding(
+            raise ValidationFailure(
                 f"unknown effect {self.kind!r}; expected one of {tuple(EFFECTS)}"
             )
 
@@ -91,14 +83,14 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
     Multichannel input is downmixed by channel averaging; samples end up
     in [-1, 1]. A `fmt ` or `data` chunk that runs past the end of the file
-    (a cut file) and a non-finite float sample raise MalformedHeader.
+    (a cut file) and a non-finite float sample raise ValidationFailure.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise RuntimeFailure(f"cannot read {path}: {exc}") from exc
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
+        raise ValidationFailure(f"{path}: not a RIFF/WAVE file")
 
     fmt_chunk = None
     data_chunk = None
@@ -107,7 +99,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
         cid = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         if cid in (b"fmt ", b"data") and pos + 8 + size > len(raw):
-            raise MalformedHeader(f"{path}: its {size}-byte {cid.decode().strip()!r} chunk "
+            raise ValidationFailure(f"{path}: its {size}-byte {cid.decode().strip()!r} chunk "
                                   f"runs past the end of the {len(raw)}-byte file")
         body = raw[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
@@ -116,13 +108,13 @@ def read_wav(path: str | Path) -> AudioBuffer:
             data_chunk = body
         pos += 8 + size + (size & 1)
     if fmt_chunk is None or len(fmt_chunk) < 16 or data_chunk is None:
-        raise MalformedHeader(f"{path}: missing fmt/data chunk")
+        raise ValidationFailure(f"{path}: missing fmt/data chunk")
 
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from(
         "<HHIIHH", fmt_chunk, 0
     )
     if n_channels < 1 or sample_rate < 1:
-        raise MalformedHeader(f"{path}: bad fmt chunk")
+        raise ValidationFailure(f"{path}: bad fmt chunk")
     if audio_format == 1 and bits == 16:
         usable = (len(data_chunk) // 2) * 2
         x = np.frombuffer(data_chunk[:usable], dtype="<i2").astype(np.float64)
@@ -131,16 +123,16 @@ def read_wav(path: str | Path) -> AudioBuffer:
         usable = (len(data_chunk) // 4) * 4
         x = np.frombuffer(data_chunk[:usable], dtype="<f4").astype(np.float64)
         if not np.isfinite(x).all():
-            raise MalformedHeader(f"{path}: non-finite float sample")
+            raise ValidationFailure(f"{path}: non-finite float sample")
     else:
-        raise UnsupportedEncoding(
+        raise ValidationFailure(
             f"{path}: format tag {audio_format} at {bits} bit not supported "
             "(PCM16 or float32 only)"
         )
 
     frames = x.size // n_channels
     if frames == 0:
-        raise EmptyAudio(f"{path}: zero samples")
+        raise ValidationFailure(f"{path}: zero samples")
     x = x[: frames * n_channels].reshape(frames, n_channels).mean(axis=1)
     return AudioBuffer(np.clip(x, -1.0, 1.0), int(sample_rate))
 
@@ -149,7 +141,7 @@ def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
     """Write mono PCM16 little-endian. Values clip to [-1, 1]; +1.0 encodes
     as 32767."""
     if buffer.n_samples == 0:
-        raise EmptyAudio("refusing to write an empty buffer")
+        raise ValidationFailure("refusing to write an empty buffer")
     q = np.clip(np.rint(np.clip(buffer.samples, -1.0, 1.0) * PCM16_SCALE), -32768, 32767)
     q = q.astype("<i2")
     data = io.BytesIO()
@@ -161,12 +153,12 @@ def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
     try:
         atomic_write_bytes(path, data.getvalue())
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise RuntimeFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _check_factor(factor: float) -> None:
     if not factor > 0:
-        raise NonPositiveFactor(f"factor must be > 0, got {factor}")
+        raise ValidationFailure(f"factor must be > 0, got {factor}")
 
 
 def apply_volume(buffer: AudioBuffer, factor: float) -> AudioBuffer:
@@ -245,7 +237,7 @@ def apply_speed(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     _check_factor(factor)
     n_out = int(round(buffer.n_samples / factor))
     if n_out < MIN_RESULT_SAMPLES:
-        raise ResultTooShort(
+        raise ValidationFailure(
             f"speed {factor} would leave {n_out} samples (< {MIN_RESULT_SAMPLES})"
         )
     y = _kaiser_sinc_resample(buffer.samples, factor)
@@ -262,13 +254,13 @@ def apply_tempo(buffer: AudioBuffer, factor: float) -> AudioBuffer:
         return AudioBuffer(x.copy(), sr)
     target = int(round(x.size / factor))
     if target < MIN_RESULT_SAMPLES:
-        raise ResultTooShort(
+        raise ValidationFailure(
             f"tempo {factor} would leave {target} samples (< {MIN_RESULT_SAMPLES})"
         )
     window = int(round(WSOLA_WINDOW_MS * sr / 1000.0))
     search = int(round(WSOLA_SEARCH_MS * sr / 1000.0))
     if x.size < window + 2 * search:
-        raise ResultTooShort(
+        raise ValidationFailure(
             f"input of {x.size} samples is too short for time-scale modification "
             f"(needs >= {window + 2 * search})"
         )
@@ -343,9 +335,9 @@ def apply_shelf(buffer: AudioBuffer, band: str, gain_db: float) -> AudioBuffer:
     """Second-order shelving filter; `band` is "bass" (corner 100 Hz) or
     "treble" (corner 3 kHz)."""
     if band not in ("bass", "treble"):
-        raise UnsupportedEncoding(f"shelf band must be bass or treble, got {band!r}")
+        raise ValidationFailure(f"shelf band must be bass or treble, got {band!r}")
     if abs(gain_db) > 20.0:
-        raise GainOutOfRange(f"|gain| must be <= 20 dB, got {gain_db}")
+        raise ValidationFailure(f"|gain| must be <= 20 dB, got {gain_db}")
     from scipy.signal import lfilter  # 1.3 s to import; only the shelves need it
     b, a = _shelf_coefficients(band, gain_db, buffer.sample_rate)
     y = lfilter(b, a, buffer.samples)

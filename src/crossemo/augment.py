@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .audio import EffectSpec, apply_effect, read_wav, write_wav
 from .corpus import CorpusManifest, save_manifest
-from .errors import BadRange, CrossEmoError, UnknownRecipe
+from .errors import CrossEmoError, ValidationFailure
 from .ioutil import atomic_write_text, stable_hash64, write_json
 
 FACTOR_RANGE = (0.6, 1.5)
@@ -31,9 +31,9 @@ RECIPE_VARIANTS = {
 
 def get_recipe(name: str) -> tuple:
     """The effect kinds of recipe `name`, one per variant: its entry in
-    RECIPE_VARIANTS. An unknown name raises UnknownRecipe."""
+    RECIPE_VARIANTS. An unknown name raises ValidationFailure."""
     if name not in RECIPE_VARIANTS:
-        raise UnknownRecipe(
+        raise ValidationFailure(
             f"unknown recipe {name!r}; valid recipes: {', '.join(sorted(RECIPE_VARIANTS))}"
         )
     return RECIPE_VARIANTS[name]
@@ -43,7 +43,7 @@ def draw_factor(base_seed: int, utterance_id: str, variant_index: int, factor_ra
     """Uniform draw in [lo, hi], a pure function of all four inputs."""
     lo, hi = float(factor_range[0]), float(factor_range[1])
     if not lo < hi:
-        raise BadRange(f"factor range must satisfy lo < hi, got [{lo}, {hi}]")
+        raise ValidationFailure(f"factor range must satisfy lo < hi, got [{lo}, {hi}]")
     u = stable_hash64(base_seed, utterance_id, variant_index, repr(lo), repr(hi)) / 2.0**64
     return lo + u * (hi - lo)
 

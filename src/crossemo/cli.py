@@ -3,7 +3,7 @@
 Every run directory is self-describing: the resolved configuration, seeds
 and package version land next to the outputs, and canonical files are
 written atomically. Exit codes: 0 ok, 2 validation failure, 3 runtime
-failure.
+failure or out of memory.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from . import __version__
+from . import BLAS_THREADS, NUMPY_IMPORTED_FIRST, __version__
 from .errors import CrossEmoError, ValidationFailure, from_fields
 from .ioutil import atomic_write_text, read_json, write_json
 
@@ -101,7 +101,8 @@ def _run_training(cfg, store=None, resume: bool = False):
     graph = build_model(cfg.arch, cfg.model, seed=cfg.seed)
     print(f"[crossemo] built {cfg.arch}: {graph.parameter_count():,} parameters")
 
-    resolved = {**cfg.resolved_json(), "package_version": __version__, "deterministic_mode": True}
+    resolved = {**cfg.resolved_json(), "package_version": __version__, "deterministic_mode": True,
+                "blas_threads": BLAS_THREADS, "numpy_imported_first": NUMPY_IMPORTED_FIRST}
     result = train_model(
         graph, manifest, fold, store, cfg.train, cfg.out_dir,
         resume=resume, fold_index=cfg.fold_index, run_config=resolved,
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
         return 2
     except (CrossEmoError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's message names the allocation's size, shape and dtype
+        print(f"runtime error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -14,18 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ClassTooSmall,
-    DuplicateId,
-    MissingField,
-    MissingSession,
-    NotEnoughUtterances,
-    LeakageError,
-    TooFewSpeakers,
-    UnknownStyle,
-    ValidationFailure,
-    from_fields,
-)
+from .errors import ValidationFailure, from_fields
 from .ioutil import read_json, read_jsonl, stable_hash64, write_json, write_jsonl
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -53,7 +42,7 @@ class UtteranceRecord:
 
     def __post_init__(self):
         if self.style not in STYLES:
-            raise UnknownStyle(f"record {self.id!r}: unknown style {self.style!r}")
+            raise ValidationFailure(f"record {self.id!r}: unknown style {self.style!r}")
 
     def to_json(self) -> dict:
         obj = {
@@ -79,7 +68,7 @@ class UtteranceRecord:
     def from_json(cls, obj: dict) -> "UtteranceRecord":
         for name in _REQUIRED_FIELDS:
             if name not in obj:
-                raise MissingField(f"record missing required field {name!r}: {obj}")
+                raise ValidationFailure(f"record missing required field {name!r}: {obj}")
         if not isinstance(obj.get("augmented", False), bool):
             raise ValidationFailure(f"record {obj['id']!r}: augmented must be true or false")
         if not isinstance(obj.get("raw_labels", {}), dict):
@@ -111,7 +100,7 @@ class CorpusManifest:
         seen = set()
         for r in self.records:
             if r.id in seen:
-                raise DuplicateId(f"duplicate utterance id {r.id!r}")
+                raise ValidationFailure(f"duplicate utterance id {r.id!r}")
             seen.add(r.id)
         object.__setattr__(self, "_by_id", {r.id: r for r in self.records})
 
@@ -183,7 +172,7 @@ def _single_raw_label(record: UtteranceRecord) -> str:
         return next(iter(record.raw_labels))
     if record.emotion is not None:
         return record.emotion
-    raise MissingField(f"record {record.id!r} carries no label")
+    raise ValidationFailure(f"record {record.id!r} carries no label")
 
 
 def map_labels_iemocap(manifest: CorpusManifest) -> LabelMapResult:
@@ -269,7 +258,7 @@ def make_folds_speaker_rotation(
     [k*test_speakers, k*test_speakers + test_speakers) with wrap-around."""
     speakers = manifest.speakers
     if len(speakers) <= test_speakers:
-        raise TooFewSpeakers(
+        raise ValidationFailure(
             f"need more than {test_speakers} speakers, found {len(speakers)}"
         )
     folds = []
@@ -288,7 +277,7 @@ def make_folds_session_holdout(
     order (last-first when reverse_order)."""
     for r in manifest.records:
         if r.session is None:
-            raise MissingSession(f"record {r.id!r} has no session")
+            raise ValidationFailure(f"record {r.id!r} has no session")
     sessions = sorted({r.session for r in manifest.records})
     if reverse_order:
         sessions = sessions[::-1]
@@ -304,10 +293,10 @@ def _ids_by_class(manifest: CorpusManifest) -> dict:
     by_class: dict[str, list] = {}
     for r in manifest.records:
         if r.emotion is None:
-            raise MissingField(f"record {r.id!r} has no emotion; map labels first")
+            raise ValidationFailure(f"record {r.id!r} has no emotion; map labels first")
         by_class.setdefault(r.emotion, []).append(r.id)
     if not by_class:
-        raise ClassTooSmall("manifest has no labeled records")
+        raise ValidationFailure("manifest has no labeled records")
     return {c: sorted(ids) for c, ids in sorted(by_class.items())}
 
 
@@ -394,7 +383,7 @@ def _largest_remainder(counts: dict, total: int) -> dict:
     exceeding the available count per class."""
     n = sum(counts.values())
     if total > n:
-        raise NotEnoughUtterances(f"requested {total} from {n} available")
+        raise ValidationFailure(f"requested {total} from {n} available")
     quotas = {c: total * counts[c] / n for c in counts}
     alloc = {c: min(int(quotas[c]), counts[c]) for c in counts}
     remaining = total - sum(alloc.values())
@@ -420,7 +409,7 @@ def subsample_balanced(
         if want is None:
             continue
         if want > len(manifest):
-            raise NotEnoughUtterances(
+            raise ValidationFailure(
                 f"{manifest.name}: requested {want} of {len(manifest)} records"
             )
         by_class = _ids_by_class(manifest)
@@ -436,7 +425,7 @@ def subsample_balanced(
 
 def filter_style(manifest: CorpusManifest, style: str) -> CorpusManifest:
     if style not in STYLES:
-        raise UnknownStyle(f"unknown style {style!r}")
+        raise ValidationFailure(f"unknown style {style!r}")
     kept = tuple(r for r in manifest.records if r.style == style)
     return CorpusManifest(name=f"{manifest.name}.{style}", records=kept)
 
@@ -447,12 +436,12 @@ def check_fold(fold: Fold, manifest: CorpusManifest, apart=None, where="fold") -
     one), and no value of the record field `apart`, if any, on both sides."""
     train, test = set(fold.train_ids), set(fold.test_ids)
     if train & test:
-        raise LeakageError(f"{where}: train/test ids overlap")
+        raise ValidationFailure(f"{where}: train/test ids overlap")
     for utt_id in (*fold.train_ids, *fold.test_ids):
         if utt_id not in manifest:
             raise ValidationFailure(f"{where}: unknown id {utt_id!r}")
         if manifest.get(utt_id).augmented:
-            raise LeakageError(f"{where}: augmented record {utt_id!r} named by the plan")
+            raise ValidationFailure(f"{where}: augmented record {utt_id!r} named by the plan")
     if apart is not None:
         tr = {getattr(manifest.get(u), apart) for u in train}
         te = {getattr(manifest.get(u), apart) for u in test}

@@ -1,9 +1,11 @@
-"""Exception hierarchy, and `from_fields`, the one reader that checks a
+"""The two kinds of failure, and `from_fields`, the one reader that checks a
 JSON document against a type: every config section, fold option, fold plan
 and run record is a dataclass read through it.
 
-ValidationFailure maps to CLI exit code 2 (bad input, bad config),
-RuntimeFailure to exit code 3 (I/O trouble, diverged training).
+ValidationFailure is bad input (a damaged file, a bad config or manifest, an
+impossible fold or shape): the CLI exits 2. RuntimeFailure is a fault while
+running (I/O trouble, diverged training): the CLI exits 3, as it does for
+MemoryError. The message says which check failed; there are no subclasses.
 """
 
 import functools
@@ -21,95 +23,6 @@ class ValidationFailure(CrossEmoError):
 
 
 class RuntimeFailure(CrossEmoError):
-    pass
-
-
-# audio
-class MalformedHeader(ValidationFailure):
-    pass
-
-
-class UnsupportedEncoding(ValidationFailure):
-    pass
-
-
-class EmptyAudio(ValidationFailure):
-    pass
-
-
-class NonPositiveFactor(ValidationFailure):
-    pass
-
-
-class ResultTooShort(ValidationFailure):
-    pass
-
-
-class GainOutOfRange(ValidationFailure):
-    pass
-
-
-class IoFailure(RuntimeFailure):
-    pass
-
-
-# features
-class SampleRateMismatch(ValidationFailure):
-    pass
-
-
-# corpus
-class DuplicateId(ValidationFailure):
-    pass
-
-
-class MissingField(ValidationFailure):
-    pass
-
-
-class UnknownStyle(ValidationFailure):
-    pass
-
-
-class TooFewSpeakers(ValidationFailure):
-    pass
-
-
-class MissingSession(ValidationFailure):
-    pass
-
-
-class ClassTooSmall(ValidationFailure):
-    pass
-
-
-class NotEnoughUtterances(ValidationFailure):
-    pass
-
-
-# augment
-class BadRange(ValidationFailure):
-    pass
-
-
-class UnknownRecipe(ValidationFailure):
-    pass
-
-
-# model
-class ShapeMismatch(ValidationFailure):
-    pass
-
-
-class BatchTooSmall(ValidationFailure):
-    pass
-
-
-class LabelOutOfRange(ValidationFailure):
-    pass
-
-
-class BadConfig(ValidationFailure):
     pass
 
 
@@ -142,8 +55,9 @@ def _read(value, tp, where: str):
     if origin is dict and isinstance(value, dict):
         return {k: _read(v, args[1], f"{where}.{k}") for k, v in value.items()}
     if tp not in _SCALARS and origin not in (tuple, dict):
-        raise BadConfig(f"{where}: no reader for the annotation {tp}")
-    raise BadConfig(f"{where} must be {tp.__name__ if isinstance(tp, type) else tp}, got {value!r}")
+        raise ValidationFailure(f"{where}: no reader for the annotation {tp}")
+    name = tp.__name__ if isinstance(tp, type) else tp
+    raise ValidationFailure(f"{where} must be {name}, got {value!r}")
 
 
 def from_fields(cls, obj, what: str, ignore=()):
@@ -152,49 +66,16 @@ def from_fields(cls, obj, what: str, ignore=()):
     `tuple[X, ...]` or a fixed-length tuple (from an array), `dict[str, X]`,
     a scalar (a bool is never a number) or `object` (anything). Keys in
     `ignore` are skipped. Anything else, an unknown key or a missing required
-    field (one without a default) raises BadConfig."""
+    field (one without a default) raises ValidationFailure."""
     if not isinstance(obj, dict):
-        raise BadConfig(f"{what} must be an object, got {obj!r}")
+        raise ValidationFailure(f"{what} must be an object, got {obj!r}")
     types_ = _field_types(cls)
     unknown = sorted(set(obj) - set(types_) - set(ignore))
     if unknown:
-        raise BadConfig(f"unknown {what} keys: {', '.join(unknown)}")
+        raise ValidationFailure(f"unknown {what} keys: {', '.join(unknown)}")
     missing = [name for name, (_, required) in types_.items() if required and name not in obj]
     if missing:
-        raise BadConfig(f"missing {what} keys: {', '.join(missing)}")
+        raise ValidationFailure(f"missing {what} keys: {', '.join(missing)}")
     return cls(**{name: _read(obj[name], tp, f"{what}.{name}")
                   for name, (tp, _) in types_.items() if name in obj})
 
-
-class CheckpointMismatch(ValidationFailure):
-    pass
-
-
-# train
-class EmptyTrainSet(ValidationFailure):
-    pass
-
-
-class TooFewPerClass(ValidationFailure):
-    pass
-
-
-class LeakageError(ValidationFailure):
-    pass
-
-
-class DivergedLoss(RuntimeFailure):
-    pass
-
-
-# evaluation
-class EmptyMatrix(ValidationFailure):
-    pass
-
-
-class UnknownLabel(ValidationFailure):
-    pass
-
-
-class ClassSetMismatch(ValidationFailure):
-    pass

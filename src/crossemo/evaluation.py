@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ClassSetMismatch, EmptyMatrix, RuntimeFailure, UnknownLabel
+from .errors import RuntimeFailure, ValidationFailure
 
 # utterances per eval-mode forward, in evaluation and in training's validation
 EVAL_BATCH = 64
@@ -39,7 +39,7 @@ class ConfusionMatrix:
         counts = np.asarray(self.counts, dtype=np.int64)
         n = len(self.classes)
         if counts.shape != (n, n):
-            raise EmptyMatrix(f"counts {counts.shape} for {n} classes")
+            raise ValidationFailure(f"counts {counts.shape} for {n} classes")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -54,9 +54,9 @@ def confusion_from_predictions(pairs, classes) -> ConfusionMatrix:
     counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
     for true, pred in pairs:
         if true not in index:
-            raise UnknownLabel(f"true label {true!r} not in {classes}")
+            raise ValidationFailure(f"true label {true!r} not in {classes}")
         if pred not in index:
-            raise UnknownLabel(f"predicted label {pred!r} not in {classes}")
+            raise ValidationFailure(f"predicted label {pred!r} not in {classes}")
         counts[index[true], index[pred]] += 1
     return ConfusionMatrix(classes, counts)
 
@@ -93,17 +93,17 @@ def metric_set(cm: ConfusionMatrix) -> MetricSet:
     instances leave mean_class_recall, and classes without both a positive
     and a negative leave wa_eq2, each with a warning."""
     if cm.total == 0:
-        raise EmptyMatrix("confusion matrix has no counts")
+        raise ValidationFailure("confusion matrix has no counts")
     tp, tn, fp, fn = one_vs_rest(cm)
     true = tp + fn
     has_true = true > 0
     _skip(cm, has_true, "class {cls!r} has no true instances; skipped")
     if not has_true.any():
-        raise EmptyMatrix("no class has true instances")
+        raise ValidationFailure("no class has true instances")
     two_sided = has_true & (tn + fp > 0)
     _skip(cm, two_sided, "class {cls!r} degenerate in wa_eq2; skipped")
     if not two_sided.any():
-        raise EmptyMatrix("every class degenerate in wa_eq2")
+        raise ValidationFailure("every class degenerate in wa_eq2")
     tp2, tn2, fp2, fn2 = (a[two_sided] for a in (tp, tn, fp, fn))
     return MetricSet(
         ua_eq1=100.0 * float(np.mean((tp + tn) / (tp + tn + fp + fn))),
@@ -117,7 +117,7 @@ def aggregate_folds(values) -> tuple:
     """(mean, population std); std is None for a single fold."""
     values = [float(v) for v in values]
     if not values:
-        raise EmptyMatrix("no fold values to aggregate")
+        raise ValidationFailure("no fold values to aggregate")
     mean = float(np.mean(values))
     std = float(np.std(values)) if len(values) >= 2 else None
     return mean, std
@@ -165,7 +165,7 @@ def evaluate_model(graph, classes, manifest, store, restrict_classes: bool = Fal
     present = tuple(sorted({r.emotion for r in manifest.records if r.emotion}))
     missing = [c for c in present if c not in classes]
     if missing:
-        raise ClassSetMismatch(
+        raise ValidationFailure(
             f"test classes {missing} absent from checkpoint classes {classes}"
         )
     allowed = [i for i, c in enumerate(classes) if c in present or not restrict_classes]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioBuffer, read_wav
-from .errors import EmptyAudio, IoFailure, SampleRateMismatch, ValidationFailure
+from .errors import RuntimeFailure, ValidationFailure
 from .ioutil import read_json, write_json
 
 # the paper's front-end: 26-ms Hamming windows every 9 ms, a 512-point FFT,
@@ -71,7 +71,7 @@ def fix_length(buffer: AudioBuffer, cfg: FbankConfig) -> AudioBuffer:
     """Truncate at the end or zero-pad at the end to exactly
     cfg.max_samples samples."""
     if buffer.n_samples == 0:
-        raise EmptyAudio("cannot fix the length of an empty buffer")
+        raise ValidationFailure("cannot fix the length of an empty buffer")
     n = cfg.max_samples
     x = buffer.samples
     if x.size >= n:
@@ -113,7 +113,7 @@ def extract_fbank(buffer: AudioBuffer, cfg: FbankConfig) -> np.ndarray:
     """Hamming-windowed frames -> power spectrum -> Mel energies -> natural
     log with a floor, n_frames x n_bands. No pre-emphasis, no dithering."""
     if buffer.sample_rate != cfg.sample_rate:
-        raise SampleRateMismatch(
+        raise ValidationFailure(
             f"buffer at {buffer.sample_rate} Hz, config expects {cfg.sample_rate} Hz"
         )
     window = cfg.window_samples
@@ -121,7 +121,7 @@ def extract_fbank(buffer: AudioBuffer, cfg: FbankConfig) -> np.ndarray:
     x = buffer.samples
     n_frames = frame_count(x.size, window, shift)
     if n_frames < 1:
-        raise EmptyAudio(f"{x.size} samples is shorter than one analysis window")
+        raise ValidationFailure(f"{x.size} samples is shorter than one analysis window")
     frames = np.lib.stride_tricks.sliding_window_view(x, window)[::shift][:n_frames]
     ham = np.hamming(window)
     spectrum = np.fft.rfft(frames * ham, n=FFT_SIZE, axis=1)
@@ -148,7 +148,8 @@ def compute_features(buffer: AudioBuffer, cfg: FbankConfig) -> np.ndarray:
 
 class FeatureCache:
     """Single-file feature cache plus a JSON sidecar recording the
-    FbankConfig. A sidecar mismatch invalidates the cache.
+    FbankConfig. A missing, unreadable or mismatched sidecar invalidates
+    the cache.
 
     Record layout: u32 id length, id bytes, u32 n_frames, u32 n_bands,
     float32 row-major cells.
@@ -161,15 +162,14 @@ class FeatureCache:
         self.bin_path = self.directory / "features.bin"
         self.sidecar_path = self.directory / "features.json"
         self._index: dict[str, tuple[int, int, int]] = {}
-        if self.sidecar_path.exists():
-            try:
-                sidecar = read_json(self.sidecar_path)
-            except ValidationFailure:
-                sidecar = None
-            if sidecar == cfg.to_json() and self.bin_path.exists():
-                self._load_index()
-            else:  # config changed: start fresh
-                self.bin_path.unlink(missing_ok=True)
+        try:
+            same = self.sidecar_path.exists() and read_json(self.sidecar_path) == cfg.to_json()
+        except ValidationFailure:
+            same = False
+        if same and self.bin_path.exists():
+            self._load_index()
+        else:  # no sidecar, a damaged one or another config's: start fresh
+            self.bin_path.unlink(missing_ok=True)
         write_json(self.sidecar_path, cfg.to_json())
 
     def _load_index(self):
@@ -217,7 +217,15 @@ class FeatureCache:
         return values if np.isfinite(values).all() else None
 
     def put(self, utt_id: str, values: np.ndarray) -> None:
+        """Append the record, or write its cells over an indexed copy of the
+        same shape (one `get` found damaged), so the file does not grow."""
         encoded = values.astype("<f4").tobytes()
+        entry = self._index.get(utt_id)
+        if entry is not None and entry[1:] == values.shape:
+            with open(self.bin_path, "r+b") as fh:
+                fh.seek(entry[0])
+                fh.write(encoded)
+            return
         idb = utt_id.encode("utf-8")
         with open(self.bin_path, "ab") as fh:
             fh.write(struct.pack("<I", len(idb)))
@@ -252,7 +260,7 @@ class FeatureStore:
                 return cached
         record = self._records.get(utt_id)
         if record is None:
-            raise IoFailure(f"utterance {utt_id!r} not present in the manifest")
+            raise RuntimeFailure(f"utterance {utt_id!r} not present in the manifest")
         buffer = read_wav(record.audio_path)
         values = compute_features(buffer, self.cfg).astype(np.float32)
         if self._cache is not None:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadConfig, CheckpointMismatch, IoFailure, MalformedHeader, from_fields
+from ..errors import RuntimeFailure, ValidationFailure, from_fields
 from ..ioutil import atomic_write_bytes
 from .models import ModelGraph, build_model
 
@@ -61,7 +61,7 @@ def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict
     """Write the graph's parameters and buffers, plus the arrays in `state`,
     as one atomic file. `extra` must be a dict."""
     if extra is not None and not isinstance(extra, dict):
-        raise BadConfig(f"checkpoint extra must be a dict, got {type(extra).__name__}")
+        raise ValidationFailure(f"checkpoint extra must be a dict, got {type(extra).__name__}")
     kinds = (("param", {name: p.data for name, p in graph.params.items()}),
              ("bn", graph.buffers), ("state", state or {}))
     entries = [(kind, name, np.ascontiguousarray(arrays[name], dtype="<f4"))
@@ -79,45 +79,45 @@ def load_checkpoint(path: str | Path, expect_digest: str | None = None) -> Check
     """Read a checkpoint, each blob straight into its own array. A header
     that does not decode or does not read as a CheckpointHeader, a file
     size other than the one the header's blob index gives, or a blob that
-    holds a NaN or Inf raises MalformedHeader."""
+    holds a NaN or Inf raises ValidationFailure."""
     try:
         with open(path, "rb") as fh:
             return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size, path, expect_digest)
     except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
+        raise RuntimeFailure(f"cannot read checkpoint {path}: {exc}") from exc
 
 
 def _read_checkpoint(fh, size: int, path, expect_digest: str | None) -> CheckpointData:
     head = fh.read(12)
     if len(head) < 12 or head[:4] != MAGIC:
-        raise MalformedHeader(f"{path}: not a checkpoint file")
+        raise ValidationFailure(f"{path}: not a checkpoint file")
     version, header_len = struct.unpack_from("<II", head, 4)
     if version != FORMAT_VERSION:
-        raise MalformedHeader(f"{path}: unsupported checkpoint version {version}")
+        raise ValidationFailure(f"{path}: unsupported checkpoint version {version}")
     if 12 + header_len > size:  # checked before a read of that many bytes is sized
-        raise MalformedHeader(f"{path}: its {header_len}-byte header runs past the file's end")
+        raise ValidationFailure(f"{path}: its {header_len}-byte header runs past the file's end")
     try:
         obj = json.loads(fh.read(header_len).decode("utf-8"))
         header = from_fields(CheckpointHeader, obj, "checkpoint header")
-    except (ValueError, BadConfig) as exc:  # incl. Unicode and JSON decode errors
-        raise MalformedHeader(f"{path}: malformed checkpoint header ({exc})") from exc
+    except (ValueError, ValidationFailure) as exc:  # incl. Unicode and JSON decode errors
+        raise ValidationFailure(f"{path}: malformed checkpoint header ({exc})") from exc
     if any(d < 0 for entry in header.index for d in entry.shape):
-        raise MalformedHeader(f"{path}: negative blob dimension in the index")
+        raise ValidationFailure(f"{path}: negative blob dimension in the index")
     expected = 12 + header_len + sum(4 * math.prod(entry.shape) for entry in header.index)
     if expected != size:
-        raise MalformedHeader(f"{path}: {size} bytes, but its header describes {expected}")
+        raise ValidationFailure(f"{path}: {size} bytes, but its header describes {expected}")
     if expect_digest is not None and header.config_digest != expect_digest:
-        raise CheckpointMismatch(
+        raise ValidationFailure(
             f"{path}: config digest {header.config_digest} != expected {expect_digest}")
     blobs: dict = {"param": {}, "bn": {}, "state": {}}
     for entry in header.index:
         if entry.kind not in blobs:
-            raise MalformedHeader(f"{path}: unknown blob kind {entry.kind!r}")
+            raise ValidationFailure(f"{path}: unknown blob kind {entry.kind!r}")
         arr = np.empty(entry.shape, dtype="<f4")
         if fh.readinto(arr) != arr.nbytes:
-            raise MalformedHeader(f"{path}: file ends inside blob {entry.name!r}")
+            raise ValidationFailure(f"{path}: file ends inside blob {entry.name!r}")
         if not np.isfinite(arr).all():
-            raise MalformedHeader(f"{path}: blob {entry.name!r} holds a NaN or Inf")
+            raise ValidationFailure(f"{path}: blob {entry.name!r} holds a NaN or Inf")
         blobs[entry.kind][entry.name] = arr
     return CheckpointData(**vars(header), params=blobs["param"], bn_stats=blobs["bn"],
                           state=blobs["state"])
@@ -128,7 +128,7 @@ def graph_from_checkpoint(data: CheckpointData) -> ModelGraph:
     the stored parameters into it."""
     graph = build_model(data.arch, dict(data.config), seed=None)
     if graph.digest != data.config_digest:
-        raise CheckpointMismatch(
+        raise ValidationFailure(
             f"rebuilt config digest {graph.digest} != stored {data.config_digest}")
     load_into_graph(graph, data)
     graph.set_mode("eval")
@@ -136,15 +136,15 @@ def graph_from_checkpoint(data: CheckpointData) -> ModelGraph:
 
 
 def check_arrays(kind: str, want: dict, have: dict) -> None:
-    """Raise CheckpointMismatch unless the stored arrays `have` carry exactly
+    """Raise ValidationFailure unless the stored arrays `have` carry exactly
     the names of `want`, each at the shape of its counterpart there."""
     if unexpected := sorted(set(have) - set(want)):
-        raise CheckpointMismatch(f"unexpected {kind} in checkpoint: {unexpected}")
+        raise ValidationFailure(f"unexpected {kind} in checkpoint: {unexpected}")
     if missing := sorted(set(want) - set(have)):
-        raise CheckpointMismatch(f"checkpoint lacks {kind}: {missing}")
+        raise ValidationFailure(f"checkpoint lacks {kind}: {missing}")
     for name, arr in have.items():
         if arr.shape != want[name].shape:
-            raise CheckpointMismatch(f"{kind} {name!r}: shape {arr.shape} != {want[name].shape}")
+            raise ValidationFailure(f"{kind} {name!r}: shape {arr.shape} != {want[name].shape}")
 
 
 def load_into_graph(graph: ModelGraph, data: CheckpointData) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import ValidationFailure
 from . import ops
 from .tensor import Tensor, glorot_uniform
 
@@ -69,7 +69,8 @@ def blstm_forward(params: dict, prefix: str, x: Tensor, hidden: int) -> Tensor:
     fw, bw = (tuple(params[f"{prefix}.{d}.{n}"] for n in ("wx", "wh", "b"))
               for d in ("fw", "bw"))
     if fw[1].shape[0] != hidden:
-        raise ShapeMismatch(f"{prefix}: recurrent weights {fw[1].shape} for hidden size {hidden}")
+        raise ValidationFailure(
+            f"{prefix}: recurrent weights {fw[1].shape} for hidden size {hidden}")
     return ops.blstm(x, forward=fw, backward=bw)
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import BadConfig, ShapeMismatch, from_fields
+from ..errors import ValidationFailure, from_fields
 from ..ioutil import config_digest
 from . import layers, ops
 from .tensor import Tensor
@@ -42,13 +42,13 @@ class CnnBlstmAttConfig:
 
     def __post_init__(self):
         if not self.conv_channels or not self.fc_sizes:
-            raise BadConfig("need at least one conv layer and one fc layer")
+            raise ValidationFailure("need at least one conv layer and one fc layer")
         if self.n_classes < 2:
-            raise BadConfig("n_classes must be >= 2")
+            raise ValidationFailure("n_classes must be >= 2")
         if any(p < 1 or p > len(self.conv_channels) for p in self.pool_after):
-            raise BadConfig("pool_after entries must index conv layers (1-based)")
+            raise ValidationFailure("pool_after entries must index conv layers (1-based)")
         if self.blstm_hidden < 1 or self.attention_dim < 1 or self.input_bands < 1:
-            raise BadConfig("sizes must be positive")
+            raise ValidationFailure("sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class BlstmAttConfig:
 
     def __post_init__(self):
         if self.blstm_layers < 1 or self.hidden < 1:
-            raise BadConfig("need at least one BLSTM layer with positive width")
+            raise ValidationFailure("need at least one BLSTM layer with positive width")
         if self.n_classes < 2:
-            raise BadConfig("n_classes must be >= 2")
+            raise ValidationFailure("n_classes must be >= 2")
 
 
 class ModelGraph:
@@ -84,7 +84,7 @@ class ModelGraph:
 
     def set_mode(self, mode: str) -> None:
         if mode not in ("train", "eval"):
-            raise BadConfig(f"mode must be train or eval, got {mode!r}")
+            raise ValidationFailure(f"mode must be train or eval, got {mode!r}")
         self.mode = mode
 
     def parameter_count(self) -> int:
@@ -109,7 +109,7 @@ class ModelGraph:
 def _check_input(feats: np.ndarray, input_bands: int) -> np.ndarray:
     feats = np.asarray(feats, dtype=np.float32)
     if feats.ndim != 3 or feats.shape[2] != input_bands:
-        raise ShapeMismatch(
+        raise ValidationFailure(
             f"expected [batch, time, {input_bands}] features, got {feats.shape}"
         )
     return feats
@@ -174,7 +174,7 @@ def build_cnn_blstm_att(cfg: CnnBlstmAttConfig, seed: int | None) -> ModelGraph:
             bands //= 2
         in_ch = out_ch
     if bands < 1:
-        raise BadConfig(
+        raise ValidationFailure(
             f"pooling schedule collapses {cfg.input_bands} bands to zero width"
         )
     layers.add_blstm(params, rng, "blstm0", in_ch * bands, cfg.blstm_hidden)
@@ -215,7 +215,7 @@ ARCHITECTURES = {
 
 def architecture(arch: str) -> Architecture:
     if arch not in ARCHITECTURES:
-        raise BadConfig(f"unknown architecture {arch!r}; valid: {', '.join(ARCHITECTURES)}")
+        raise ValidationFailure(f"unknown architecture {arch!r}; valid: {', '.join(ARCHITECTURES)}")
     return ARCHITECTURES[arch]
 
 

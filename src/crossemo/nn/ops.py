@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..errors import BadConfig, BatchTooSmall, LabelOutOfRange, ShapeMismatch
+from ..errors import ValidationFailure
 from .tensor import Tensor, as_tensor
 
 
@@ -39,7 +39,7 @@ def dense(x, w, b) -> Tensor:
     """Fully connected layer: x [rows, in] @ w [in, out] + b [out]."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatch(f"dense of {x.shape} with weights {w.shape}")
+        raise ValidationFailure(f"dense of {x.shape} with weights {w.shape}")
     out_data = x.data @ w.data
     out_data += b.data
     parents = (x, w, b)
@@ -223,7 +223,7 @@ def blstm(x, forward, backward) -> Tensor:
     x = as_tensor(x)
     directions = [tuple(as_tensor(p) for p in d) for d in (forward, backward)]
     if x.data.ndim != 3 or any(wx.shape[0] != x.shape[2] for wx, _, _ in directions):
-        raise ShapeMismatch(f"blstm of {x.shape} with input weights "
+        raise ValidationFailure(f"blstm of {x.shape} with input weights "
                             f"{[wx.shape for wx, _, _ in directions]}")
     batch, n_steps, n_in = x.shape
     hidden = directions[0][1].shape[0]
@@ -283,7 +283,7 @@ def attention(seq, w, b, v):
     """
     seq, w, b, v = (as_tensor(t) for t in (seq, w, b, v))
     if seq.data.ndim != 3 or seq.shape[2] != w.shape[0]:
-        raise ShapeMismatch(f"attention over {seq.shape} with weights {w.shape}")
+        raise ValidationFailure(f"attention over {seq.shape} with weights {w.shape}")
     batch, n_steps, feat = seq.shape
     flat = seq.data.reshape(batch * n_steps, feat)
     hidden = np.tanh(flat @ w.data + b.data)
@@ -321,7 +321,7 @@ def fc_block(x, w, b, gamma, beta, running_mean: np.ndarray, running_var: np.nda
     """One FC layer of the CNN as one node: x [rows, in] @ w [in, out] + b,
     batch norm of each column over the rows (Ioffe & Szegedy,
     arXiv:1502.03167), ReLU, then inverted dropout at `rate` with the mask
-    `rng.random(shape) >= rate`; a rate outside [0, 1) raises BadConfig.
+    `rng.random(shape) >= rate`; a rate outside [0, 1) raises ValidationFailure.
     Train mode uses the batch's statistics and updates the running ones in
     place; eval mode applies those as a fixed affine map and drops nothing. Only x-hat and the output are kept: a kept
     positive cell stays positive, so the ReLU-and-dropout mask is `out > 0`
@@ -329,13 +329,13 @@ def fc_block(x, w, b, gamma, beta, running_mean: np.ndarray, running_var: np.nda
     separate dense, batch-norm, ReLU and dropout ops did, bit for bit."""
     x, w, b, gamma, beta = (as_tensor(t) for t in (x, w, b, gamma, beta))
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatch(f"fc block of {x.shape} with weights {w.shape}")
+        raise ValidationFailure(f"fc block of {x.shape} with weights {w.shape}")
     if not 0.0 <= rate < 1.0:
-        raise BadConfig(f"dropout rate must be in [0, 1), got {rate}")
+        raise ValidationFailure(f"dropout rate must be in [0, 1), got {rate}")
     count = x.shape[0]
     train = mode == "train"
     if train and count < 2:
-        raise BatchTooSmall(f"batch norm needs >= 2 values per feature, got {count}")
+        raise ValidationFailure(f"batch norm needs >= 2 values per feature, got {count}")
     drop = train and rate > 0.0
     momentum, eps = 0.9, 1e-5  # the running statistics' decay; the variance floor
     xhat = x.data @ w.data  # the dense output, normalised in place below
@@ -530,12 +530,12 @@ def conv2d(x, w, b=None, pool: int = 1) -> Tensor:
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ShapeMismatch(f"conv2d of {x.shape} with kernel {w.shape}")
+        raise ValidationFailure(f"conv2d of {x.shape} with kernel {w.shape}")
     batch, in_ch, bands, time = x.shape
     out_ch, _, kt, kb = w.shape
     oh, ow = bands // pool, time // pool
     if oh < 1 or ow < 1:
-        raise ShapeMismatch(f"pooling {pool}x{pool} on {bands}x{time} input")
+        raise ValidationFailure(f"pooling {pool}x{pool} on {bands}x{time} input")
     wp = time + kt - 1
     w2 = w.data.reshape(out_ch, -1)
     dtype = np.result_type(x.data, w.data)
@@ -643,7 +643,7 @@ def max_pool2d(x, size: int = 2) -> Tensor:
     h, w = x.shape[2:]
     oh, ow = h // size, w // size
     if oh < 1 or ow < 1:
-        raise ShapeMismatch(f"pooling {size}x{size} on {h}x{w} input")
+        raise ValidationFailure(f"pooling {size}x{size} on {h}x{w} input")
     cells = _pool_cells(size, oh, ow)
     out_data = np.empty(x.shape[:2] + (oh, ow), dtype=x.dtype)
     _pool_max(x.data, cells, out_data)
@@ -667,9 +667,9 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     labels = np.asarray(labels)
     batch, n_classes = logits.shape
     if labels.shape != (batch,):
-        raise ShapeMismatch(f"labels {labels.shape} for logits {logits.shape}")
+        raise ValidationFailure(f"labels {labels.shape} for logits {logits.shape}")
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
+        raise ValidationFailure(f"labels must lie in [0, {n_classes})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp

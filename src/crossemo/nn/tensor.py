@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import ValidationFailure
 
 
 class Tensor:
@@ -57,7 +57,7 @@ class Tensor:
     def backward(self, grad=None):
         if grad is None:
             if self.size != 1:
-                raise ShapeMismatch("backward() without a gradient needs a scalar")
+                raise ValidationFailure("backward() without a gradient needs a scalar")
             grad = np.ones_like(self.data)
         order = _topo_order(self)
         self.accumulate(grad)

@@ -24,15 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CorpusManifest, Fold, check_fold
-from .errors import (
-    CheckpointMismatch,
-    DivergedLoss,
-    EmptyTrainSet,
-    ShapeMismatch,
-    TooFewPerClass,
-    ValidationFailure,
-    from_fields,
-)
+from .errors import RuntimeFailure, ValidationFailure, from_fields
 from .evaluation import batched_logits, confusion_from_predictions, metric_set
 from .features import FbankConfig
 from .ioutil import stable_hash64, write_json, write_jsonl
@@ -90,7 +82,7 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
         if g is None:
             continue
         if g.shape != p.data.shape:
-            raise ShapeMismatch(f"{name}: gradient {g.shape} vs parameter {p.data.shape}")
+            raise ValidationFailure(f"{name}: gradient {g.shape} vs parameter {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1
@@ -159,7 +151,7 @@ def carve_validation(ids, labels_by_id: dict, fraction: float, seed: int):
     for cls in sorted(by_class):
         members = sorted(by_class[cls])
         if len(members) < 2:
-            raise TooFewPerClass(
+            raise ValidationFailure(
                 f"class {cls!r} has {len(members)} utterance(s); need >= 2 "
                 "to carve a validation split"
             )
@@ -219,7 +211,7 @@ def train_model(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not fold.train_ids:
-        raise EmptyTrainSet("fold has no training utterances")
+        raise ValidationFailure("fold has no training utterances")
     check_fold(fold, manifest)
 
     labels = manifest.labels_by_id()
@@ -253,13 +245,13 @@ def train_model(
         stored = from_fields(CheckpointExtra, data.extra, "checkpoint extra")
         for name in ("classes", "fold", "features"):
             if getattr(stored, name) != getattr(extra, name):
-                raise CheckpointMismatch(
+                raise ValidationFailure(
                     f"{last_path} was trained with {name} {getattr(stored, name)!r}, "
                     f"not {getattr(extra, name)!r}"
                 )
         run = stored.run
         if run is None:
-            raise CheckpointMismatch(f"{last_path} holds no training state to resume from")
+            raise ValidationFailure(f"{last_path} holds no training state to resume from")
         load_into_graph(graph, data)
         check_arrays("optimizer state", adam.moments(), data.state)
         adam.m, adam.v = ({k: data.state[f"{p}::{k}"] for k in graph.params} for p in "mv")
@@ -289,7 +281,7 @@ def train_model(
                     {"epoch": epoch, "lr": plateau.lr, "batch_ids": batch_ids,
                      "loss": repr(loss_value)},
                 )
-                raise DivergedLoss(
+                raise RuntimeFailure(
                     f"non-finite loss at epoch {epoch}; state dumped to "
                     f"{out_dir / 'diverged_state.json'}"
                 )

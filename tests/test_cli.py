@@ -3,6 +3,7 @@ synthetic corpus with the desk-scale model and one epoch."""
 
 import argparse
 import ast
+import builtins
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import crossemo
-from crossemo import corpus, features
+from crossemo import corpus, errors, features
 from crossemo.cli import build_parser, main
 from crossemo.features import compute_features
 from crossemo.ioutil import write_json
@@ -121,6 +122,47 @@ def test_augment_missing_wav_exits_3(tiny, tmp_path):
     rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
     failed = [r for r in rows if ",ok," not in r]
     assert len(rows) == 16 and len(failed) == 1 and failed[0].startswith(broken.id)
+
+
+def test_out_of_memory_exits_3(prepared, tmp_path, capsys, monkeypatch):
+    def no_memory(buffer, cfg):
+        raise MemoryError("Unable to allocate 20.6 MiB for an array with shape "
+                          "(32, 207, 777) and data type float32")
+
+    monkeypatch.setattr(features, "compute_features", no_memory)
+    write_json(tmp_path / "train.json", {
+        "profile": "desk-scale", **prepared, "train": {"epochs": 1},
+        "out_dir": str(tmp_path / "run"),
+    })
+    capsys.readouterr()
+    assert run("train", "--config", tmp_path / "train.json") == 3
+    err = capsys.readouterr().err
+    assert "runtime error: out of memory: Unable to allocate 20.6 MiB" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("first, blas_env, threads", [
+    ("", {"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+    ("import numpy; ", {}, ["1", "1", "1"]),
+], ids=["explicit-openblas", "numpy-first"])
+def test_run_records_the_blas_setting(prepared, tmp_path, first, blas_env, threads):
+    write_json(tmp_path / "train.json", {
+        "profile": "desk-scale", **prepared, "train": {"epochs": 1},
+        "out_dir": str(tmp_path / "run"),
+    })
+    src = str(Path(crossemo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in crossemo.BLAS_VARS}
+    code = first + "import sys; from crossemo.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "train", "--config", str(tmp_path / "train.json")],
+        capture_output=True, text=True, timeout=120,
+        env={**env, **blas_env, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    resolved = json.loads((tmp_path / "run" / "config.resolved.json").read_text())
+    assert resolved["blas_threads"] == dict(zip(crossemo.BLAS_VARS, threads))
+    assert resolved["numpy_imported_first"] is bool(first)
 
 
 def test_resume_without_run_state_exits_2(prepared, trained, tmp_path, capsys):
@@ -413,6 +455,26 @@ def test_only_the_cli_prints():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
     ]
     assert calls == []
+
+
+def test_two_kinds_of_failure_are_pinned():
+    # ValidationFailure exits 2, RuntimeFailure exits 3; a new exception
+    # class fails here until it is reviewed
+    pinned = ["CrossEmoError", "ValidationFailure", "RuntimeFailure"]
+    assert [name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, BaseException)] == pinned
+    exceptions = set(pinned) | {name for name, value in vars(builtins).items()
+                                if isinstance(value, type) and issubclass(value, BaseException)}
+    package = Path(crossemo.__file__).parent
+    defined = [
+        f"{path.relative_to(package)}:{node.name}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) in exceptions
+                for base in node.bases)
+    ]
+    assert defined == [f"errors.py:{name}" for name in pinned]
 
 
 # reached only from tests and the benchmark until the cross-corpus matrix

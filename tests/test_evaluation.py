@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crossemo.corpus import CorpusManifest
-from crossemo.errors import ClassSetMismatch, EmptyMatrix, UnknownLabel
+from crossemo.errors import ValidationFailure
 from crossemo.evaluation import (
     ConfusionMatrix,
     aggregate_folds,
@@ -62,7 +62,7 @@ class TestConfusion:
             assert cm.counts[i].sum() == sum(1 for t, _ in pairs if t == c)
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(ValidationFailure, match="true label 'x' not in"):
             confusion_from_predictions([("x", "a")], ("a", "b"))
 
 
@@ -151,7 +151,7 @@ class TestMetricFormulas:
             assert getattr(base, key) == pytest.approx(getattr(permuted, key), abs=1e-12)
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(ValidationFailure, match="confusion matrix has no counts"):
             metric_set(ConfusionMatrix(("a", "b"), np.zeros((2, 2), dtype=int)))
 
     def test_binary_is_the_first_class_value_exactly(self):
@@ -160,7 +160,7 @@ class TestMetricFormulas:
         def first_class(counts):
             (tp, fn), (fp, tn) = counts.tolist()
             if tp + fn == 0 or tn + fp == 0:
-                return None  # no counts, or one class never true: EmptyMatrix
+                return None  # no counts, or one class never true: ValidationFailure
             return (100.0 * ((tp + tn) / (tp + tn + fp + fn)),
                     100.0 * (0.5 * (tp / (tp + fn) + tn / (tn + fp))))
 
@@ -173,7 +173,7 @@ class TestMetricFormulas:
                 try:
                     m = metric_set(ConfusionMatrix(("a", "b"), counts))
                     got = (m.ua_eq1, m.wa_eq2)
-                except EmptyMatrix:
+                except ValidationFailure:
                     got = None
             if got != expected:
                 mismatches.append((cells, got, expected))
@@ -282,7 +282,8 @@ class TestEvaluateModel:
     def test_class_set_mismatch(self):
         manifest, store = two_class_setup()
         model = HandBuiltModel([1.0])
-        with pytest.raises(ClassSetMismatch):
+        with pytest.raises(ValidationFailure, match=r"test classes \['angry', 'happy'\] absent "
+                                                    "from checkpoint classes"):
             evaluate_model(model, ("sad",), manifest, store)
 
     def test_predictions_csv(self):

@@ -5,7 +5,7 @@ import pytest
 
 from crossemo import features
 from crossemo.audio import AudioBuffer, apply_volume, write_wav
-from crossemo.errors import EmptyAudio, SampleRateMismatch, ValidationFailure
+from crossemo.errors import ValidationFailure
 from crossemo.features import (
     FbankConfig,
     FeatureCache,
@@ -51,7 +51,7 @@ class TestFixLength:
         assert np.array_equal(out.samples, buf.samples)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyAudio):
+        with pytest.raises(ValidationFailure, match="cannot fix the length of an empty buffer"):
             fix_length(AudioBuffer(np.array([]), 16000), DEFAULT)
 
 
@@ -116,7 +116,7 @@ class TestExtractFbank:
         assert np.allclose(shift, 2.0 * np.log(3.0), atol=1e-6)
 
     def test_sample_rate_mismatch(self):
-        with pytest.raises(SampleRateMismatch):
+        with pytest.raises(ValidationFailure, match="buffer at 8000 Hz, config expects 16000 Hz"):
             extract_fbank(AudioBuffer(np.zeros(8000), 8000), DEFAULT)
 
 
@@ -176,6 +176,16 @@ class TestFeatureCache:
         other = FeatureCache(tmp_path, FbankConfig(max_seconds=1.4))
         assert "utt1" not in other
 
+    def test_missing_sidecar_starts_fresh(self, tmp_path):
+        # two configs of one shape: only the sidecar tells their records apart
+        wide, narrow = FbankConfig(max_seconds=1.2), FbankConfig(max_seconds=1.2, sample_rate=8000)
+        shape = (wide.n_frames, wide.n_bands)
+        assert shape == (narrow.n_frames, narrow.n_bands)
+        FeatureCache(tmp_path, wide).put("utt1", np.ones(shape, dtype=np.float32))
+        (tmp_path / "features.json").unlink()
+        FeatureCache(tmp_path, narrow)
+        assert "utt1" not in FeatureCache(tmp_path, narrow)
+
     def test_missing_returns_none(self, tmp_path):
         cache = FeatureCache(tmp_path, DEFAULT)
         assert cache.get("nope") is None
@@ -229,7 +239,7 @@ class TestFeatureCache:
         assert np.array_equal(again.get("utt2"), second)
 
     def test_non_finite_record_recomputed(self, tmp_path):
-        # a NaN cell once reached training and surfaced as DivergedLoss
+        # a NaN cell once reached training and surfaced as a non-finite training loss
         write_wav(tone(300, 0.5), tmp_path / "a.wav")
         manifest = make_manifest(1, audio_path=str(tmp_path / "a.wav"))
         values = FeatureStore(manifest, DEFAULT, tmp_path / "cache").get("u0000")
@@ -242,5 +252,5 @@ class TestFeatureCache:
         size = bin_path.stat().st_size
         store = FeatureStore(manifest, DEFAULT, tmp_path / "cache")
         assert np.array_equal(store.get("u0000"), values)
-        assert bin_path.stat().st_size == 2 * size  # written again after the damaged copy
+        assert bin_path.stat().st_size == size  # written over the damaged copy
         assert np.array_equal(FeatureCache(tmp_path / "cache", DEFAULT).get("u0000"), values)

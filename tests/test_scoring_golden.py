@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crossemo.errors import EmptyMatrix
+from crossemo.errors import ValidationFailure
 from crossemo.evaluation import METRIC_KEYS, ConfusionMatrix, MetricSet, metric_set
 from crossemo.report import RunRecord, build_cross_matrix, save_report
 
@@ -114,7 +114,7 @@ def test_metric_set_pinned():
             warnings.simplefilter("always")
             try:
                 text = repr(metric_set(cm))
-            except EmptyMatrix as exc:
+            except ValidationFailure as exc:
                 text = f"EmptyMatrix({str(exc)!r})"
         assert all(w.category is UserWarning for w in caught)
         got.append((text, [str(w.message) for w in caught]))
