@@ -26,6 +26,7 @@ no global training flag.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 
@@ -125,13 +126,21 @@ def _run_pair(run, threaded: bool) -> None:
     """`run(0)` in the calling thread and `run(1)` on the worker at the same
     time when `threaded`, else one after the other. Returns once both have
     stopped; an exception in either is raised only then, `run(0)`'s first.
-    The caller allocates what both write: glibc gives each thread its own
-    malloc arena, whose freed memory the main thread does not reuse."""
-    if not threaded:
+    Callers: `blstm`, `conv2d`, `synth.generate_corpus`. The caller allocates
+    what both write (glibc gives each thread a malloc arena whose freed memory
+    the main thread does not reuse), except synthesis, whose renders add 0.2-1.7
+    MB to median whole-run peak RSS (`BENCH_29.json`). If no thread can start,
+    the caller runs both; the item `submit` queued anyway finds `run(1)` claimed."""
+    claim = threading.Lock()  # `run(1)` runs once, on the side that takes it
+    try:
+        job = threaded and _WORKER.submit(lambda: claim.acquire(blocking=False) and run(1))
+    except RuntimeError:  # "can't start new thread", raised after queueing
+        job = None
+    if not job:
+        claim.acquire()
         run(0)
         run(1)
         return
-    job = _WORKER.submit(run, 1)
     try:
         run(0)
     finally:

@@ -9,9 +9,10 @@ matched/mismatched gaps emerge for the right reason.
 
 Generation is deterministic: every utterance is rendered from an RNG seeded
 by a stable hash of (spec seed, utterance id), so re-running a spec yields
-byte-identical WAV files on one numpy and BLAS build. Across builds the
-samples agree within rounding, since the harmonic sum goes through a matrix
-product whose summation order is the BLAS library's.
+byte-identical WAV files on one numpy and BLAS build, whichever thread renders
+them: `generate_corpus` takes records[0::2] in the caller and records[1::2] on
+the ops worker. Across builds the samples agree within rounding, since the
+harmonic sum is a matrix product whose summation order is the BLAS library's.
 
 The voiced part is a sum of up to 40 harmonics, taken as a polynomial in the
 phasor e^{i phase} and evaluated baby-step/giant-step (Paterson & Stockmeyer,
@@ -35,6 +36,7 @@ from .audio import AudioBuffer, write_wav
 from .corpus import EMOTIONS_4, CorpusManifest, UtteranceRecord, save_manifest
 from .errors import ValidationFailure, from_fields
 from .ioutil import read_json, stable_hash64, write_json
+from .nn import ops
 
 
 @dataclass(frozen=True)
@@ -285,14 +287,33 @@ def corpus_manifest(spec: SynthCorpusSpec, out_dir: str | Path) -> CorpusManifes
 
 
 def generate_corpus(spec: SynthCorpusSpec, out_dir: str | Path) -> CorpusManifest:
-    """Render each record of `corpus_manifest`; write manifest.jsonl and spec.json."""
+    """Render each record of `corpus_manifest`; then, if none failed, write
+    manifest.jsonl and spec.json. The caller writes every WAV, the worker's
+    after each of its own renders: a `write_wav` wrapper may keep one span
+    stack, as perfbench's tracer does. A failure stops both halves."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = corpus_manifest(spec, out_dir)
-    for r in manifest.records:
-        voice = _speaker_voice(spec, r.speaker)
-        samples = _render_utterance(spec, voice, spec.signatures[r.emotion], r.id)
-        write_wav(AudioBuffer(samples, spec.sample_rate), r.audio_path)
+    threaded = ops._cores() >= 2 and len(manifest) >= 2
+    rendered, failed = [], []  # the caller alone pops; list calls are atomic
+
+    def run(k):
+        try:
+            for r in manifest.records[k::2]:
+                if failed:
+                    return
+                voice = _speaker_voice(spec, r.speaker)
+                samples = _render_utterance(spec, voice, spec.signatures[r.emotion], r.id)
+                rendered.append((AudioBuffer(samples, spec.sample_rate), r.audio_path))
+                while rendered and (k == 0 or not threaded):
+                    write_wav(*rendered.pop(0))
+        except BaseException:
+            failed.append(k)
+            raise
+
+    ops._run_pair(run, threaded)
+    while rendered:
+        write_wav(*rendered.pop(0))
     save_manifest(manifest, out_dir / "manifest.jsonl")
     write_json(out_dir / "spec.json", spec.to_json())
     return manifest

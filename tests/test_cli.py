@@ -20,7 +20,8 @@ import crossemo
 from crossemo import corpus, errors, features
 from crossemo.cli import build_parser, main
 from crossemo.features import compute_features
-from crossemo.ioutil import write_json
+from crossemo.ioutil import sha256_file, write_json
+from crossemo.nn import ops
 from crossemo.synth import SynthCorpusSpec, derive_shifted_corpus, generate_corpus
 
 
@@ -402,6 +403,18 @@ def test_synth_bad_sample_rate_exits_2(tmp_path, capsys, rate):
     err = capsys.readouterr().err
     assert "sample_rate" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_synth_writes_the_serial_bytes(tmp_path, monkeypatch):
+    spec = SynthCorpusSpec(name="cli", n_speakers=1, utterances_per_class_per_speaker=1,
+                           classes=("angry", "happy", "sad"), duration_range=(0.6, 0.7), seed=2)
+    write_json(tmp_path / "spec.json", spec.to_json())
+    assert run("synth", "--spec", tmp_path / "spec.json", "--out", tmp_path / "cli") == 0
+    monkeypatch.setattr(ops, "_cores", lambda: 1)
+    generate_corpus(spec, tmp_path / "serial")
+    hashes = [{p.name: sha256_file(p) for p in (tmp_path / d).glob("*.wav")}
+              for d in ("cli", "serial")]
+    assert len(hashes[0]) == 3 and hashes[0] == hashes[1]
 
 
 @pytest.mark.parametrize("key, value", [

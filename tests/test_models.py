@@ -471,7 +471,8 @@ class TestBlstmProperties:
         assert threading.active_count() == before
 
     def test_import_starts_no_thread(self):
-        code = ("import threading, crossemo, crossemo.cli, crossemo.nn.ops; "
+        code = ("import threading, crossemo, crossemo.augment, crossemo.cli, crossemo.nn.ops, "
+                "crossemo.synth; "
                 "print(threading.active_count())")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},

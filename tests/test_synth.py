@@ -1,5 +1,9 @@
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +11,10 @@ import pytest
 from crossemo import synth
 from crossemo.audio import PCM16_SCALE, read_wav
 from crossemo.corpus import load_manifest
-from crossemo.errors import ValidationFailure
+from crossemo.errors import RuntimeFailure, ValidationFailure
 from crossemo.features import FbankConfig, compute_features
 from crossemo.ioutil import sha256_file, stable_hash64
+from crossemo.nn import ops
 from crossemo.synth import (
     ClassSignature,
     SynthCorpusSpec,
@@ -244,6 +249,123 @@ class TestRenderMemory:
                 tracemalloc.stop()
             assert samples.shape == (n,)
             assert peak <= 10 * n * 8, f"{cls}: peak {peak} bytes"
+
+
+# 9 records, each 0.6-0.7 s (over two SYNTH_BLOCKs), and a reverb sibling
+ODD_SPEC = SynthCorpusSpec(name="odd", n_speakers=1, utterances_per_class_per_speaker=3,
+                           classes=("angry", "happy", "sad"), duration_range=(0.6, 0.7), seed=4)
+THREAD_SPECS = [ODD_SPEC, replace(derive_shifted_corpus(ODD_SPEC, 0.25), reverb_seconds=0.2)]
+
+
+class TestThreadedRender:
+    """`generate_corpus` with records[0::2] rendered in the caller and
+    records[1::2] on the ops worker."""
+
+    @staticmethod
+    def spy_renders(monkeypatch, calls, fail_on=None):
+        """Record (utterance id, thread) for each render; raise
+        RuntimeFailure for `fail_on`'s id once its render has started."""
+        render = synth._render_utterance
+
+        def spy(spec, voice, sig, utt_id):
+            calls.append((utt_id, threading.current_thread()))
+            if utt_id == fail_on:
+                raise RuntimeFailure(f"cannot render {utt_id}")
+            return render(spec, voice, sig, utt_id)
+
+        monkeypatch.setattr(synth, "_render_utterance", spy)
+
+    @pytest.mark.parametrize("spec", THREAD_SPECS, ids=["dry", "reverb"])
+    def test_bytes_do_not_depend_on_the_split(self, spec, tmp_path, monkeypatch):
+        assert len(synth.corpus_manifest(spec, tmp_path).records) % 2 == 1
+        out, outputs = tmp_path / "out", []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads take turns as often as they can
+        try:
+            for cores in (1, 2):
+                monkeypatch.setattr(ops, "_cores", lambda: cores)
+                generate_corpus(spec, out)
+                outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+                for p in out.iterdir():
+                    p.unlink()
+        finally:
+            sys.setswitchinterval(interval)
+        assert {"manifest.jsonl", "spec.json"} < set(outputs[0])
+        assert len(outputs[0]) == 9 + 2
+        assert outputs[0] == outputs[1]
+
+    def test_worker_renders_the_odd_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ops, "_cores", lambda: 2)
+        renders, writes = [], []
+        self.spy_renders(monkeypatch, renders)
+        write = synth.write_wav
+        monkeypatch.setattr(synth, "write_wav", lambda buf, path: (
+            writes.append((Path(path).stem, threading.current_thread())), write(buf, path)))
+        records = generate_corpus(ODD_SPEC, tmp_path).records
+        main = threading.current_thread()
+        assert [u for u, t in renders if t is main] == [r.id for r in records[0::2]]
+        assert [u for u, t in renders if t is not main] == [r.id for r in records[1::2]]
+        # the caller writes every WAV, the worker's too
+        assert sorted(u for u, _ in writes) == sorted(r.id for r in records)
+        assert all(t is main for _, t in writes)
+
+    def test_worker_failure_surfaces_after_both_halves_stop(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ops, "_cores", lambda: 2)
+        records = synth.corpus_manifest(ODD_SPEC, tmp_path).records
+        renders = []
+        self.spy_renders(monkeypatch, renders, fail_on=records[3].id)
+        with pytest.raises(RuntimeFailure, match=f"cannot render {records[3].id}"):
+            generate_corpus(ODD_SPEC, tmp_path)
+        main = threading.current_thread()
+        assert [u for u, t in renders if t is not main] == [records[1].id, records[3].id]
+        mine = [u for u, t in renders if t is main]
+        assert mine == [r.id for r in records[0::2]][: len(mine)]
+        # every WAV written is a render that finished
+        written = {p.stem for p in tmp_path.glob("*.wav")}
+        assert records[0].id in written and written <= {u for u, _ in renders} - {records[3].id}
+        assert not (tmp_path / "manifest.jsonl").exists()
+        assert not (tmp_path / "spec.json").exists()
+
+    def test_caller_failure_stops_the_worker_at_its_next_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ops, "_cores", lambda: 2)
+        records = synth.corpus_manifest(ODD_SPEC, tmp_path).records
+        worker_started, caller_failed = threading.Event(), threading.Event()
+        renders = []
+        render = synth._render_utterance
+
+        def spy(spec, voice, sig, utt_id):
+            renders.append(utt_id)
+            if utt_id == records[0].id:
+                worker_started.wait(10)
+                caller_failed.set()
+                raise RuntimeFailure("caller failed")
+            if utt_id == records[1].id:
+                worker_started.set()
+                caller_failed.wait(10)
+                time.sleep(0.2)  # the caller's half ends meanwhile
+            samples = render(spec, voice, sig, utt_id)
+            renders.append(f"{utt_id} done")
+            return samples
+
+        monkeypatch.setattr(synth, "_render_utterance", spy)
+        with pytest.raises(RuntimeFailure, match="caller failed"):
+            generate_corpus(ODD_SPEC, tmp_path)
+        # raised once the worker's render had finished, and it began no other
+        assert sorted(renders) == sorted([records[0].id, records[1].id, f"{records[1].id} done"])
+        assert not (tmp_path / "manifest.jsonl").exists()
+
+    @pytest.mark.parametrize("cores, n_classes", [(1, 3), (2, 1)], ids=["one-core", "one-record"])
+    def test_serial_never_submits(self, cores, n_classes, tmp_path, monkeypatch):
+        monkeypatch.setattr(ops, "_cores", lambda: cores)
+
+        def refuse(*args):
+            raise AssertionError("the worker was used")
+
+        monkeypatch.setattr(ops._WORKER, "submit", refuse)
+        spec = replace(ODD_SPEC, utterances_per_class_per_speaker=1,
+                       classes=ODD_SPEC.classes[:n_classes])
+        manifest = generate_corpus(spec, tmp_path)
+        assert len(list(tmp_path.glob("*.wav"))) == len(manifest) == n_classes
 
 
 class TestDeriveShifted:

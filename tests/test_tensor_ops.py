@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -303,6 +304,31 @@ class TestConvThreads:
         # 8.4 MiB against a bound of 9.0; a backward that splits the batch
         # instead, each half with its own column workspace, peaked at 12.6
         assert peak < columns + x.data.nbytes + 2 * grid + 2.5 * 2**20
+
+
+class TestRunPair:
+    def test_worker_that_cannot_start(self, monkeypatch):
+        # `submit` queues its item before it starts the thread, so a start
+        # that fails leaves `run(1)` queued for whichever worker starts next
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(ops, "_WORKER", pool)
+        main = threading.current_thread()
+        first, second = [], []
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", refuse)
+                ops._run_pair(lambda k: first.append((k, threading.current_thread())), True)
+            assert first == [(0, main), (1, main)]
+            assert pool._work_queue.qsize() == 1  # the stale item
+            ops._run_pair(lambda k: second.append((k, threading.current_thread())), True)
+        finally:
+            pool.shutdown(wait=True)
+        assert first == [(0, main), (1, main)]  # the stale item ran and did nothing
+        assert sorted((k, t is main) for k, t in second) == [(0, True), (1, False)]
 
 
 class TestMaxPool:
