@@ -9,7 +9,7 @@ manifest whose augmented records inherit all metadata from their source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .audio import EffectSpec, apply_effect, read_wav, write_wav
@@ -52,7 +52,8 @@ def draw_factor(base_seed: int, utterance_id: str, variant_index: int, factor_ra
 class PlanEntry:
     source_id: str
     variant_index: int
-    effect: EffectSpec
+    effect: str  # an EffectSpec kind
+    factor: float
     output_path: str
 
 
@@ -61,29 +62,11 @@ class AugmentPlan:
     recipe: str
     base_seed: int
     out_dir: str
-    entries: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "recipe": self.recipe,
-            "base_seed": self.base_seed,
-            "out_dir": self.out_dir,
-            "entries": [
-                {
-                    "source_id": e.source_id,
-                    "variant_index": e.variant_index,
-                    "effect": e.effect.kind,
-                    "factor": e.effect.factor,
-                    "output_path": e.output_path,
-                }
-                for e in self.entries
-            ],
-        }
+    entries: tuple[PlanEntry, ...]
 
 
 def save_plan(plan: AugmentPlan, path: str | Path) -> None:
-    write_json(path, plan.to_json())
+    write_json(path, {"schema_version": 1, **asdict(plan)})
 
 
 def augmented_id(source_id: str, recipe: str, variant_index: int) -> str:
@@ -104,7 +87,7 @@ def plan_augmentation(
             factor = draw_factor(base_seed, record.id, k, FACTOR_RANGE)
             path = str(Path(out_dir) / f"{augmented_id(record.id, recipe, k)}.wav")
             entries.append(PlanEntry(source_id=record.id, variant_index=k,
-                                     effect=EffectSpec(kind, factor), output_path=path))
+                                     effect=kind, factor=factor, output_path=path))
     return AugmentPlan(recipe=recipe, base_seed=base_seed, out_dir=out_dir, entries=tuple(entries))
 
 
@@ -133,7 +116,7 @@ def apply_plan(plan: AugmentPlan, manifest: CorpusManifest):
             continue
         try:
             buffer = read_wav(source.audio_path)
-            rendered = apply_effect(buffer, entry.effect)
+            rendered = apply_effect(buffer, EffectSpec(entry.effect, entry.factor))
             write_wav(rendered, entry.output_path)
         except CrossEmoError as exc:
             outcomes.append(RenderOutcome(out_id, f"{type(exc).__name__}: {exc}", None))

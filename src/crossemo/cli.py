@@ -138,7 +138,7 @@ def _evaluate(graph, classes, sets, out_dir: Path, train_tag: str, fold: int,
         tag = manifest.name
         record = RunRecord(train_tag=train_tag, test_tag=tag, fold=fold, metrics=result.metrics)
         write_json(out_dir / f"metrics_{tag}.json", {
-            **record.to_json(),
+            **asdict(record),
             "checkpoint": checkpoint,
             "checkpoint_epoch": checkpoint_epoch,
             "restrict_classes": result.restricted,

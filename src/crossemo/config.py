@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import re
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -22,43 +23,20 @@ PROFILES = {
 }
 
 
+# a JSON string kept whole, a // comment, a /* */ comment, or a /* never closed
+_STRING_OR_COMMENT = re.compile(r'"(?:\\.|[^"\\])*"|//[^\n]*|/\*.*?\*/|/\*', re.DOTALL)
+
+
 def strip_json_comments(text: str) -> str:
     """Remove // line comments and /* */ block comments outside strings. An
     unterminated block comment raises ValidationFailure."""
-    out = []
-    i = 0
-    n = len(text)
-    in_string = False
-    while i < n:
-        ch = text[i]
-        if in_string:
-            out.append(ch)
-            if ch == "\\" and i + 1 < n:
-                out.append(text[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-            i += 1
-            continue
-        if ch == '"':
-            in_string = True
-            out.append(ch)
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise ValidationFailure(f"unterminated /* comment at offset {i}")
-            i = end + 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+
+    def keep(m: re.Match) -> str:
+        if m[0] == "/*":
+            raise ValidationFailure(f"unterminated /* comment at offset {m.start()}")
+        return m[0] if m[0].startswith('"') else ""
+
+    return _STRING_OR_COMMENT.sub(keep, text)
 
 
 def load_json_config(path: str | Path) -> dict:

@@ -1,15 +1,19 @@
 """Manifest ingestion, label mapping, fold construction and subsetting.
 
 Manifests are JSON-lines: one utterance record per line, snake_case keys,
-with an optional leading header line carrying the schema version. Manifest
-objects are immutable after load; fold plans are plain id partitions that a
-checker can re-validate before training.
+with an optional leading header line carrying the schema version. Each row
+is read by `errors.from_fields` as an UtteranceRecord (the header as a
+ManifestHeader): an unknown, missing or mistyped key exits 2. A record is
+written as its `asdict` without the optional fields at their default.
+Manifest objects are immutable after load; fold plans are plain id
+partitions, each side sorted, that a checker can re-validate before
+training.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +28,6 @@ EMOTIONS_4 = ("angry", "happy", "sad", "neutral")
 MOSEI_EMOTIONS = ("anger", "disgust", "fear", "happiness", "sadness", "surprise")
 MOSEI_TARGETS = {"anger": "angry", "happiness": "happy", "sadness": "sad"}
 
-_REQUIRED_FIELDS = ("id", "audio_path", "corpus", "speaker", "style")
-
 
 @dataclass(frozen=True)
 class UtteranceRecord:
@@ -35,7 +37,7 @@ class UtteranceRecord:
     speaker: str
     style: str
     session: str | None = None
-    raw_labels: dict = field(default_factory=dict)
+    raw_labels: dict[str, float] = field(default_factory=dict)
     emotion: str | None = None
     augmented: bool = False
     source_id: str | None = None
@@ -44,50 +46,19 @@ class UtteranceRecord:
         if self.style not in STYLES:
             raise ValidationFailure(f"record {self.id!r}: unknown style {self.style!r}")
 
-    def to_json(self) -> dict:
-        obj = {
-            "id": self.id,
-            "audio_path": self.audio_path,
-            "corpus": self.corpus,
-            "speaker": self.speaker,
-            "style": self.style,
-        }
-        if self.session is not None:
-            obj["session"] = self.session
-        if self.raw_labels:
-            obj["raw_labels"] = dict(self.raw_labels)
-        if self.emotion is not None:
-            obj["emotion"] = self.emotion
-        if self.augmented:
-            obj["augmented"] = True
-        if self.source_id is not None:
-            obj["source_id"] = self.source_id
-        return obj
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "UtteranceRecord":
-        for name in _REQUIRED_FIELDS:
-            if name not in obj:
-                raise ValidationFailure(f"record missing required field {name!r}: {obj}")
-        if not isinstance(obj.get("augmented", False), bool):
-            raise ValidationFailure(f"record {obj['id']!r}: augmented must be true or false")
-        if not isinstance(obj.get("raw_labels", {}), dict):
-            raise ValidationFailure(f"record {obj['id']!r}: raw_labels must be an object")
-        for name in ("emotion", "source_id"):
-            if not isinstance(obj.get(name), (str, type(None))):
-                raise ValidationFailure(f"record {obj['id']!r}: {name} must be a string")
-        return cls(
-            id=str(obj["id"]),
-            audio_path=str(obj["audio_path"]),
-            corpus=str(obj["corpus"]),
-            speaker=str(obj["speaker"]),
-            style=str(obj["style"]),
-            session=None if obj.get("session") is None else str(obj["session"]),
-            raw_labels=dict(obj.get("raw_labels", {})),
-            emotion=obj.get("emotion"),
-            augmented=obj.get("augmented", False),
-            source_id=obj.get("source_id"),
-        )
+# optional record field -> its default; a row leaves out a field at its default
+_RECORD_DEFAULTS = {
+    f.name: f.default_factory() if f.default is MISSING else f.default
+    for f in fields(UtteranceRecord)
+    if f.default is not MISSING or f.default_factory is not MISSING
+}
+
+
+@dataclass(frozen=True)
+class ManifestHeader:
+    manifest_schema: int
+    name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -129,19 +100,18 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     """Load a JSON-lines manifest. Duplicate ids and missing fields are
     rejected. The manifest name comes from the header line when present,
     else the uniform corpus tag, else the file stem."""
-    rows = read_jsonl(path)
     header_name = None
     records = []
-    for row in rows:
+    for row in read_jsonl(path):
         if not isinstance(row, dict):
             raise ValidationFailure(f"{path}: manifest row {row!r} is not an object")
         if "manifest_schema" in row and "id" not in row:
-            schema = row["manifest_schema"]
-            if type(schema) is not int or schema != MANIFEST_SCHEMA_VERSION:
-                raise ValidationFailure(f"unsupported manifest schema {schema!r}")
-            header_name = row.get("name")
+            header = from_fields(ManifestHeader, row, f"{path}: manifest header")
+            if header.manifest_schema != MANIFEST_SCHEMA_VERSION:
+                raise ValidationFailure(f"unsupported manifest schema {header.manifest_schema!r}")
+            header_name = header.name
             continue
-        records.append(UtteranceRecord.from_json(row))
+        records.append(from_fields(UtteranceRecord, row, f"{path}: record {row.get('id')!r}"))
     corpora = {r.corpus for r in records}
     if header_name:
         name = header_name
@@ -153,8 +123,10 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    header = {"manifest_schema": MANIFEST_SCHEMA_VERSION, "name": manifest.name}
-    write_jsonl(path, [header] + [r.to_json() for r in manifest.records])
+    rows = [asdict(ManifestHeader(MANIFEST_SCHEMA_VERSION, manifest.name))]
+    for r in manifest.records:
+        rows.append({k: v for k, v in asdict(r).items() if v != _RECORD_DEFAULTS.get(k, MISSING)})
+    write_jsonl(path, rows)
 
 
 @dataclass(frozen=True)
@@ -227,28 +199,26 @@ class FoldPlan:
     folds: tuple[Fold, ...]
     seed: int | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "folds": [
-                {"train_ids": sorted(f.train_ids), "test_ids": sorted(f.test_ids)}
-                for f in self.folds
-            ],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "FoldPlan":
+        # kept, unlike the other codecs, to skip the key save_fold_plan adds
         return from_fields(cls, obj, "fold plan", ignore=("schema_version",))
 
 
 def save_fold_plan(plan: FoldPlan, path: str | Path) -> None:
-    write_json(path, plan.to_json())
+    write_json(path, {"schema_version": 1, **asdict(plan)})
 
 
 def load_fold_plan(path: str | Path) -> FoldPlan:
     return FoldPlan.from_json(read_json(path))
+
+
+def _fold(manifest: CorpusManifest, on_test_side) -> Fold:
+    """The fold whose test side holds the records `on_test_side` accepts;
+    each side's ids sorted."""
+    test = {r.id for r in manifest.records if on_test_side(r)}
+    train = (r.id for r in manifest.records if r.id not in test)
+    return Fold(tuple(sorted(train)), tuple(sorted(test)))
 
 
 def make_folds_speaker_rotation(
@@ -264,9 +234,7 @@ def make_folds_speaker_rotation(
     folds = []
     for k in range(n_folds):
         test_set = {speakers[(k * test_speakers + i) % len(speakers)] for i in range(test_speakers)}
-        train_ids = tuple(r.id for r in manifest.records if r.speaker not in test_set)
-        test_ids = tuple(r.id for r in manifest.records if r.speaker in test_set)
-        folds.append(Fold(train_ids, test_ids))
+        folds.append(_fold(manifest, lambda r: r.speaker in test_set))
     return FoldPlan(strategy="speaker-rotation", folds=tuple(folds))
 
 
@@ -281,12 +249,8 @@ def make_folds_session_holdout(
     sessions = sorted({r.session for r in manifest.records})
     if reverse_order:
         sessions = sessions[::-1]
-    folds = []
-    for held_out in sessions:
-        train_ids = tuple(r.id for r in manifest.records if r.session != held_out)
-        test_ids = tuple(r.id for r in manifest.records if r.session == held_out)
-        folds.append(Fold(train_ids, test_ids))
-    return FoldPlan(strategy="session-holdout", folds=tuple(folds))
+    folds = tuple(_fold(manifest, lambda r: r.session == held_out) for held_out in sessions)
+    return FoldPlan(strategy="session-holdout", folds=folds)
 
 
 def _ids_by_class(manifest: CorpusManifest) -> dict:
@@ -320,9 +284,7 @@ def make_folds_proportional(
             n_test = min(n_test, len(ids))
             chosen = rng.choice(len(ids), size=n_test, replace=False)
             test.update(ids[i] for i in chosen)
-        train_ids = tuple(r.id for r in manifest.records if r.id not in test)
-        test_ids = tuple(r.id for r in manifest.records if r.id in test)
-        folds.append(Fold(train_ids, test_ids))
+        folds.append(_fold(manifest, lambda r: r.id in test))
     return FoldPlan(strategy="proportional", folds=tuple(folds), seed=seed)
 
 

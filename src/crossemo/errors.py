@@ -1,6 +1,8 @@
 """The two kinds of failure, and `from_fields`, the one reader that checks a
-JSON document against a type: every config section, fold option, fold plan
-and run record is a dataclass read through it.
+JSON document against a type: every config section, synth spec, fold
+option, fold plan, manifest record and header, run record and checkpoint
+header is a dataclass read through it and written as its `asdict`. An
+augmentation plan, written the same way, reads back through it too.
 
 ValidationFailure is bad input (a damaged file, a bad config or manifest, an
 impossible fold or shape): the CLI exits 2. RuntimeFailure is a fault while
@@ -40,6 +42,8 @@ def _field_types(cls) -> dict:
 
 def _read(value, tp, where: str):
     """`value` read as the annotation `tp`, in one of the forms from_fields names."""
+    if type(value) is tp and tp in _SCALARS:
+        return value
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if is_dataclass(tp):
         return from_fields(tp, value, where)

@@ -57,6 +57,7 @@ class FbankConfig:
         return frame_count(self.max_samples, self.window_samples, self.shift_samples)
 
     def to_json(self) -> dict:
+        # kept, unlike other codecs, for the benchmark's feature-cache set-up
         return asdict(self)
 
 

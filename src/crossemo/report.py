@@ -11,7 +11,7 @@ format one grid of cell texts (`_grid`) at 2 and 1 decimals.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationFailure, from_fields
@@ -34,13 +34,11 @@ class RunRecord:
     def is_matched(self) -> bool:
         return self.test_tag == self.train_tag or self.test_tag in self.train_components
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json(cls, obj) -> "RunRecord":
-        """Inverse of `to_json`, skipping the other keys of the metrics file
-        `crossemo eval` writes. An unknown, missing or mistyped field raises
+        """Inverse of `asdict`, skipping the other keys of the metrics file
+        `crossemo eval` writes; kept, unlike other codecs, to hold that
+        list. An unknown, missing or mistyped field raises
         ValidationFailure."""
         return from_fields(cls, obj, "run record", ignore=(
             "checkpoint", "checkpoint_epoch", "restrict_classes", "classes", "confusion"))

@@ -103,16 +103,9 @@ class SynthCorpusSpec:
             if cls not in self.signatures:
                 raise ValidationFailure(f"no class signature for {cls!r}")
 
-    def to_json(self) -> dict:
-        return asdict(self)  # tuples are written as JSON arrays
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SynthCorpusSpec":
-        return from_fields(cls, obj, "synth")
-
 
 def load_spec(path: str | Path) -> SynthCorpusSpec:
-    return SynthCorpusSpec.from_json(read_json(path))
+    return from_fields(SynthCorpusSpec, read_json(path), "synth")
 
 
 def derive_shifted_corpus(
@@ -315,5 +308,5 @@ def generate_corpus(spec: SynthCorpusSpec, out_dir: str | Path) -> CorpusManifes
     while rendered:
         write_wav(*rendered.pop(0))
     save_manifest(manifest, out_dir / "manifest.jsonl")
-    write_json(out_dir / "spec.json", spec.to_json())
+    write_json(out_dir / "spec.json", asdict(spec))  # tuples are written as JSON arrays
     return manifest

@@ -41,6 +41,23 @@ def test_unterminated_block_comment_is_a_validation_failure(tmp_path, text):
         load_json_config(tmp_path / "c.json")
 
 
+@pytest.mark.parametrize("text, want", [
+    ('{"a": 1} // no newline at the end', {"a": 1}),
+    ('{"a": 1} /* no newline at the end */', {"a": 1}),
+    (r'{"a": "x\\"// after an escaped backslash' + '\n}', {"a": "x\\"}),
+    ('{"a": "*/"}', {"a": "*/"}),
+])
+def test_comment_edges(text, want):
+    assert json.loads(strip_json_comments(text)) == want
+
+
+@pytest.mark.parametrize("text", ['{"a": "x // inside a string never closed}', '{"a": 1} */'])
+def test_unclosed_string_or_stray_close_is_a_validation_failure(tmp_path, text):
+    (tmp_path / "c.json").write_text(text)
+    with pytest.raises(ValidationFailure, match="not valid JSON"):
+        load_json_config(tmp_path / "c.json")
+
+
 def field_names(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -80,21 +81,21 @@ def dialog_corpus_manifest():
 class TestManifestIo:
     def test_load_three_records(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        rows = [make_record(i).to_json() for i in range(3)]
+        rows = [asdict(make_record(i)) for i in range(3)]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         manifest = load_manifest(path)
         assert len(manifest) == 3
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        row = make_record(0).to_json()
+        row = asdict(make_record(0))
         path.write_text(json.dumps(row) + "\n" + json.dumps(row) + "\n")
         with pytest.raises(ValidationFailure, match="duplicate utterance id 'u0000'"):
             load_manifest(path)
 
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        row = make_record(0).to_json()
+        row = asdict(make_record(0))
         del row["speaker"]
         path.write_text(json.dumps(row) + "\n")
         with pytest.raises(ValidationFailure, match="speaker"):
@@ -102,7 +103,7 @@ class TestManifestIo:
 
     def test_unknown_style(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        row = make_record(0).to_json()
+        row = asdict(make_record(0))
         row["style"] = "whispered"
         path.write_text(json.dumps(row) + "\n")
         with pytest.raises(ValidationFailure, match="record 'u0000': unknown style 'whispered'"):
@@ -114,14 +115,14 @@ class TestManifestIo:
     ])
     def test_row_that_is_not_an_object_rejected(self, tmp_path, line, message):
         path = tmp_path / "m.jsonl"
-        path.write_text(json.dumps(make_record(0).to_json()) + "\n" + line + "\n")
+        path.write_text(json.dumps(asdict(make_record(0))) + "\n" + line + "\n")
         with pytest.raises(ValidationFailure, match=message):
             load_manifest(path)
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_augmented_must_be_a_boolean(self, tmp_path, value):
         path = tmp_path / "m.jsonl"
-        path.write_text(json.dumps({**make_record(0).to_json(), "augmented": value}) + "\n")
+        path.write_text(json.dumps({**asdict(make_record(0)), "augmented": value}) + "\n")
         with pytest.raises(ValidationFailure, match="augmented"):
             load_manifest(path)
 

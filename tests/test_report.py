@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -135,11 +137,11 @@ class TestRendering:
 
 
 class TestRunRecordJson:
-    GOOD = RunRecord("mixAll", "corpusA", 1, flat_metrics(70.0), ("corpusA", "corpusB")).to_json()
+    GOOD = asdict(RunRecord("mixAll", "corpusA", 1, flat_metrics(70.0), ("corpusA", "corpusB")))
 
     def test_round_trip(self):
         record = RunRecord.from_json(self.GOOD)
-        assert record.to_json() == self.GOOD
+        assert asdict(record) == self.GOOD
         assert record.is_matched()
 
     @pytest.mark.parametrize(

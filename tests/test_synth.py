@@ -2,7 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from crossemo import synth
 from crossemo.audio import PCM16_SCALE, read_wav
 from crossemo.corpus import load_manifest
-from crossemo.errors import RuntimeFailure, ValidationFailure
+from crossemo.errors import RuntimeFailure, ValidationFailure, from_fields
 from crossemo.features import FbankConfig, compute_features
 from crossemo.ioutil import sha256_file, stable_hash64
 from crossemo.nn import ops
@@ -37,7 +37,7 @@ class TestSpec:
 
     def test_json_round_trip(self):
         spec = SynthCorpusSpec(name="rt", n_speakers=3, seed=5)
-        back = SynthCorpusSpec.from_json(spec.to_json())
+        back = from_fields(SynthCorpusSpec, asdict(spec), "synth")
         assert back == spec
 
 
@@ -76,7 +76,7 @@ class TestGenerate:
     def test_class_separability_on_reference_spec(self, tmp_path, desk_fbank):
         from crossemo.config import reference_synth_spec_dict
 
-        spec = SynthCorpusSpec.from_json(reference_synth_spec_dict())
+        spec = from_fields(SynthCorpusSpec, reference_synth_spec_dict(), "synth")
         manifest = generate_corpus(spec, tmp_path)
         means = {}
         for cls in spec.classes:
@@ -163,8 +163,8 @@ class TestRendererOracle:
     def test_reference_spec(self):
         from crossemo.config import reference_synth_spec_dict
 
-        spec = SynthCorpusSpec.from_json(
-            {**reference_synth_spec_dict(), "duration_range": [1.0, 1.4]}
+        spec = from_fields(
+            SynthCorpusSpec, {**reference_synth_spec_dict(), "duration_range": [1.0, 1.4]}, "synth"
         )
         self.check(spec)
 
@@ -395,7 +395,7 @@ class TestDeriveShifted:
         spec = SynthCorpusSpec(
             name="dry", n_speakers=1, utterances_per_class_per_speaker=1, seed=6
         )
-        wet_spec = SynthCorpusSpec.from_json({**spec.to_json(), "reverb_seconds": 0.3})
+        wet_spec = from_fields(SynthCorpusSpec, {**asdict(spec), "reverb_seconds": 0.3}, "synth")
         dry = generate_corpus(spec, tmp_path / "dry")
         wet = generate_corpus(wet_spec, tmp_path / "wet")
         for r_dry, r_wet in zip(dry.records, wet.records):
@@ -406,7 +406,7 @@ class TestLoadSpec:
     def test_reference_spec_ships(self, tmp_path):
         from crossemo.config import reference_synth_spec_dict
 
-        spec = SynthCorpusSpec.from_json(reference_synth_spec_dict())
+        spec = from_fields(SynthCorpusSpec, reference_synth_spec_dict(), "synth")
         assert spec.n_speakers == 4
         assert spec.classes == ("angry", "happy", "sad", "neutral")
 
@@ -415,5 +415,5 @@ class TestLoadSpec:
 
         spec = SynthCorpusSpec(name="file", seed=1)
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_json()))
+        path.write_text(json.dumps(asdict(spec)))
         assert load_spec(path) == spec
