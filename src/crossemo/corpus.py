@@ -98,14 +98,18 @@ class CorpusManifest:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Load a JSON-lines manifest. Duplicate ids and missing fields are
-    rejected. The manifest name comes from the header line when present,
-    else the uniform corpus tag, else the file stem."""
+    rejected, and so is a header anywhere but the first row. The manifest
+    name comes from the header when present, else the uniform corpus tag,
+    else the file stem."""
     header_name = None
     records = []
-    for row in read_jsonl(path):
+    for n, row in enumerate(read_jsonl(path)):
         if not isinstance(row, dict):
             raise ValidationFailure(f"{path}: manifest row {row!r} is not an object")
         if "manifest_schema" in row and "id" not in row:
+            if n:
+                raise ValidationFailure(f"{path}: a manifest header after {n} rows; "
+                                        "it may only be the first")
             header = from_fields(ManifestHeader, row, f"{path}: manifest header")
             if header.manifest_schema != MANIFEST_SCHEMA_VERSION:
                 raise ValidationFailure(f"unsupported manifest schema {header.manifest_schema!r}")
@@ -123,9 +127,14 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
+    """Write the header, then each record's fields that differ from their
+    defaults. The fields are read as they are, not copied as `asdict`
+    would copy them."""
     rows = [asdict(ManifestHeader(MANIFEST_SCHEMA_VERSION, manifest.name))]
+    names = [f.name for f in fields(UtteranceRecord)]
     for r in manifest.records:
-        rows.append({k: v for k, v in asdict(r).items() if v != _RECORD_DEFAULTS.get(k, MISSING)})
+        rows.append({k: v for k in names
+                     if (v := getattr(r, k)) != _RECORD_DEFAULTS.get(k, MISSING)})
     write_jsonl(path, rows)
 
 

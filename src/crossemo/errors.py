@@ -11,6 +11,7 @@ MemoryError. The message says which check failed; there are no subclasses.
 """
 
 import functools
+import math
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -42,6 +43,8 @@ def _field_types(cls) -> dict:
 
 def _read(value, tp, where: str):
     """`value` read as the annotation `tp`, in one of the forms from_fields names."""
+    if tp is float and isinstance(value, float) and not math.isfinite(value):
+        raise ValidationFailure(f"{where} must be a finite number, got {value!r}")
     if type(value) is tp and tp in _SCALARS:
         return value
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -68,9 +71,10 @@ def from_fields(cls, obj, what: str, ignore=()):
     """Build the dataclass `cls` from the JSON object `obj`, reading each
     field as its annotation: a nested dataclass (from an object), `X | None`,
     `tuple[X, ...]` or a fixed-length tuple (from an array), `dict[str, X]`,
-    a scalar (a bool is never a number) or `object` (anything). Keys in
-    `ignore` are skipped. Anything else, an unknown key or a missing required
-    field (one without a default) raises ValidationFailure."""
+    a scalar (a bool is never a number, a float is finite) or `object`
+    (anything). Keys in `ignore` are skipped. Anything else, an unknown key
+    or a missing required field (one without a default) raises
+    ValidationFailure."""
     if not isinstance(obj, dict):
         raise ValidationFailure(f"{what} must be an object, got {obj!r}")
     types_ = _field_types(cls)

@@ -1,4 +1,5 @@
-"""Small file helpers shared across modules: atomic writes, JSONL, hashing."""
+"""Small file helpers shared across modules: atomic writes, JSON and JSONL
+without NaN or Infinity, hashing."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import ValidationFailure
+from .errors import RuntimeFailure, ValidationFailure
 
 
 def atomic_write_bytes(path: str | Path, *chunks) -> None:
@@ -33,15 +34,55 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def dumps_json(obj, where, **kwargs) -> str:
+    """`json.dumps` that refuses NaN and Infinity, which JSON does not
+    have: a writer that meets one is a program fault, RuntimeFailure naming
+    `where`."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise RuntimeFailure(f"{where}: {exc}") from exc
+
+
 def write_json(path: str | Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, dumps_json(obj, path, indent=2, sort_keys=True) + "\n")
+
+
+def _refuse(token: str):
+    raise ValidationFailure(token)  # `parse_json` adds the document and the key
+
+
+# built once: `json.loads(s, **kw)` builds a decoder per call, 1.5 us a row
+_DECODER = json.JSONDecoder(parse_constant=_refuse)
+_CONSTANT = object()  # what `_token_key` reads NaN, Infinity and -Infinity as
+
+
+def _token_key(text: str) -> str | None:
+    """The key of the first object to close around a NaN, Infinity or
+    -Infinity in `text`, held directly or in an array; None if none does."""
+    found = []
+
+    def pairs(items):
+        found.extend(k for k, v in items
+                     if v is _CONSTANT or (isinstance(v, list) and _CONSTANT in v))
+        return dict(items)
+    json.loads(text, parse_constant=lambda token: _CONSTANT, object_pairs_hook=pairs)
+    return found[0] if found else None
 
 
 def parse_json(data: str | bytes, where):
-    """The JSON value in `data`; malformed JSON raises ValidationFailure
-    naming `where`."""
+    """The JSON value in `data`, bytes decoded as `json.loads` decodes them.
+    Malformed JSON, and the tokens NaN, Infinity and -Infinity, which
+    `json` reads but JSON does not have, raise ValidationFailure naming
+    `where` (and the token's key, found by parsing once more)."""
     try:
-        return json.loads(data)
+        text = data if isinstance(data, str) else data.decode(json.detect_encoding(data),
+                                                              "surrogatepass")
+        return _DECODER.decode(text)
+    except ValidationFailure as exc:
+        key = _token_key(text)
+        at = "" if key is None else f" at key {key!r}"
+        raise ValidationFailure(f"{where}: {exc}{at} is not a JSON number") from None
     except ValueError as exc:  # incl. Unicode and JSON decode errors
         raise ValidationFailure(f"{where} is not valid JSON: {exc}") from exc
 
@@ -51,7 +92,7 @@ def read_json(path: str | Path):
 
 
 def write_jsonl(path: str | Path, rows) -> None:
-    atomic_write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+    atomic_write_text(path, "".join(dumps_json(r, path, sort_keys=True) + "\n" for r in rows))
 
 
 def read_jsonl(path: str | Path) -> list:

@@ -13,7 +13,6 @@ rejects mismatching configs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import RuntimeFailure, ValidationFailure, from_fields
-from ..ioutil import atomic_write_bytes
+from ..ioutil import atomic_write_bytes, dumps_json, parse_json
 from .models import ModelGraph, build_model
 
 MAGIC = b"XEMO"
@@ -70,7 +69,7 @@ def save_checkpoint(graph: ModelGraph, path: str | Path, epoch: int, extra: dict
     header = asdict(CheckpointHeader(graph.arch, asdict(graph.config), graph.digest,
                                      int(epoch), {}, index))
     header["extra"] = extra or {}  # asdict would deep-copy it, training history and all
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_bytes = dumps_json(header, path, sort_keys=True).encode("utf-8")
     atomic_write_bytes(path, MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)),
                        header_bytes, *(arr for _, _, arr in entries))
 
@@ -97,7 +96,7 @@ def _read_checkpoint(fh, size: int, path, expect_digest: str | None) -> Checkpoi
     if 12 + header_len > size:  # checked before a read of that many bytes is sized
         raise ValidationFailure(f"{path}: its {header_len}-byte header runs past the file's end")
     try:
-        obj = json.loads(fh.read(header_len).decode("utf-8"))
+        obj = parse_json(fh.read(header_len).decode("utf-8"), "header")
         header = from_fields(CheckpointHeader, obj, "checkpoint header")
     except (ValueError, ValidationFailure) as exc:  # incl. Unicode and JSON decode errors
         raise ValidationFailure(f"{path}: malformed checkpoint header ({exc})") from exc

@@ -121,15 +121,21 @@ def _cnn_forward(graph: ModelGraph, feats: np.ndarray, dropout_rng) -> Tensor:
     the features are transposed once on the way in, and the stack's output
     once on the way out, to the [batch, time, ch*bands] sequence the BLSTM
     reads. The layers in `pool_after` pool 2x2 inside their `conv2d`, so
-    their full-resolution outputs are never kept. Each FC layer is one
-    `ops.fc_block` over the [batch*time, width] rows."""
+    their full-resolution outputs are never kept. With two or more conv
+    layers, the first is the second's `stem`: both run as one node, one
+    utterance at a time, so the first layer's output, the stack's widest
+    (conv0's [B, 32, 23, 775] in the paper's), is never held whole. Each
+    FC layer is one `ops.fc_block` over the [batch*time, width] rows."""
     cfg = graph.config
     feats = _check_input(feats, cfg.input_bands)
     batch, n_steps, bands = feats.shape
     x = Tensor(feats.transpose(0, 2, 1).reshape(batch, 1, bands, n_steps))
-    for i in range(len(cfg.conv_channels)):
-        pool = 2 if (i + 1) in cfg.pool_after else 1
-        x = ops.conv2d(x, graph.params[f"conv{i}.w"], graph.params[f"conv{i}.b"], pool)
+    convs = [(graph.params[f"conv{i}.w"], graph.params[f"conv{i}.b"],
+              2 if (i + 1) in cfg.pool_after else 1) for i in range(len(cfg.conv_channels))]
+    stem = convs.pop(0) if len(convs) >= 2 else None
+    for conv in convs:
+        x = ops.conv2d(x, *conv, stem=stem)
+        stem = None
     _, ch, b_out, t_out = x.shape  # conv2d rejects a pool that leaves no cell
     seq = ops.reshape(ops.transpose(x, (0, 3, 1, 2)), (batch, t_out, ch * b_out))
     seq = layers.blstm_forward(graph.params, "blstm0", seq, cfg.blstm_hidden)

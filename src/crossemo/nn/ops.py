@@ -10,13 +10,16 @@ its output, ends in its ReLU and builds its columns one utterance at a
 time into a reused workspace, saving none; its backward builds them again.
 A pooling `conv2d` keeps only the pooled output and a one-byte winner per
 window; `max_pool2d` shares its pooling kernels and is the reference it
-is tested against. `blstm` runs its step loops on arrays the calling thread
-allocates: a forward that needs no gradient keeps two steps of state, not
-the whole sequence. Two ops share one worker thread with the caller
-(`_run_pair`) on arrays the caller allocates: `blstm` at
-`BLSTM_THREAD_MIN_HIDDEN` and wider runs its two directions at once, and
-`conv2d` from `CONV_THREAD_MIN_WORK` up runs its forward on two halves of
-the batch and its backward's `dw` and `dx` at once. Everything here
+is tested against. Given a `stem`, `conv2d` runs that layer and its own as
+one node, one utterance at a time in both passes, so the stem's output is
+never held whole: the backward computes it again. `blstm` runs its step
+loops on arrays the calling thread allocates: a forward that needs no
+gradient keeps two steps of state, not the whole sequence. Two ops share
+one worker thread with the caller (`_run_pair`) on arrays the caller
+allocates: `blstm` at `BLSTM_THREAD_MIN_HIDDEN` and wider runs its two
+directions at once, and `conv2d` from `CONV_THREAD_MIN_WORK` up runs its
+forward on two halves of the batch, and its backward's `dw` and `dx` at
+once, or with a stem on two halves of the batch again. Everything here
 passes central finite-difference checks at float64 with relative error
 below 1e-4 (see the gradient suite in the tests). `fc_block`, whose batch
 norm and dropout switch with the mode, takes the mode explicitly; there is
@@ -107,6 +110,17 @@ CONV_THREAD_MIN_WORK = 16_000_000
 # against 100. The paper's first layer has 161 K cells; its wider layers,
 # 562 K to 5.1 M, go per offset.
 _COL2IM_ONE_GEMM_CELLS = 2**18
+
+# A forward's column workspace holds at most this many cells (and at least
+# one band): a wider layer builds its columns and runs its GEMM a block of
+# bands at a time, which gives the same bits. At paper shape `conv1`'s
+# whole workspace [32, 9, 23 x 777] is 20.6 MB per thread. Asked for again
+# on each call, it grew glibc's heap by 20-40 MB whenever the heap's free
+# space happened to be split: 7 of 20 `train-paper` runs read 204-224 MB
+# peak RSS, the rest 182-187. In blocks of 4 bands (3.6 MB), 28 of 28 runs
+# read 182-187 MB, and that layer's forward took 47-61 against 56-72 ms
+# at batch 8; the other layers' forwards did not move.
+_COLUMN_BLOCK_CELLS = 2**20
 
 # starts its one thread on the first threaded call and keeps it
 _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ops")
@@ -404,15 +418,18 @@ def _same_padding(kernel: int) -> int:
 class _FlatPad:
     """One utterance's zero-bordered channels [C, bands + kb - 1, Wp], each
     plane stored flat with kt - 1 trailing zeros, Wp = time + kt - 1, and a
-    column workspace `cols` [C, width, span] of `width` kernel offsets.
+    column workspace `cols` [C, width, block * Wp] of `width` kernel offsets
+    over `block` bands, all of them by default.
 
     Kernel offset (time i, band j) is then the contiguous run of the
     `span` = bands * Wp cells from j * Wp + i: cell b * Wp + t of that run
     is padded cell (b + j, t + i), so each Wp-long row's first `time` cells
-    are the offset's im2col row and the other kt - 1 are junk. `pairs`
-    matches offset k's run with column block k % width."""
+    are the offset's im2col row and the other kt - 1 are junk. `runs` holds
+    them all as one view [kt, kb, C, span], in the stored kernel order;
+    `pairs` matches offset k's run with workspace slot k % width. `blocks`
+    holds the (start, end) cells of each block of bands within a run."""
 
-    def __init__(self, ch, bands, time, kt, kb, dtype, width):
+    def __init__(self, ch, bands, time, kt, kb, dtype, width, block=None):
         self.wp = time + kt - 1
         self.span = bands * self.wp
         rows = bands + kb - 1
@@ -420,23 +437,31 @@ class _FlatPad:
         pb, pt = _same_padding(kb), _same_padding(kt)
         planes = self.flat[:, : rows * self.wp].reshape(ch, rows, self.wp)
         self.interior = planes[:, pb : pb + bands, pt : pt + time]
-        self.cols = np.empty((ch, width, self.span), dtype=dtype)
-        # offsets in the stored kernel order [k_time, k_band]
-        self.pairs = [(self.flat[:, j * self.wp + i : j * self.wp + i + self.span],
-                       self.cols[:, k % width]) for k, (i, j) in enumerate(np.ndindex(kt, kb))]
+        step = (block or bands) * self.wp
+        self.cols = np.empty((ch, width, step), dtype=dtype)
+        cell = self.flat.itemsize  # offset (i, j)'s run starts j * Wp + i cells in
+        self.runs = np.lib.stride_tricks.as_strided(
+            self.flat, (kt, kb, ch, self.span), (cell, self.wp * cell, self.flat.strides[0], cell))
+        self.pairs = [(self.runs[i, j], self.cols[:, k % width])
+                      for k, (i, j) in enumerate(np.ndindex(kt, kb))]
+        self.blocks = [(lo, min(lo + step, self.span)) for lo in range(0, self.span, step)]
 
 
-def _im2col(xn: np.ndarray, pad: _FlatPad) -> np.ndarray:
-    """Utterance xn [C, bands, time]'s columns [C*kt*kb, bands * Wp] in the
-    stored kernel order, built in `pad` (of width kt*kb): one contiguous
-    [C, span] copy per kernel offset (Chellapilla et al., 2006, with the
-    shifted flat views of Anderson et al., arXiv:1709.03395). Every
-    utterance's columns go into the same workspace, so the caller uses them
-    before the next."""
-    pad.interior[...] = xn
-    for run, col in pad.pairs:
-        np.copyto(col, run)
-    return pad.cols.reshape(-1, pad.span)
+def _im2col(xn, pad: _FlatPad, block: int = 0) -> np.ndarray:
+    """Utterance xn [C, bands, time]'s columns [C*kt*kb, cells] in the
+    stored kernel order, for the cells of `pad.blocks[block]`, built in
+    `pad` (of width kt*kb): one copy from all kernel offsets' shifted flat
+    views (Chellapilla et al., 2006, with the views of Anderson et al.,
+    arXiv:1709.03395). With xn None, the columns of what `pad`'s interior
+    already holds. Every utterance's columns go into the same workspace, so
+    the caller uses them before the next."""
+    if xn is not None:
+        pad.interior[...] = xn
+    lo, hi = pad.blocks[block]
+    cols = pad.cols[..., : hi - lo]
+    np.copyto(cols.reshape(pad.runs.shape[2:3] + pad.runs.shape[:2] + (-1,)),
+              pad.runs[..., lo:hi].transpose(2, 0, 1, 3))
+    return cols.reshape(-1, hi - lo)
 
 
 def _col2im(gp2: np.ndarray, w_off: np.ndarray, pad: _FlatPad) -> np.ndarray:
@@ -492,14 +517,101 @@ def _pool_scatter(g, win, cells, dst, hit) -> None:
         np.multiply(g, hit, out=dst[cell])
 
 
-def conv2d(x, w, b=None, pool: int = 1) -> Tensor:
+class _Conv:
+    """One layer of a `conv2d` node, on utterances [in_ch, bands, time]: its
+    kernel w, bias b (a Tensor or None) and pool, the steps both passes take
+    per utterance, and the makers of one thread's scratch for them."""
+
+    def __init__(self, shape, w, b, pool):
+        self.w, self.b, self.pool = w, b, pool
+        self.in_ch, self.bands, self.time = shape
+        self.out_ch, _, self.kt, self.kb = w.shape
+        self.oh, self.ow = self.bands // pool, self.time // pool
+        if self.oh < 1 or self.ow < 1:
+            raise ValidationFailure(f"pooling {pool}x{pool} on {self.bands}x{self.time} input")
+        self.wp = self.time + self.kt - 1
+        self.w2 = w.data.reshape(self.out_ch, -1)
+        self.bias = None if b is None else b.data[:, None, None]
+        self.cells = _pool_cells(pool, self.oh, self.ow)
+        self.work = w.data.size * self.bands * self.time  # the forward GEMM's multiply-adds
+        band = self.in_ch * self.kt * self.kb * self.wp  # one band's columns
+        # col2im takes all kernel offsets in one GEMM while their product is
+        # small: nine small GEMMs cost more in calls than in work, and a
+        # one-channel input's would go to gemv, which sums in another order
+        self.dx_width = self.kt * self.kb if band * self.bands <= _COL2IM_ONE_GEMM_CELLS else 1
+        self.block = min(self.bands, max(1, _COLUMN_BLOCK_CELLS // band))  # per forward GEMM
+
+    def pad(self, dtype, width=None, block=None) -> _FlatPad:
+        """A flat padding whose workspace holds `width` offsets over `block`
+        bands, all of each by default."""
+        return _FlatPad(self.in_ch, self.bands, self.time, self.kt, self.kb, dtype,
+                        self.kt * self.kb if width is None else width, block)
+
+    def rows(self, dtype) -> np.ndarray:
+        """One utterance's GEMM output [out_ch, bands, Wp]."""
+        return np.empty((self.out_ch, self.bands, self.wp), dtype=dtype)
+
+    def flags(self) -> list:
+        """`_pool_winners`' bool scratch."""
+        return [np.empty((self.out_ch, self.oh, self.ow), dtype=bool) for _ in range(2)]
+
+    def forward(self, xn, pad, rows, top, win=None, flags=()) -> None:
+        """One utterance xn (None: `pad` holds it): w [out_ch, C*kt*kb] @ its
+        columns into `rows`, a block of bands at a time, the pool into
+        `top`, then bias and ReLU in place. With `win`, the bias goes in
+        before the max and each window's winner into `win`."""
+        out = rows.reshape(self.out_ch, -1)
+        for q, (lo, hi) in enumerate(pad.blocks):
+            np.matmul(self.w2, _im2col(xn if q == 0 else None, pad, q), out=out[:, lo:hi])
+        if win is not None and self.bias is not None:
+            rows += self.bias
+        _pool_max(rows, self.cells, top)
+        if win is not None:
+            _pool_winners(rows, self.cells, top, win, *flags)
+        elif self.bias is not None:
+            top += self.bias
+        np.maximum(top, 0, out=top)
+
+    def grid(self, dtype):
+        """One thread's gradient grid [out_ch, bands, Wp], its junk cells 0,
+        and its loader: `load(gn, win_n)` puts one utterance's masked
+        output gradient gn on it, routed to the winners `win_n` when the
+        layer pools, and returns it as [out_ch, bands * Wp]."""
+        gp = np.zeros((self.out_ch, self.bands, self.wp), dtype=dtype)
+        hit = np.empty((self.out_ch, self.oh, self.ow), dtype=bool) if self.pool > 1 else None
+
+        def load(gn, win_n):
+            if win_n is None:
+                gp[..., : self.time] = gn
+            else:
+                _pool_scatter(gn, win_n, self.cells, gp, hit)
+            return gp.reshape(self.out_ch, -1)
+        return load
+
+    def offsets(self) -> np.ndarray:
+        """w's slices for `_col2im` on a padding of `dx_width` offsets."""
+        width = self.dx_width
+        w_off = self.w.data.reshape(self.out_ch, self.in_ch, -1, width).transpose(2, 0, 1, 3)
+        return np.ascontiguousarray(w_off).reshape(-1, self.out_ch, self.in_ch * width)
+
+
+def _sum_in_order(parts: np.ndarray) -> np.ndarray:
+    """parts[0] + parts[1] + ..., from zero, in that order."""
+    total = np.zeros(parts.shape[1:], dtype=parts.dtype)
+    for part in parts:
+        np.add(total, part, out=total)
+    return total
+
+
+def conv2d(x, w, b=None, pool: int = 1, stem=None) -> Tensor:
     """Cross-correlation with zero "same" padding, then bias, an optional
-    pool*pool max pool and ReLU.
+    pool*pool max pool and ReLU; with `stem`, two such layers as one node.
 
     x: [batch, in_ch, bands, time], time the contiguous axis; w: [out_ch,
     in_ch, k_time, k_band]; b: [out_ch]; the output is [batch, out_ch,
     bands // pool, time // pool]. Forward: per utterance, one GEMM, w
-    [out_ch, C*kt*kb] @ its im2col columns; the first `time` cells of each
+    [out_ch, C*kt*kb] @ its im2col columns, or one per block of bands when
+    the columns pass `_COLUMN_BLOCK_CELLS`; the first `time` cells of each
     Wp-long output row are the conv (see `_FlatPad`). Each output sums the
     same terms in the same order as a time-outer im2col would. Bias and
     ReLU then run in place, so no pre-activation copy exists. The backward
@@ -524,65 +636,75 @@ def conv2d(x, w, b=None, pool: int = 1) -> Tensor:
     times the input's size. Only a gradient of at most
     `_COL2IM_ONE_GEMM_CELLS` cells is formed whole, in one GEMM.
 
-    From `CONV_THREAD_MIN_WORK` up, with a batch of two or more and two
-    usable cores, the op runs on the caller and the worker thread
-    (`_run_pair`); its GEMMs and copies drop the GIL. The forward splits
-    the batch: the caller takes the first half (rounded up), the worker the
-    rest. The backward splits by role: the caller gets `dw`, the worker
-    `dx`, each from its own gradient grid; only `dw` needs a column
-    workspace, so one exists. The caller allocates every workspace, one
-    array each. In `train-paper` runs, where the role split read 215-228 MB
-    peak RSS, a backward with a column workspace per thread read 238, and
-    a forward with both threads' workspaces in one block 254-270. Both
-    schedules run the same code on the same arrays, so they compute the
-    same bits.
+    `stem` = (w0, b0, pool0) is a layer before this one, run in the same
+    node: x is then the stem's input, and the stem's output, the widest
+    activation of a CNN whose first layer keeps full resolution, is never
+    held whole (Chen et al., arXiv:1604.06174: recompute what is cheap).
+    Per utterance the forward writes the stem's output straight into this
+    layer's flat padding and runs this layer from it; the node keeps only
+    x, the output and this layer's winners. The backward, per utterance
+    again, computes the stem's output once more (with its winners when it
+    pools), takes this layer's `dw` one kernel offset at a time straight
+    from the padding's runs, with no column workspace, and its `dx` by
+    col2im, masks that by the stem's ReLU and pool, and takes the stem's
+    `dw` and `db`. Each utterance's products are kept and summed in
+    utterance order after the loop, which gives the bits the two layers
+    as two nodes give (tested at the models' shapes).
+
+    From `CONV_THREAD_MIN_WORK` up (the work of both layers, with a stem),
+    with a batch of two or more and two usable cores, the op runs on the
+    caller and the worker thread (`_run_pair`); its GEMMs and copies drop
+    the GIL. The forward splits the batch: the caller takes the first half
+    (rounded up), the worker the rest. Without a stem the backward splits
+    by role: the caller gets `dw`, the worker `dx`, each from its own
+    gradient grid; only `dw` needs a column workspace, so one exists. With
+    one, the backward splits the batch as the forward does. The caller
+    allocates every workspace, one array each. In `train-paper` runs, where
+    the role split read 215-228 MB peak RSS, a backward with a column
+    workspace per thread read 238, and a forward with both threads'
+    workspaces in one block 254-270. Both schedules run the same code on
+    the same arrays, so they compute the same bits.
     """
-    x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ValidationFailure(f"conv2d of {x.shape} with kernel {w.shape}")
-    batch, in_ch, bands, time = x.shape
-    out_ch, _, kt, kb = w.shape
-    oh, ow = bands // pool, time // pool
-    if oh < 1 or ow < 1:
-        raise ValidationFailure(f"pooling {pool}x{pool} on {bands}x{time} input")
-    wp = time + kt - 1
-    w2 = w.data.reshape(out_ch, -1)
-    dtype = np.result_type(x.data, w.data)
-    parents = (x, w) if b is None else (x, w, b)
+    x = as_tensor(x)
+    shape = x.shape[1:]
+    convs = []  # the stem's layer, then this one's
+    for wk, bk, pk in ([] if stem is None else [stem]) + [(w, b, pool)]:
+        wk = as_tensor(wk)
+        if x.data.ndim != 4 or wk.data.ndim != 4 or shape[0] != wk.shape[1]:
+            raise ValidationFailure(f"conv2d of {x.shape[:1] + shape} with kernel {wk.shape}")
+        convs.append(_Conv(shape, wk, bk, pk))
+        shape = (wk.shape[0], convs[-1].oh, convs[-1].ow)
+    conv = convs[-1]
+    w, b = conv.w, conv.b
+    batch = x.shape[0]
+    dtype = np.result_type(x.data, *(c.w.data for c in convs))
+    parents = (x,) + tuple(p for c in convs for p in (c.w, c.b) if p is not None)
     req = any(p.requires_grad for p in parents)
-    threaded = (batch >= 2 and w.data.size * bands * time >= CONV_THREAD_MIN_WORK
+    threaded = (batch >= 2 and sum(c.work for c in convs) >= CONV_THREAD_MIN_WORK
                 and _cores() >= 2)
     bounds = (0, (batch + 1) // 2, batch)  # the caller's utterances, then the worker's
-    out_data = np.empty((batch, out_ch, oh, ow), dtype=dtype)
-    bias = None if b is None else b.data[:, None, None]
-    cells = _pool_cells(pool, oh, ow)
-    winners = req and pool > 1
-    if winners:
-        win = np.empty(out_data.shape, dtype=np.min_scalar_type(len(cells) - 1))
+    out_data = np.empty((batch,) + shape, dtype=dtype)
+    win = None
+    if req and pool > 1:
+        win = np.empty(out_data.shape, dtype=np.min_scalar_type(len(conv.cells) - 1))
 
-    def columns(width=kt * kb):  # one thread's flat padding and column workspace
-        return _FlatPad(in_ch, bands, time, kt, kb, x.dtype, width)
-
-    def forward_space():
-        flags = [np.empty(out_data.shape[1:], dtype=bool) for _ in range(2 * winners)]
-        return columns(), np.empty((out_ch, bands, wp), dtype=dtype), flags
+    def forward_space():  # one thread's paddings and GEMM outputs, and pool scratch
+        flags = conv.flags() if win is not None else ()
+        return ([c.pad(dtype, block=c.block) for c in convs], [c.rows(dtype) for c in convs],
+                flags)
 
     spaces = [forward_space()]
     spaces.append(forward_space() if threaded else spaces[0])
 
     def forward(k):
-        pad, rows, flags = spaces[k]
+        pads, rows, flags = spaces[k]
         for n in range(bounds[k], bounds[k + 1]):
-            np.matmul(w2, _im2col(x.data[n], pad), out=rows.reshape(out_ch, -1))
-            if winners and bias is not None:
-                rows += bias
-            _pool_max(rows, cells, out_data[n])
-            if winners:
-                _pool_winners(rows, cells, out_data[n], win[n], *flags)
-        part = out_data[bounds[k] : bounds[k + 1]]
-        if bias is not None and not winners:
-            part += bias
-        np.maximum(part, 0, out=part)
+            xn = x.data[n]
+            if stem is not None:  # into this layer's padding; xn None reads it there
+                convs[0].forward(xn, pads[0], rows[0], pads[1].interior)
+                xn = None
+            conv.forward(xn, pads[-1], rows[-1], out_data[n], None if win is None else win[n],
+                         flags)
 
     _run_pair(forward, threaded)
 
@@ -592,42 +714,28 @@ def conv2d(x, w, b=None, pool: int = 1) -> Tensor:
             g *= out_data > 0  # in place: `g` is this node's own `.grad`
             if b is not None and b.requires_grad:
                 b.accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
-
-            def grid():  # one thread's gradient grid and its loader
-                gp = np.zeros((out_ch, bands, wp), dtype=g.dtype)  # junk cells stay 0
-                hit = np.empty(g.shape[1:], dtype=bool) if winners else None
-
-                def load(n):  # utterance n's gradient onto the Wp grid
-                    if winners:
-                        _pool_scatter(g[n], win[n], cells, gp, hit)
-                    else:
-                        gp[..., :time] = g[n]
-                    return gp.reshape(out_ch, -1)
-                return load
-
+            if stem is not None:
+                _stem_backward(convs[0], conv, x, g, win, bounds, threaded)
+                return
             roles = []
             if w.requires_grad:
-                load_w, pad_w = grid(), columns()
-                dw = np.zeros(w2.shape, dtype=np.result_type(g, x.data))
+                load_w, pad_w = conv.grid(g.dtype), conv.pad(dtype)
+                dw = np.zeros(conv.w2.shape, dtype=np.result_type(g, x.data))
 
                 def grad_w():
                     for n in range(batch):
-                        np.add(dw, load_w(n) @ _im2col(x.data[n], pad_w).T, out=dw)
+                        gp = load_w(g[n], None if win is None else win[n])
+                        np.add(dw, gp @ _im2col(x.data[n], pad_w).T, out=dw)
                 roles.append(grad_w)
             if x.requires_grad:
-                # one GEMM for all offsets while their product is small: nine
-                # small GEMMs cost more in calls than in work, and a one-channel
-                # input's would go to gemv, which sums in another order
-                width = kt * kb if in_ch * kt * kb * bands * wp <= _COL2IM_ONE_GEMM_CELLS else 1
-                load_x, pad_x = grid(), columns(width)
-                w_off = np.ascontiguousarray(w.data.reshape(out_ch, in_ch, -1, width)
-                                             .transpose(2, 0, 1, 3))
-                w_off = w_off.reshape(-1, out_ch, in_ch * width)
+                load_x, pad_x = conv.grid(g.dtype), conv.pad(dtype, conv.dx_width)
+                w_off = conv.offsets()
                 dx = np.empty(x.shape, dtype=x.dtype)
 
                 def grad_x():
                     for n in range(batch):
-                        dx[n] = _col2im(load_x(n), w_off, pad_x)
+                        dx[n] = _col2im(load_x(g[n], None if win is None else win[n]),
+                                        w_off, pad_x)
                 roles.append(grad_x)
             if len(roles) == 2:
                 _run_pair(lambda k: roles[k](), threaded)
@@ -640,6 +748,63 @@ def conv2d(x, w, b=None, pool: int = 1) -> Tensor:
 
         out._backward = _bw
     return out
+
+
+def _stem_backward(stem: _Conv, conv: _Conv, x: Tensor, g, win, bounds, threaded) -> None:
+    """The rest of a stemmed `conv2d`'s backward, from its masked output
+    gradient g, split by batch (see `conv2d`). Each thread keeps one
+    utterance's stem output in this layer's flat padding and its masked
+    gradient, and writes that utterance's products into the caller's
+    arrays: [B, kt, kb, out_ch, in_ch] for this layer's `dw`, [B, out_ch0,
+    in_ch0*kt0*kb0] and [B, out_ch0] for the stem's `dw` and `db`. Their
+    sums in utterance order go to the parameters."""
+    batch = len(g)
+    dtype = g.dtype
+    w0, b0 = stem.w, stem.b
+    dw = np.empty((batch, conv.kt, conv.kb, conv.out_ch, conv.in_ch), dtype=dtype)
+    dw0 = np.empty((batch,) + stem.w2.shape, dtype=dtype)
+    db0 = np.empty((batch, stem.out_ch), dtype=dtype)
+    dx = np.empty(x.shape, dtype=x.dtype) if x.requires_grad else None
+    w_off, w0_off = conv.offsets(), stem.offsets()
+    pooled = stem.pool > 1
+    inner = (conv.in_ch, conv.bands, conv.time)
+
+    def space():  # one thread's scratch
+        win0 = np.empty(inner, dtype=np.uint8) if pooled else None
+        return (stem.pad(dtype), stem.rows(dtype), stem.grid(dtype), win0,
+                stem.flags() if pooled else (),
+                conv.pad(dtype, conv.dx_width), conv.grid(dtype),
+                np.empty(inner, dtype=bool), np.empty(inner, dtype=dtype),
+                stem.pad(dtype, stem.dx_width) if dx is not None else None)
+
+    spaces = [space()]
+    spaces.append(space() if threaded else spaces[0])
+
+    def backward(k):
+        pad0, rows0, load0, win0, flags0, pad, load, live, d0, pad_x = spaces[k]
+        for n in range(bounds[k], bounds[k + 1]):
+            pad.flat.fill(0)  # col2im left the last utterance's gradient in it
+            stem.forward(x.data[n], pad0, rows0, pad.interior, win0, flags0)
+            gp = load(g[n], None if win is None else win[n])
+            np.matmul(gp, pad.runs.swapaxes(2, 3), out=dw[n])  # per offset, no columns
+            np.greater(pad.interior, 0, out=live)
+            np.multiply(_col2im(gp, w_off, pad), live, out=d0)
+            np.sum(d0, axis=(1, 2), out=db0[n])
+            gp0 = load0(d0, win0)  # against the columns stem.forward built
+            np.matmul(gp0, pad0.cols.reshape(-1, pad0.span).T, out=dw0[n])
+            if dx is not None:
+                dx[n] = _col2im(gp0, w0_off, pad_x)
+
+    _run_pair(backward, threaded)
+    if conv.w.requires_grad:
+        total = _sum_in_order(dw).transpose(2, 3, 0, 1)  # [out_ch, in_ch, kt, kb]
+        conv.w.accumulate(np.ascontiguousarray(total), fresh=True)
+    if w0.requires_grad:
+        w0.accumulate(_sum_in_order(dw0).reshape(w0.shape), fresh=True)
+    if b0 is not None and b0.requires_grad:
+        b0.accumulate(_sum_in_order(db0), fresh=True)
+    if dx is not None:
+        x.accumulate(dx, fresh=True)
 
 
 def max_pool2d(x, size: int = 2) -> Tensor:

@@ -108,6 +108,28 @@ def check_conv2d_threaded(seed: int) -> float:
                    check_op(lambda rng: conv2d_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed))
 
 
+def conv2d_stem_case_factory(pool0, pool):
+    """Two conv layers as one `conv2d` node: the stem (w0, b0, pool0),
+    then (w, b, pool)."""
+    def case(tensors):
+        return ops.conv2d(tensors["x"], tensors["w"], tensors["b"], pool,
+                          stem=(tensors["w0"], tensors["b0"], pool0))
+
+    return case
+
+
+def conv2d_stem_inputs(rng):
+    """2 -> 3 -> 4 channels on 7 x 10: with both layers pooling, 3 x 5,
+    then 1 x 2, and each pool drops a trailing row or column."""
+    return {
+        "x": rng.normal(size=(2, 2, 7, 10)),
+        "w0": rng.normal(size=(3, 2, 3, 3)),
+        "b0": rng.normal(size=3),
+        "w": rng.normal(size=(4, 3, 3, 3)),
+        "b": rng.normal(size=4),
+    }
+
+
 def dense_case(tensors):
     return ops.dense(tensors["x"], tensors["w"], tensors["b"])
 
@@ -257,6 +279,16 @@ GRADIENT_SUITE = {
     ),
     "conv2d_pool_mostly_off": lambda seed: check_op(
         lambda rng: conv2d_mostly_off_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed
+    ),
+    # the stem's pool, then the layer's: the paper's, the desk profile's, none
+    "conv2d_stem_1_2": lambda seed: check_op(
+        conv2d_stem_inputs, conv2d_stem_case_factory(1, 2), seed
+    ),
+    "conv2d_stem_2_2": lambda seed: check_op(
+        conv2d_stem_inputs, conv2d_stem_case_factory(2, 2), seed
+    ),
+    "conv2d_stem_1_1": lambda seed: check_op(
+        conv2d_stem_inputs, conv2d_stem_case_factory(1, 1), seed
     ),
     "dense": lambda seed: check_op(dense_inputs, dense_case, seed),
     "blstm": lambda seed: check_op(blstm_inputs, blstm_case, seed),

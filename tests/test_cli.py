@@ -206,13 +206,13 @@ def test_eval_cut_wav_exits_2(tiny, trained, tmp_path, capsys):
     assert "cut.wav" in err and "Traceback" not in err
 
 
-def patch_header(src: Path, dst: Path, edit) -> None:
+def patch_header(src: Path, dst: Path, edit, dumps=json.dumps) -> None:
     """Copy checkpoint `src` to `dst` with `edit` applied to its JSON header."""
     raw = src.read_bytes()
     (n,) = struct.unpack_from("<I", raw, 8)
     header = json.loads(raw[12 : 12 + n])
     edit(header)
-    encoded = json.dumps(header).encode("utf-8")
+    encoded = dumps(header).encode("utf-8")
     dst.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n :])
 
 
@@ -431,6 +431,70 @@ def test_synth_mistyped_field_exits_2(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def dumps_with_overflow(obj) -> str:
+    """`json.dumps`, which writes NaN and Infinity as bare tokens, with the
+    string "1e999" written as that number, which reads as inf."""
+    return json.dumps(obj).replace('"1e999"', "1e999")
+
+
+def non_finite_document(kind, value, tiny, prepared, trained, tmp_path) -> tuple:
+    """Write a document of `kind` with `value` in one of its number fields;
+    return the command that reads it and the field's key."""
+    def dump(path, obj):
+        path.write_text(dumps_with_overflow(obj))
+        return path
+    if kind in ("config", "fold-plan"):
+        config = {"profile": "desk-scale", **prepared, "train": {"epochs": 1},
+                  "out_dir": str(tmp_path / "run")}
+        if kind == "config":
+            config["train"]["learning_rate"] = value
+        else:
+            plan = json.loads(Path(prepared["fold_plan"]).read_text())
+            config["fold_plan"] = str(dump(tmp_path / "folds.json", {**plan, "seed": value}))
+        key = "learning_rate" if kind == "config" else "seed"
+        return ["train", "--config", dump(tmp_path / "train.json", config)], key
+    if kind == "synth-spec":
+        spec = {"name": "bad", "timbre_scale": value}
+        return ["synth", "--spec", dump(tmp_path / "spec.json", spec)], "timbre_scale"
+    if kind == "manifest":  # NaN was labelled neutral, and written back out as NaN
+        lines = Path(tiny["manifest"]).read_text().splitlines()
+        lines[3] = dumps_with_overflow({**json.loads(lines[3]), "raw_labels": {"anger": value}})
+        (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
+        return ["prepare", "--manifest", tmp_path / "m.jsonl", "--label-map", "mosei",
+                "--strategy", "split-80-20", "--out", tmp_path / "prep"], "anger"
+    if kind == "checkpoint":
+        patch_header(trained / "checkpoint_last.bin", tmp_path / "bad.bin",
+                     lambda header: header["extra"]["run"]["plateau"].update(lr=value),
+                     dumps_with_overflow)
+        return ["eval", "--checkpoint", tmp_path / "bad.bin", "--manifests", tiny["shift"],
+                "--out", tmp_path / "eval"], "lr"
+    record = {"train_tag": "a", "test_tag": "b", "fold": 0,
+              "metrics": {"ua_eq1": value, "wa_eq2": 50.0, "mean_class_recall": 50.0,
+                          "overall_accuracy": 50.0}}
+    dump(tmp_path / "metrics_b.json", record)
+    return ["report", "--runs", tmp_path / "metrics_*.json", "--out", tmp_path / "report"], "ua_eq1"
+
+
+# NaN and -Infinity are tokens that JSON does not have; 1e999 is a JSON
+# number that reads as inf. The fold plan's only number, its seed, is an int
+NON_FINITE = [(kind, value) for kind in ("config", "fold-plan", "synth-spec", "manifest",
+                                         "checkpoint", "run-record")
+              for value in (math.nan, -math.inf, "1e999")
+              if (kind, value) != ("fold-plan", "1e999")]
+
+
+@pytest.mark.parametrize("kind, value", NON_FINITE, ids=[f"{k}-{v}" for k, v in NON_FINITE])
+def test_non_finite_number_exits_2_naming_its_key(tiny, prepared, trained, tmp_path, capsys,
+                                                  kind, value):
+    # each document once read such a value without complaint
+    argv, key = non_finite_document(kind, value, tiny, prepared, trained, tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not any((tmp_path / out).exists() for out in ("run", "prep", "eval", "report"))
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,10 +1,12 @@
 import json
-from dataclasses import asdict
+from dataclasses import MISSING, asdict
 
 import numpy as np
 import pytest
 
 from crossemo.corpus import (
+    MANIFEST_SCHEMA_VERSION,
+    _RECORD_DEFAULTS,
     CorpusManifest,
     Fold,
     FoldPlan,
@@ -24,7 +26,8 @@ from crossemo.corpus import (
     subsample_balanced,
     validate_fold_plan,
 )
-from crossemo.errors import ValidationFailure
+from crossemo.errors import RuntimeFailure, ValidationFailure
+from crossemo.ioutil import write_json, write_jsonl
 from conftest import make_manifest, make_record
 
 
@@ -125,6 +128,21 @@ class TestManifestIo:
         path.write_text(json.dumps({**asdict(make_record(0)), "augmented": value}) + "\n")
         with pytest.raises(ValidationFailure, match="augmented"):
             load_manifest(path)
+
+    def test_save_writes_the_bytes_of_asdict(self, tmp_path):
+        # fields are read in place, not deep-copied by `asdict`; the bytes
+        # are those of the `asdict` rows without the fields at their default
+        records = [raw_record(i, "angry", session=f"x{i}", source_id=f"src{i}", emotion="angry",
+                              augmented=True) for i in range(3)]
+        records += [raw_record(3, "sad", raw_labels={}), raw_record(4, "sad")]
+        records.append(raw_record(5, "sad", raw_labels={"sad": 0.5, "anger": 2}))
+        save_manifest(CorpusManifest("demo", tuple(records)), tmp_path / "m.jsonl")
+        rows = [{"manifest_schema": MANIFEST_SCHEMA_VERSION, "name": "demo"}] + [
+            {k: v for k, v in asdict(r).items() if v != _RECORD_DEFAULTS.get(k, MISSING)}
+            for r in records]
+        assert ["raw_labels" in row for row in rows[1:]] == [True] * 3 + [False, True, True]
+        assert (tmp_path / "m.jsonl").read_bytes() == "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
 
     def test_save_load_round_trip(self, tmp_path):
         manifest = make_manifest(8)
@@ -465,3 +483,11 @@ class TestMakeFoldPlan:
     def test_unknown_option(self):
         with pytest.raises(ValidationFailure):
             make_fold_plan(self.MANIFEST, "split-80-20", n_fold=2)
+
+
+@pytest.mark.parametrize("write", [write_json, write_jsonl])
+def test_writer_refuses_non_finite_and_writes_nothing(tmp_path, write):
+    # JSON has no NaN or Infinity: a writer that meets one is a program fault
+    with pytest.raises(RuntimeFailure, match="Out of range float values"):
+        write(tmp_path / "doc.json", [{"x": 1.0}, {"x": float("nan")}])
+    assert list(tmp_path.iterdir()) == []

@@ -63,6 +63,17 @@ def test_damaged_record_exits_2_naming_record_and_key(capsys, tmp_path, field, v
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("at", [1, 4, 9], ids=["second-row", "after-three-records", "last-row"])
+def test_second_header_exits_2(capsys, tmp_path, at):
+    # a header after the first row once renamed the manifest, with exit 0
+    rows = base_rows()
+    rows.insert(at, {"manifest_schema": 1, "name": "second"})
+    code, err = prepare(capsys, tmp_path, rows)
+    assert code == 2, err
+    assert "header" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def matches(value, types) -> bool:
     return any(value is None if t is None else
                type(value) is t or (t is float and type(value) is int) for t in types)

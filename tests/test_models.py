@@ -14,6 +14,7 @@ import pytest
 
 from crossemo.cli import main
 from crossemo.errors import ValidationFailure
+from crossemo.evaluation import EVAL_BATCH
 from crossemo.ioutil import write_json
 from crossemo.nn import layers, ops
 from crossemo.nn.checkpoint import (
@@ -278,9 +279,11 @@ class TestGradientCoverage:
         assert [r for r in alive if r() is not None] == []
 
     def test_training_forward_keeps_only_pooled_conv_outputs(self):
-        # 10.7 MiB held here: pooling inside conv2d and one fc_block per FC
-        # layer, which keeps only x-hat and its output. Separate dense,
-        # batch-norm, ReLU and dropout ops held 13.3, and pooled layers that
+        # 8.0 MiB held here: pooling inside conv2d, conv0 and conv1 as one
+        # node that keeps neither conv0's output nor its winners, and one
+        # fc_block per FC layer, which keeps only x-hat and its output. With
+        # conv0's output kept (2.7 MiB) 10.7 were held, with separate dense,
+        # batch-norm, ReLU and dropout ops 13.3, and with pooled layers that
         # kept their full-resolution outputs 17.6
         graph = build_cnn_blstm_att(CnnBlstmAttConfig(), seed=0)
         x = random_features(batch=8, frames=120)
@@ -291,11 +294,28 @@ class TestGradientCoverage:
         finally:
             tracemalloc.stop()
         assert logits.shape == (8, 4)
-        assert held < 12 * 2**20
+        assert held < 8.5 * 2**20
+
+    def test_eval_forward_peak_at_eval_batch(self, monkeypatch):
+        # one eval batch of paper-shape inputs at 120 frames, both threads'
+        # workspaces included: the peak was 25.0 MiB; with conv0's output
+        # [64, 32, 23, 120] (21.6 MiB) formed whole before conv1 it was 34.4
+        monkeypatch.setattr(ops, "_cores", lambda: 2)
+        graph = build_cnn_blstm_att(CnnBlstmAttConfig(), seed=0)
+        graph.set_mode("eval")
+        x = random_features(batch=EVAL_BATCH, frames=120)
+        tracemalloc.start()
+        try:
+            logits = graph.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (EVAL_BATCH, 4)
+        assert peak < 27 * 2**20
 
     @pytest.mark.parametrize("builder,cfg,frames,expected", [
-        (build_cnn_blstm_att, CnnBlstmAttConfig(), 120, 58),
-        (build_cnn_blstm_att, DESK_CNN, 40, 36),
+        (build_cnn_blstm_att, CnnBlstmAttConfig(), 120, 57),
+        (build_cnn_blstm_att, DESK_CNN, 40, 35),
         (build_blstm_att, DESK_BLSTM, 40, 23),
     ], ids=["paper-default", "desk-scale", "blstm-att-2-layer"])
     def test_graph_nodes_per_training_forward(self, builder, cfg, frames, expected):
@@ -595,6 +615,55 @@ def numpy_time_outer_conv_stack(x, params, cfg):
     return x
 
 
+def two_node_stem(conv2d):
+    """`ops.conv2d` that runs a stem as its own node, then the layer."""
+    def two_nodes(x, w, b=None, pool=1, stem=None):
+        if stem is not None:
+            x = conv2d(x, *stem)
+        return conv2d(x, w, b, pool)
+    return two_nodes
+
+
+class TestStemExact:
+    """`_cnn_forward` runs conv0 and conv1 as one `conv2d` node with a
+    stem. Everything it computes is, bit for bit, what the two layers as
+    two nodes compute."""
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    @pytest.mark.parametrize("cfg", [CnnBlstmAttConfig(), DESK_CNN],
+                             ids=["paper-default", "desk-scale"])
+    def test_fused_and_two_node_stems_bit_identical(self, cfg, threaded, monkeypatch):
+        monkeypatch.setattr(ops, "_cores", lambda: 2 if threaded else 1)
+        if threaded:  # the desk widths too
+            monkeypatch.setattr(ops, "CONV_THREAD_MIN_WORK", 1)
+        submit = ops._WORKER.submit
+        submitted = []
+        monkeypatch.setattr(ops._WORKER, "submit",
+                            lambda *args: submitted.append(args) or submit(*args))
+        feats = random_features(batch=3, frames=120, seed=8)
+        runs, node_counts = [], []
+        for fused in (True, False):
+            if not fused:
+                monkeypatch.setattr(ops, "conv2d", two_node_stem(ops.conv2d))
+            graph = build_cnn_blstm_att(cfg, seed=8)
+            graph.set_mode("eval")
+            eval_logits = graph.forward(feats).data
+            graph.set_mode("train")
+            logits = graph.forward(feats, dropout_rng=np.random.default_rng(0))
+            loss = softmax_cross_entropy(logits, np.array([0, 1, 2]))
+            node_counts.append(len(graph_nodes(loss)))
+            loss.backward()
+            runs.append({"eval logits": eval_logits, "logits": logits.data, "loss": loss.data,
+                         **{f"{k}.grad": p.grad for k, p in graph.params.items()},
+                         **graph.buffers})
+        fused, two = runs
+        assert node_counts[0] == node_counts[1] - 1
+        assert bool(submitted) == threaded
+        assert fused.keys() == two.keys()
+        for name in two:
+            assert np.array_equal(fused[name], two[name]), name
+
+
 class TestConvStackExact:
     def test_paper_stack_matches_time_outer_reference(self, monkeypatch):
         """The paper-default model runs its conv stack with time as the
@@ -617,6 +686,12 @@ class TestConvStackExact:
         want = x.transpose(0, 2, 1, 3).reshape(batch, n_steps, ch * bands)
         assert want.shape == (2, 15, 256) and want.any()
         assert np.array_equal(seen[0], want)
+
+    def test_one_band_per_forward_gemm_gives_the_same_bits(self, monkeypatch):
+        # at 120 frames every layer's columns fit `_COLUMN_BLOCK_CELLS`;
+        # at 775, conv1's come four bands a GEMM
+        monkeypatch.setattr(ops, "_COLUMN_BLOCK_CELLS", 1)
+        self.test_paper_stack_matches_time_outer_reference(monkeypatch)
 
 
 class TestAttentionProperties:
