@@ -15,7 +15,7 @@ from pathlib import Path
 from .audio import EffectSpec, apply_effect, read_wav, write_wav
 from .corpus import CorpusManifest, save_manifest
 from .errors import CrossEmoError, ValidationFailure
-from .ioutil import atomic_write_text, stable_hash64, write_json
+from .ioutil import atomic_write_text, csv_text, stable_hash64, write_json
 
 FACTOR_RANGE = (0.6, 1.5)
 
@@ -135,12 +135,9 @@ def apply_plan(plan: AugmentPlan, manifest: CorpusManifest):
 
 
 def outcomes_to_csv(outcomes) -> str:
-    lines = ["output_id,status,duration_s"]
-    for o in outcomes:
-        dur = "" if o.duration_s is None else f"{o.duration_s:.6f}"
-        status = o.status.replace(",", ";")
-        lines.append(f"{o.output_id},{status},{dur}")
-    return "\n".join(lines) + "\n"
+    return csv_text([("output_id", "status", "duration_s"), *(
+        (o.output_id, o.status, "" if o.duration_s is None else f"{o.duration_s:.6f}")
+        for o in outcomes)])
 
 
 def augment_corpus(

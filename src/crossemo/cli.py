@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import BLAS_THREADS, NUMPY_IMPORTED_FIRST, __version__
 from .errors import CrossEmoError, ValidationFailure, from_fields
-from .ioutil import atomic_write_text, read_json, write_json
+from .ioutil import atomic_write_text, csv_text, read_json, write_json
 
 
 def _out_root() -> Path:
@@ -53,8 +53,8 @@ def cmd_prepare(args) -> int:
     corpus.save_manifest(manifest, out_dir / "manifest.jsonl")
     corpus.save_fold_plan(plan, out_dir / "folds.json")
     if discards is not None:
-        lines = ["label,count"] + [f"{k},{v}" for k, v in sorted(discards.items())]
-        atomic_write_text(out_dir / "discards.csv", "\n".join(lines) + "\n")
+        atomic_write_text(out_dir / "discards.csv",
+                          csv_text([("label", "count"), *sorted(discards.items())]))
     print(
         f"[crossemo] {len(plan.folds)} folds ({plan.strategy}) over "
         f"{len(manifest)} records -> {out_dir}"

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import RuntimeFailure, ValidationFailure
+from .ioutil import csv_text
 
 # utterances per eval-mode forward, in evaluation and in training's validation
 EVAL_BATCH = 64
@@ -191,9 +192,7 @@ def evaluate_model(graph, classes, manifest, store, restrict_classes: bool = Fal
 
 def predictions_to_csv(result: EvalResult) -> str:
     header_classes = result.predictions[0].scores.keys() if result.predictions else []
-    header = "utt_id,true,predicted," + ",".join(f"score_{c}" for c in header_classes)
-    lines = [header]
-    for p in result.predictions:
-        scores = ",".join(f"{p.scores[c]:.6f}" for c in p.scores)
-        lines.append(f"{p.utt_id},{p.true},{p.predicted},{scores}")
-    return "\n".join(lines) + "\n"
+    header = ["utt_id", "true", "predicted", *(f"score_{c}" for c in header_classes)]
+    return csv_text([header, *([p.utt_id, p.true, p.predicted,
+                                *(f"{p.scores[c]:.6f}" for c in p.scores)]
+                               for p in result.predictions)])

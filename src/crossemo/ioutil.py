@@ -1,9 +1,11 @@
 """Small file helpers shared across modules: atomic writes, JSON and JSONL
-without NaN or Infinity, hashing."""
+without NaN or Infinity, CSV, hashing."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -32,6 +34,14 @@ def atomic_write_bytes(path: str | Path, *chunks) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def csv_text(rows) -> str:
+    """Rows of fields as CSV, each row ended by "\n": a field that holds a
+    comma, a quote or a "\n" is quoted, its quotes doubled."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def dumps_json(obj, where, **kwargs) -> str:

@@ -4,26 +4,25 @@ Each op is one graph node with a hand-written backward pass: a whole layer
 (`dense`, `fc_block`, `attention`, `blstm`, `conv2d`, `max_pool2d`,
 `softmax_cross_entropy`) or a shape op (`reshape`, `transpose`). `fc_block`
 is one FC layer of the CNN: dense, batch norm, ReLU and dropout. `conv2d`
-takes [batch, ch, bands, time] with time the
-contiguous axis, so its im2col and col2im move whole rows; it can max-pool
-its output, ends in its ReLU and builds its columns one utterance at a
-time into a reused workspace, saving none; its backward builds them again.
-A pooling `conv2d` keeps only the pooled output and a one-byte winner per
-window; `max_pool2d` shares its pooling kernels and is the reference it
-is tested against. Given a `stem`, `conv2d` runs that layer and its own as
-one node, one utterance at a time in both passes, so the stem's output is
-never held whole: the backward computes it again. `blstm` runs its step
-loops on arrays the calling thread allocates: a forward that needs no
-gradient keeps two steps of state, not the whole sequence. Two ops share
-one worker thread with the caller (`_run_pair`) on arrays the caller
-allocates: `blstm` at `BLSTM_THREAD_MIN_HIDDEN` and wider runs its two
-directions at once, and `conv2d` from `CONV_THREAD_MIN_WORK` up runs its
-forward on two halves of the batch, and its backward's `dw` and `dx` at
-once, or with a stem on two halves of the batch again. Everything here
-passes central finite-difference checks at float64 with relative error
-below 1e-4 (see the gradient suite in the tests). `fc_block`, whose batch
-norm and dropout switch with the mode, takes the mode explicitly; there is
-no global training flag.
+takes [batch, ch, bands, time] with time the contiguous axis, so its
+im2col and col2im move whole rows; it can max-pool its output, ends in its
+ReLU and builds its columns one utterance at a time into a reused
+workspace, saving none; its backward takes `dw` from each utterance's
+padding one kernel offset at a time, with no columns. A pooling `conv2d`
+keeps only the pooled output and a one-byte winner per window;
+`max_pool2d` shares its pooling kernels and is the reference it is tested
+against. Given a `stem`, `conv2d` runs that layer and its own as one node,
+one utterance at a time in both passes, so the stem's output is never
+held whole: the backward computes it again. `blstm` runs its step loops on
+arrays the calling thread allocates: a forward that needs no gradient
+keeps two steps of state, not the whole sequence. Two ops share one worker
+thread with the caller (`_run_pair`) on arrays the caller allocates:
+`blstm` at `BLSTM_THREAD_MIN_HIDDEN` and wider runs its two directions at
+once, and `conv2d` from `CONV_THREAD_MIN_WORK` up runs both passes on two
+halves of the batch. Everything here passes central finite-difference
+checks at float64 with relative error below 1e-4 (see the gradient suite
+in the tests). `fc_block`, whose batch norm and dropout switch with the
+mode, takes the mode explicitly; there is no global training flag.
 """
 
 from __future__ import annotations
@@ -536,9 +535,13 @@ class _Conv:
         self.work = w.data.size * self.bands * self.time  # the forward GEMM's multiply-adds
         band = self.in_ch * self.kt * self.kb * self.wp  # one band's columns
         # col2im takes all kernel offsets in one GEMM while their product is
-        # small: nine small GEMMs cost more in calls than in work, and a
-        # one-channel input's would go to gemv, which sums in another order
-        self.dx_width = self.kt * self.kb if band * self.bands <= _COL2IM_ONE_GEMM_CELLS else 1
+        # small, and always from one input channel, whose per-offset products
+        # would go to gemv and sum in another order: the backward's padding
+        # then holds the im2col columns that channel's `dw` is taken against
+        whole = self.in_ch == 1 or band * self.bands <= _COL2IM_ONE_GEMM_CELLS
+        self.dx_width = self.kt * self.kb if whole else 1
+        self.dw_shape = (self.w2.shape if self.in_ch == 1  # one utterance's `grad_w`
+                         else (self.kt, self.kb, self.out_ch, self.in_ch))
         self.block = min(self.bands, max(1, _COLUMN_BLOCK_CELLS // band))  # per forward GEMM
 
     def pad(self, dtype, width=None, block=None) -> _FlatPad:
@@ -594,6 +597,21 @@ class _Conv:
         w_off = self.w.data.reshape(self.out_ch, self.in_ch, -1, width).transpose(2, 0, 1, 3)
         return np.ascontiguousarray(w_off).reshape(-1, self.out_ch, self.in_ch * width)
 
+    def grad_w(self, gp, pad, out) -> None:
+        """One utterance's `dw` into `out` from its grid gp [out_ch, bands *
+        Wp] and `pad`, which holds its input: one product per kernel offset
+        over the padding's runs, or against one channel's im2col columns."""
+        if self.in_ch == 1:
+            np.matmul(gp, _im2col(None, pad).T, out=out)
+        else:
+            np.matmul(gp, pad.runs.swapaxes(2, 3), out=out)
+
+    def w_grad(self, parts) -> np.ndarray:
+        """w's gradient: the utterances' `grad_w` [B, ...] summed in order."""
+        total = _sum_in_order(parts)
+        return np.ascontiguousarray(total if self.in_ch == 1 else total.transpose(2, 3, 0, 1)
+                                    ).reshape(self.w.shape)
+
 
 def _sum_in_order(parts: np.ndarray) -> np.ndarray:
     """parts[0] + parts[1] + ..., from zero, in that order."""
@@ -626,15 +644,19 @@ def conv2d(x, w, b=None, pool: int = 1, stem=None) -> Tensor:
     which is exact because rounding is monotone: max(a) + b == max(a + b).
     The backward routes the masked `g` to the winners (`_pool_scatter`).
 
-    The columns are not saved. The backward gets `dw` by building them
-    again, per utterance, against `g` laid out on the Wp grid with zero
-    junk cells, and adds each utterance's `g @ cols.T` in utterance order.
-    `dx` is col2im (`_col2im`) one kernel offset at a time: that offset's
-    [in_ch, out_ch] slice of w times the utterance's grid, added into its
-    flat padding, offsets last to first. So nothing holds the whole
-    batch's columns, nor one utterance's column gradient: each is kt*kb
-    times the input's size. Only a gradient of at most
-    `_COL2IM_ONE_GEMM_CELLS` cells is formed whole, in one GEMM.
+    The columns are not saved. Per utterance the backward puts the input
+    back into its flat padding and lays `g` out on the Wp grid with zero
+    junk cells. `dw` is one matmul over the padding's runs, one product per
+    kernel offset with no columns (`_Conv.grad_w`); a one-channel input,
+    whose per-offset products would go to gemv and sum in another order,
+    takes it against its im2col columns instead. `dx` is col2im (`_col2im`)
+    one kernel offset at a time: that offset's [in_ch, out_ch] slice of w
+    times the grid, added into the flat padding, offsets last to first. So
+    nothing holds the whole batch's columns, nor one utterance's column
+    gradient, kt*kb times the input's size; only a gradient of at most
+    `_COL2IM_ONE_GEMM_CELLS` cells is formed whole, in one GEMM. Each
+    utterance's `dw` is kept, and they are summed in utterance order after
+    the loop (`_sum_in_order`).
 
     `stem` = (w0, b0, pool0) is a layer before this one, run in the same
     node: x is then the stem's input, and the stem's output, the widest
@@ -643,27 +665,19 @@ def conv2d(x, w, b=None, pool: int = 1, stem=None) -> Tensor:
     Per utterance the forward writes the stem's output straight into this
     layer's flat padding and runs this layer from it; the node keeps only
     x, the output and this layer's winners. The backward, per utterance
-    again, computes the stem's output once more (with its winners when it
-    pools), takes this layer's `dw` one kernel offset at a time straight
-    from the padding's runs, with no column workspace, and its `dx` by
-    col2im, masks that by the stem's ReLU and pool, and takes the stem's
-    `dw` and `db`. Each utterance's products are kept and summed in
-    utterance order after the loop, which gives the bits the two layers
-    as two nodes give (tested at the models' shapes).
+    again, computes the stem's output once more into that padding (with its
+    winners when it pools), and after this layer's `dw` and `dx` masks that
+    `dx` by the stem's ReLU and pool and takes the stem's `dw` and `db` the
+    same way. That gives the bits the two layers as two nodes give (tested
+    at the models' shapes).
 
     From `CONV_THREAD_MIN_WORK` up (the work of both layers, with a stem),
     with a batch of two or more and two usable cores, the op runs on the
     caller and the worker thread (`_run_pair`); its GEMMs and copies drop
-    the GIL. The forward splits the batch: the caller takes the first half
-    (rounded up), the worker the rest. Without a stem the backward splits
-    by role: the caller gets `dw`, the worker `dx`, each from its own
-    gradient grid; only `dw` needs a column workspace, so one exists. With
-    one, the backward splits the batch as the forward does. The caller
-    allocates every workspace, one array each. In `train-paper` runs, where
-    the role split read 215-228 MB peak RSS, a backward with a column
-    workspace per thread read 238, and a forward with both threads'
-    workspaces in one block 254-270. Both schedules run the same code on
-    the same arrays, so they compute the same bits.
+    the GIL. Both passes split the batch: the caller takes the first half
+    (rounded up), the worker the rest, each thread with its own paddings
+    and grids, which the caller allocates. Both schedules run the same code
+    on the same arrays, so they compute the same bits.
     """
     x = as_tensor(x)
     shape = x.shape[1:]
@@ -675,7 +689,7 @@ def conv2d(x, w, b=None, pool: int = 1, stem=None) -> Tensor:
         convs.append(_Conv(shape, wk, bk, pk))
         shape = (wk.shape[0], convs[-1].oh, convs[-1].ow)
     conv = convs[-1]
-    w, b = conv.w, conv.b
+    b = conv.b
     batch = x.shape[0]
     dtype = np.result_type(x.data, *(c.w.data for c in convs))
     parents = (x,) + tuple(p for c in convs for p in (c.w, c.b) if p is not None)
@@ -714,95 +728,67 @@ def conv2d(x, w, b=None, pool: int = 1, stem=None) -> Tensor:
             g *= out_data > 0  # in place: `g` is this node's own `.grad`
             if b is not None and b.requires_grad:
                 b.accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
-            if stem is not None:
-                _stem_backward(convs[0], conv, x, g, win, bounds, threaded)
-                return
-            roles = []
-            if w.requires_grad:
-                load_w, pad_w = conv.grid(g.dtype), conv.pad(dtype)
-                dw = np.zeros(conv.w2.shape, dtype=np.result_type(g, x.data))
-
-                def grad_w():
-                    for n in range(batch):
-                        gp = load_w(g[n], None if win is None else win[n])
-                        np.add(dw, gp @ _im2col(x.data[n], pad_w).T, out=dw)
-                roles.append(grad_w)
-            if x.requires_grad:
-                load_x, pad_x = conv.grid(g.dtype), conv.pad(dtype, conv.dx_width)
-                w_off = conv.offsets()
-                dx = np.empty(x.shape, dtype=x.dtype)
-
-                def grad_x():
-                    for n in range(batch):
-                        dx[n] = _col2im(load_x(g[n], None if win is None else win[n]),
-                                        w_off, pad_x)
-                roles.append(grad_x)
-            if len(roles) == 2:
-                _run_pair(lambda k: roles[k](), threaded)
-            elif roles:
-                roles[0]()
-            if w.requires_grad:
-                w.accumulate(dw.reshape(w.shape), fresh=True)
-            if x.requires_grad:
-                x.accumulate(dx, fresh=True)
+            _conv_backward(convs, x, g, win, bounds, threaded)
 
         out._backward = _bw
     return out
 
 
-def _stem_backward(stem: _Conv, conv: _Conv, x: Tensor, g, win, bounds, threaded) -> None:
-    """The rest of a stemmed `conv2d`'s backward, from its masked output
-    gradient g, split by batch (see `conv2d`). Each thread keeps one
-    utterance's stem output in this layer's flat padding and its masked
-    gradient, and writes that utterance's products into the caller's
-    arrays: [B, kt, kb, out_ch, in_ch] for this layer's `dw`, [B, out_ch0,
-    in_ch0*kt0*kb0] and [B, out_ch0] for the stem's `dw` and `db`. Their
-    sums in utterance order go to the parameters."""
-    batch = len(g)
-    dtype = g.dtype
-    w0, b0 = stem.w, stem.b
-    dw = np.empty((batch, conv.kt, conv.kb, conv.out_ch, conv.in_ch), dtype=dtype)
-    dw0 = np.empty((batch,) + stem.w2.shape, dtype=dtype)
-    db0 = np.empty((batch, stem.out_ch), dtype=dtype)
+def _conv_backward(convs: list, x: Tensor, g, win, bounds, threaded) -> None:
+    """The rest of `conv2d`'s backward from its masked output gradient g,
+    one loop over utterances split by batch as the forward is (see
+    `conv2d`). Each utterance's `dw` and `db` go into the caller's [B, ...]
+    arrays, and their sums in utterance order to the parameters."""
+    stem = convs[0] if len(convs) == 2 else None
+    conv = convs[-1]
+    batch, dtype = len(g), g.dtype
+    dws = [np.empty((batch,) + c.dw_shape, dtype=dtype) for c in convs]
+    db0 = np.empty((batch, stem.out_ch), dtype=dtype) if stem is not None else None
     dx = np.empty(x.shape, dtype=x.dtype) if x.requires_grad else None
-    w_off, w0_off = conv.offsets(), stem.offsets()
-    pooled = stem.pool > 1
+    w_off = conv.offsets()
+    x_off = stem.offsets() if stem is not None else w_off
     inner = (conv.in_ch, conv.bands, conv.time)
 
-    def space():  # one thread's scratch
-        win0 = np.empty(inner, dtype=np.uint8) if pooled else None
-        return (stem.pad(dtype), stem.rows(dtype), stem.grid(dtype), win0,
-                stem.flags() if pooled else (),
-                conv.pad(dtype, conv.dx_width), conv.grid(dtype),
-                np.empty(inner, dtype=bool), np.empty(inner, dtype=dtype),
-                stem.pad(dtype, stem.dx_width) if dx is not None else None)
+    def space():  # one thread's scratch: this layer's, its dx padding, then the stem's
+        pad = conv.pad(dtype, conv.dx_width)
+        if stem is None:
+            return pad, conv.grid(dtype), pad
+        pooled = stem.pool > 1
+        return (pad, conv.grid(dtype), stem.pad(dtype, stem.dx_width) if dx is not None else None,
+                stem.pad(dtype), stem.rows(dtype), stem.grid(dtype),
+                np.empty(inner, dtype=np.uint8) if pooled else None, stem.flags() if pooled else (),
+                np.empty(inner, dtype=bool), np.empty(inner, dtype=dtype))
 
     spaces = [space()]
     spaces.append(space() if threaded else spaces[0])
 
     def backward(k):
-        pad0, rows0, load0, win0, flags0, pad, load, live, d0, pad_x = spaces[k]
+        pad, load, pad_x, *stem_space = spaces[k]
+        if stem is not None:
+            pad0, rows0, load0, win0, flags0, live, d0 = stem_space
         for n in range(bounds[k], bounds[k + 1]):
             pad.flat.fill(0)  # col2im left the last utterance's gradient in it
-            stem.forward(x.data[n], pad0, rows0, pad.interior, win0, flags0)
+            if stem is None:
+                pad.interior[...] = x.data[n]
+            else:
+                stem.forward(x.data[n], pad0, rows0, pad.interior, win0, flags0)
             gp = load(g[n], None if win is None else win[n])
-            np.matmul(gp, pad.runs.swapaxes(2, 3), out=dw[n])  # per offset, no columns
-            np.greater(pad.interior, 0, out=live)
-            np.multiply(_col2im(gp, w_off, pad), live, out=d0)
-            np.sum(d0, axis=(1, 2), out=db0[n])
-            gp0 = load0(d0, win0)  # against the columns stem.forward built
-            np.matmul(gp0, pad0.cols.reshape(-1, pad0.span).T, out=dw0[n])
+            conv.grad_w(gp, pad, dws[-1][n])
+            if stem is not None:
+                np.greater(pad.interior, 0, out=live)
+                np.multiply(_col2im(gp, w_off, pad), live, out=d0)
+                np.sum(d0, axis=(1, 2), out=db0[n])
+                gp = load0(d0, win0)
+                stem.grad_w(gp, pad0, dws[0][n])
             if dx is not None:
-                dx[n] = _col2im(gp0, w0_off, pad_x)
+                dx[n] = _col2im(gp, x_off, pad_x)
 
     _run_pair(backward, threaded)
-    if conv.w.requires_grad:
-        total = _sum_in_order(dw).transpose(2, 3, 0, 1)  # [out_ch, in_ch, kt, kb]
-        conv.w.accumulate(np.ascontiguousarray(total), fresh=True)
-    if w0.requires_grad:
-        w0.accumulate(_sum_in_order(dw0).reshape(w0.shape), fresh=True)
-    if b0 is not None and b0.requires_grad:
-        b0.accumulate(_sum_in_order(db0), fresh=True)
+    for c, parts in zip(convs, dws):
+        if c.w.requires_grad:
+            c.w.accumulate(c.w_grad(parts), fresh=True)
+    if stem is not None and stem.b is not None and stem.b.requires_grad:
+        stem.b.accumulate(_sum_in_order(db0), fresh=True)
     if dx is not None:
         x.accumulate(dx, fresh=True)
 

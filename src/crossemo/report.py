@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ValidationFailure, from_fields
 from .evaluation import METRIC_KEYS, MetricSet, aggregate_folds
-from .ioutil import atomic_write_text, write_json
+from .ioutil import atomic_write_text, csv_text, write_json
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -159,7 +159,7 @@ def _grid(report: CrossCorpusReport, metric: str, digits: int, blank: str) -> tu
 def report_to_csv(report: CrossCorpusReport, metric: str = "ua_eq1") -> str:
     rows, avg = _grid(report, metric, digits=2, blank="")
     header = ["test_set", *report.models]
-    return "".join(",".join(row) + "\n" for row in [header, *rows, ["avg", *avg]])
+    return csv_text([header, *rows, ["avg", *avg]])
 
 
 def render_table(report: CrossCorpusReport, metric: str = "ua_eq1") -> str:

@@ -33,6 +33,10 @@ from crossemo.nn.models import build_model
 GOLDEN = Path(__file__).with_name("golden_step.json")
 REL_TOL = 1e-5
 CASES = {"paper-default": 3, "desk-scale": 16}  # profile: batch
+SCHEDULES = {  # what each patches in `ops`
+    "threaded": {"_cores": lambda: 2, "CONV_THREAD_MIN_WORK": 1, "BLSTM_THREAD_MIN_HIDDEN": 1},
+    "serial": {"_cores": lambda: 1},
+}
 FRAMES = 120
 SEED = 7
 
@@ -63,11 +67,8 @@ def step(profile: str, batch: int) -> dict:
 def run() -> dict:
     cases = {}
     for profile, batch in CASES.items():
-        for schedule, cores, gate in (("threaded", 2, 1), ("serial", 1, None)):
-            with mock.patch.object(ops, "_cores", lambda: cores), \
-                    mock.patch.object(ops, "CONV_THREAD_MIN_WORK", gate or ops.CONV_THREAD_MIN_WORK), \
-                    mock.patch.object(ops, "BLSTM_THREAD_MIN_HIDDEN",
-                                      gate or ops.BLSTM_THREAD_MIN_HIDDEN):
+        for schedule, patches in SCHEDULES.items():
+            with mock.patch.multiple(ops, **patches):
                 cases[f"{profile}/{schedule}"] = step(profile, batch)
     return {"numpy": np.__version__, "blas_threads": crossemo.BLAS_THREADS, "cases": cases}
 

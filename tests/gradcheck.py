@@ -91,21 +91,24 @@ POOL_SIZE = (5, 7)
 
 
 def check_conv2d_per_offset(seed: int) -> float:
-    """The conv2d checks, one channel unpooled and two pooled, with col2im
-    one kernel offset per GEMM, the path of the paper's wider layers: the
-    one-GEMM limit is lowered below the cases' size."""
+    """The conv2d checks, one channel unpooled and two pooled, with the
+    one-GEMM limit lowered below the cases' size: the pooled case's col2im
+    runs one kernel offset per GEMM, the path of the paper's wider layers;
+    a one-channel input's still takes all offsets in one GEMM."""
     with mock.patch.object(ops, "_COL2IM_ONE_GEMM_CELLS", 0):
         return max(check_op(lambda rng: conv2d_inputs(rng, in_ch=1), conv2d_case, seed),
                    check_op(lambda rng: conv2d_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed))
 
 
 def check_conv2d_threaded(seed: int) -> float:
-    """The conv2d checks, unpooled and pooled, with the worker thread: the
-    gate is lowered below the cases' work, and two cores are assumed."""
+    """The conv2d checks, unpooled, pooled and with a stem that pools, with
+    the worker thread: the gate is lowered below the cases' work, and two
+    cores are assumed."""
     with mock.patch.object(ops, "CONV_THREAD_MIN_WORK", 1), \
             mock.patch.object(ops, "_cores", lambda: 2):
         return max(check_op(conv2d_inputs, conv2d_case, seed),
-                   check_op(lambda rng: conv2d_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed))
+                   check_op(lambda rng: conv2d_inputs(rng, size=POOL_SIZE), conv2d_pool_case, seed),
+                   check_op(conv2d_stem_inputs, conv2d_stem_case_factory(2, 2), seed))
 
 
 def conv2d_stem_case_factory(pool0, pool):

@@ -14,9 +14,9 @@ from golden_step import GOLDEN, REL_TOL
 
 
 def fresh_run() -> dict:
-    proc = subprocess.run([sys.executable, os.path.join(os.path.dirname(__file__), "golden_step.py"),
-                           "--print"], capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    script = os.path.join(os.path.dirname(__file__), "golden_step.py")
+    proc = subprocess.run([sys.executable, script, "--print"], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

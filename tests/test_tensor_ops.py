@@ -207,14 +207,15 @@ class TestPooledConv:
 
 
 class TestConvThreads:
-    """`conv2d` from `ops.CONV_THREAD_MIN_WORK` up: the forward's two batch
-    halves and the backward's `dw` and `dx` on the caller and the worker."""
+    """`conv2d` from `ops.CONV_THREAD_MIN_WORK` up: both passes on two
+    halves of the batch, one on the caller and one on the worker."""
 
     @staticmethod
     def spy(monkeypatch, calls, x):
-        """Record (kind, thread, utterance) for each `_im2col` call and
-        (kind, thread) for each `_col2im` call."""
-        im2col, col2im = ops._im2col, ops._col2im
+        """Record (kind, thread, utterance) for each `_im2col` call and each
+        utterance a backward puts on its gradient grid, and (kind, thread)
+        for each `_col2im` call."""
+        im2col, col2im, grid = ops._im2col, ops._col2im, ops._Conv.grid
 
         def spy_im2col(xn, *args):
             n = (xn.ctypes.data - x.ctypes.data) // xn.nbytes
@@ -225,8 +226,18 @@ class TestConvThreads:
             calls.append(("col2im", threading.current_thread()))
             return col2im(*args)
 
+        def spy_grid(conv, dtype):
+            load = grid(conv, dtype)
+
+            def spy_load(gn, win_n):  # gn: utterance n of the node's gradient
+                n = (gn.ctypes.data - gn.base.ctypes.data) // gn.nbytes
+                calls.append(("load", threading.current_thread(), n))
+                return load(gn, win_n)
+            return spy_load
+
         monkeypatch.setattr(ops, "_im2col", spy_im2col)
         monkeypatch.setattr(ops, "_col2im", spy_col2im)
+        monkeypatch.setattr(ops._Conv, "grid", spy_grid)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pool", [1, 2])
@@ -267,15 +278,19 @@ class TestConvThreads:
             # forward: utterances [0, half) in the caller, the rest on the worker
             assert sorted((n, t is main) for _, t, n in forward) == [
                 (n, n < half or not threaded) for n in range(batch)]
-            # backward: dw's columns in the caller in utterance order, dx on the worker
-            assert [(c[0], c[2]) for c in backward if c[0] == "im2col"] == [
-                ("im2col", n) for n in range(batch)]
-            assert all(c[1] is main for c in backward if c[0] == "im2col")
-            assert [c[1] is main for c in backward if c[0] == "col2im"] == [not threaded] * batch
+            # backward: the same halves, each utterance's col2im on the thread
+            # that loaded its gradient, and no columns (dw per kernel offset)
+            assert sorted((n, t is main) for kind, t, n in
+                          (c for c in backward if c[0] == "load")) == [
+                (n, n < half or not threaded) for n in range(batch)]
+            for thread in {c[1] for c in backward}:
+                kinds = [c[0] for c in backward if c[1] is thread]
+                assert kinds == ["load", "col2im"] * (len(kinds) // 2)
+            assert not [c for c in backward if c[0] == "im2col"]
         for threaded, serial in zip(*runs):
             assert threaded.dtype == dtype and np.array_equal(threaded, serial)
 
-    def test_threaded_backward_holds_one_column_workspace(self, monkeypatch):
+    def test_threaded_backward_holds_no_column_workspace(self, monkeypatch):
         monkeypatch.setattr(ops, "_cores", lambda: 2)
         submitted = []
         submit = ops._WORKER.submit
@@ -295,15 +310,15 @@ class TestConvThreads:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(submitted) == 2  # the forward's second half, then the backward's dx
+        assert len(submitted) == 2  # the forward's second half, then the backward's
         grid = ch * bands * (time + 2) * f32  # one [out_ch, bands, Wp] gradient grid
-        columns = 9 * grid  # one column workspace [in_ch, kt*kb, bands * Wp]: 3.08 MiB
-        # slack 2.5 MiB: the upstream gradient's copy (0.64), the ReLU mask
-        # (0.16), two flat paddings (0.75), col2im's one-offset buffer (0.34),
-        # and dw, the offsets' weights and pool scratch (0.15). The peak was
-        # 8.4 MiB against a bound of 9.0; a backward that splits the batch
-        # instead, each half with its own column workspace, peaked at 12.6
-        assert peak < columns + x.data.nbytes + 2 * grid + 2.5 * 2**20
+        pad = ch * ((bands + 2) * (time + 2) + 2) * f32  # one flat padding
+        per_thread = grid + pad + grid  # and col2im's one-offset buffer, a grid's size
+        # slack 1 MiB: the upstream gradient's copy (0.64), the ReLU mask
+        # (0.16), the offsets' weights and pool scratch. The peak was 5.9 MiB
+        # against a bound of 6.1; one column workspace [in_ch, kt*kb, bands *
+        # Wp] alone would add 3.08
+        assert peak < x.data.nbytes + 2 * per_thread + batch * w.data.nbytes + 2**20
 
 
 class TestRunPair:
