@@ -1,6 +1,6 @@
-"""One seeded training step of each shipped CNN profile, pinned in
-`golden_step.json` (a characterization test, after Feathers, "Working
-Effectively with Legacy Code", 2004).
+"""One seeded training step of each shipped CNN profile, and the WAVs of a
+small seeded corpus, pinned in `golden_step.json` (a characterization test,
+after Feathers, "Working Effectively with Legacy Code", 2004).
 
     PYTHONPATH=src python tests/golden_step.py           # rewrite golden_step.json
     PYTHONPATH=src python tests/golden_step.py --print   # print the document instead
@@ -14,21 +14,33 @@ It also records numpy's version and `crossemo.BLAS_THREADS`: where both
 match, `test_golden_step.py` compares the hashes; anywhere else, the loss
 and the norms at relative `REL_TOL`.
 
+The WAV slice renders `WAV_SPEC`, its `derive_shifted_corpus(WAV_SPEC,
+TIMBRE_SHIFT)` sibling and the `RECIPE` augmentation of the first, which
+runs every effect kind, both shelves included. Each WAV's entry holds the
+sha256 of its bytes, its rate and sample count, and the sum and norm of its
+PCM16 codes. Where numpy's version and the BLAS thread count match, the test
+compares the hashes; anywhere else, the sum and norm within what decoded
+samples 1 LSB apart allow (n and sqrt(n) codes for n samples).
+
 A change that alters these numerics on purpose runs this script again and
 says why in CHANGES.md."""
 
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import crossemo  # first: it sets the BLAS thread count before numpy loads the BLAS
 import numpy as np
 
+from crossemo.audio import PCM16_SCALE, read_wav
+from crossemo.augment import augment_corpus
 from crossemo.config import load_profile
 from crossemo.nn import ops
 from crossemo.nn.models import build_model
+from crossemo.synth import SynthCorpusSpec, derive_shifted_corpus, generate_corpus
 
 GOLDEN = Path(__file__).with_name("golden_step.json")
 REL_TOL = 1e-5
@@ -39,6 +51,9 @@ SCHEDULES = {  # what each patches in `ops`
 }
 FRAMES = 120
 SEED = 7
+WAV_SPEC = SynthCorpusSpec("golden", n_speakers=2, utterances_per_class_per_speaker=1, seed=SEED)
+TIMBRE_SHIFT = 0.25
+RECIPE = "7vars"
 
 
 def digest(a: np.ndarray) -> dict:
@@ -64,13 +79,31 @@ def step(profile: str, batch: int) -> dict:
     return {"loss": float(loss.data), "arrays": {k: digest(a) for k, a in arrays.items()}}
 
 
+def wav_digest(path: Path) -> dict:
+    buffer = read_wav(path)
+    codes = buffer.samples * PCM16_SCALE  # exact: every PCM16 code is a float64
+    return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "rate": buffer.sample_rate,
+            "samples": buffer.n_samples, "sum": int(codes.sum()),
+            "norm": float(np.linalg.norm(codes))}
+
+
+def wavs() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        base = generate_corpus(WAV_SPEC, root / "base")
+        generate_corpus(derive_shifted_corpus(WAV_SPEC, TIMBRE_SHIFT), root / "shifted")
+        augment_corpus(base, RECIPE, SEED, root / "augmented", root / "augmented.jsonl")
+        return {p.relative_to(root).as_posix(): wav_digest(p) for p in sorted(root.rglob("*.wav"))}
+
+
 def run() -> dict:
     cases = {}
     for profile, batch in CASES.items():
         for schedule, patches in SCHEDULES.items():
             with mock.patch.multiple(ops, **patches):
                 cases[f"{profile}/{schedule}"] = step(profile, batch)
-    return {"numpy": np.__version__, "blas_threads": crossemo.BLAS_THREADS, "cases": cases}
+    return {"numpy": np.__version__, "blas_threads": crossemo.BLAS_THREADS, "cases": cases,
+            "wavs": wavs()}
 
 
 def main(argv) -> None:
