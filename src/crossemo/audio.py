@@ -29,6 +29,8 @@ MIN_RESULT_SAMPLES = 416
 BASS_CORNER_HZ = 100.0
 TREBLE_CORNER_HZ = 3000.0
 SHELF_Q = 0.707
+# the shelves' FFT runs past the input until the impulse response is below this
+SHELF_TAIL_LEVEL = 1e-20
 
 # windowed-sinc resampler: Kaiser window, 32 taps per side at unit rate;
 # each tap's weight is a degree-12 Chebyshev polynomial in the output phase
@@ -139,9 +141,12 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
 def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
     """Write mono PCM16 little-endian. Values clip to [-1, 1]; +1.0 encodes
-    as 32767."""
+    as 32767. A NaN or infinite sample is a program fault: RuntimeFailure,
+    and nothing is written."""
     if buffer.n_samples == 0:
         raise ValidationFailure("refusing to write an empty buffer")
+    if not np.isfinite(buffer.samples).all():
+        raise RuntimeFailure(f"{path}: refusing to write a non-finite sample")
     q = np.clip(np.rint(np.clip(buffer.samples, -1.0, 1.0) * PCM16_SCALE), -32768, 32767)
     q = q.astype("<i2")
     data = io.BytesIO()
@@ -315,8 +320,12 @@ def _shelf_coefficients(band: str, gain_db: float, sample_rate: int):
     # bass one with cos(w0), b1 and a1 negated (s = -1); a sign flip is exact
     s = 1 if band == "bass" else -1
     corner = BASS_CORNER_HZ if band == "bass" else TREBLE_CORNER_HZ
-    a_lin = 10.0 ** (gain_db / 40.0)
     w0 = 2.0 * math.pi * corner / sample_rate
+    if not w0 < math.pi:  # sin(w0) <= 0: the poles sit on or outside the unit circle
+        raise ValidationFailure(
+            f"{band} shelf: its {corner:g}-Hz corner is not below the Nyquist frequency "
+            f"of a {sample_rate}-Hz buffer, so the filter is unstable")
+    a_lin = 10.0 ** (gain_db / 40.0)
     alpha = math.sin(w0) / (2.0 * SHELF_Q)
     cosw = s * math.cos(w0)
     two_rt = 2.0 * math.sqrt(a_lin) * alpha
@@ -331,16 +340,81 @@ def _shelf_coefficients(band: str, gain_db: float, sample_rate: int):
     return b, a
 
 
+def _smooth_length(n: int) -> int:
+    """The least 2^i * 3^j * 5^k >= n: a length the FFT factors fully."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _biquad(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y[n] = b0 x[n] + b1 x[n-1] + b2 x[n-2] - a1 y[n-1] - a2 y[n-2] from
+    rest, for a = (1, a1, a2), by one real FFT product.
+
+    x is zero-padded by the samples the impulse response takes to fall below
+    SHELF_TAIL_LEVEL, about log(level) / log(r) for the largest pole radius
+    r, so the circular product wraps no more than that onto the first
+    x.size outputs. The response is e^{jw} B / (e^{jw} A) at w = 2 pi k / L,
+    in real arithmetic: with q = 1 - cos w = 2 sin^2(w/2), e^{jw} A(e^{-jw})
+    = (1 + a1 + a2) - (1 + a2) q + j (1 - a2) sin w, and B likewise, which
+    keeps full relative precision at low w where the poles sit close to 1.
+    A pole radius >= 1 raises ValidationFailure."""
+    a1, a2 = float(a[1]), float(a[2])
+    disc = a1 * a1 - 4.0 * a2
+    radius = math.sqrt(a2) if disc < 0 else (abs(a1) + math.sqrt(disc)) / 2.0
+    if not radius < 1.0:
+        raise ValidationFailure(f"biquad with a pole of radius {radius:.6g} is not stable")
+    tail = math.ceil(math.log(SHELF_TAIL_LEVEL) / math.log(radius)) if radius > 0 else 2
+    size = 2 * _smooth_length(-(-(x.size + tail) // 2))  # even: cos(w/2) is sin(w/2) reversed
+    sin_half = np.sin(np.arange(size // 2 + 1) * (math.pi / size))
+    sin_w = sin_half[::-1] * sin_half
+    sin_w *= 2.0
+    q = sin_half * sin_half
+    q *= 2.0
+    b0, b1, b2 = (float(v) for v in b)
+    response = np.empty((2, sin_half.size), dtype=np.complex128)
+    num, den = response
+    np.multiply(q, -(b0 + b2), out=num.real)
+    num.real += math.fsum((b0, b1, b2))
+    np.multiply(sin_w, b0 - b2, out=num.imag)
+    np.multiply(q, -(1.0 + a2), out=den.real)
+    den.real += math.fsum((1.0, a1, a2))
+    np.multiply(sin_w, 1.0 - a2, out=den.imag)
+    num /= den
+    spectrum = np.fft.rfft(x, size)
+    spectrum *= num
+    return np.fft.irfft(spectrum, size)[: x.size]
+
+
 def apply_shelf(buffer: AudioBuffer, band: str, gain_db: float) -> AudioBuffer:
     """Second-order shelving filter; `band` is "bass" (corner 100 Hz) or
-    "treble" (corner 3 kHz)."""
+    "treble" (corner 3 kHz), with R. Bristow-Johnson's Audio EQ Cookbook
+    coefficients. A corner at or above the buffer's Nyquist frequency (the
+    treble shelf at 6 kHz and below) would put the poles on or outside the
+    unit circle and raises ValidationFailure.
+
+    Run as `_biquad`, one real FFT product of the zero-padded input with the
+    filter's frequency response: the pad is the samples its impulse response
+    takes to fall below SHELF_TAIL_LEVEL (92 for the 16-kHz treble shelf,
+    2,949 for the bass shelf at +20 dB, 8,847 for that at 48 kHz), and the
+    FFT length is the least 5-smooth one that holds both. Against the
+    recursion y[n] = b0 x[n] + ... - a2 y[n-2] (scipy's `lfilter`) on
+    PCM16-quantised input, samples agree within 1e-12 and their PCM16 codes
+    match (tests/test_audio.py's oracle sweep). A call costs about two FFTs
+    of that length: 0.4 ms at 19,200 samples and 3 ms at 112,000 (7 s at
+    16 kHz), against the recursion's 0.1 and 0.6 ms."""
     if band not in ("bass", "treble"):
         raise ValidationFailure(f"shelf band must be bass or treble, got {band!r}")
     if abs(gain_db) > 20.0:
         raise ValidationFailure(f"|gain| must be <= 20 dB, got {gain_db}")
-    from scipy.signal import lfilter  # 1.3 s to import; only the shelves need it
     b, a = _shelf_coefficients(band, gain_db, buffer.sample_rate)
-    y = lfilter(b, a, buffer.samples)
+    y = _biquad(b, a, buffer.samples)
     return AudioBuffer(np.clip(y, -1.0, 1.0), buffer.sample_rate)
 
 

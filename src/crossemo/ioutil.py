@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import RuntimeFailure, ValidationFailure
 
@@ -38,10 +38,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def csv_text(rows) -> str:
     """Rows of fields as CSV, each row ended by "\n": a field that holds a
-    comma, a quote or a "\n" is quoted, its quotes doubled."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    comma, a quote, a "\n" or a "\r" is quoted, its quotes doubled."""
+    # csv.writer quotes a field holding a character of its line terminator,
+    # so it writes each row (with one call) ended by "\r\n", then "\n" ends it
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def dumps_json(obj, where, **kwargs) -> str:

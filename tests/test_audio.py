@@ -21,6 +21,7 @@ from crossemo.audio import (
     apply_speed,
     apply_tempo,
     apply_volume,
+    _biquad,
     _kaiser_sinc_resample,
     _shelf_coefficients,
     _wsola,
@@ -29,7 +30,8 @@ from crossemo.audio import (
     write_wav,
 )
 from crossemo.augment import FACTOR_RANGE
-from crossemo.errors import ValidationFailure
+from crossemo.errors import RuntimeFailure, ValidationFailure
+from crossemo.synth import SynthCorpusSpec, generate_corpus
 from conftest import tone
 
 
@@ -139,6 +141,13 @@ class TestWriteWav:
     def test_empty_buffer_rejected(self, tmp_path):
         with pytest.raises(ValidationFailure, match="refusing to write an empty buffer"):
             write_wav(AudioBuffer(np.array([]), 16000), tmp_path / "x.wav")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_refused_and_nothing_written(self, tmp_path, bad):
+        path = tmp_path / "x.wav"
+        with pytest.raises(RuntimeFailure, match="refusing to write a non-finite sample"):
+            write_wav(AudioBuffer(np.array([0.5, bad, 0.25]), 16000), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_full_scale_clips_to_max(self, tmp_path):
         path = tmp_path / "one.wav"
@@ -384,6 +393,47 @@ class TestShelf:
     def test_gain_out_of_range(self):
         with pytest.raises(ValidationFailure, match=r"\|gain\| must be <= 20 dB, got 25\.0"):
             apply_shelf(tone(440, 0.1), "bass", 25.0)
+
+    @pytest.mark.parametrize("rate", [4000, 5000, 6000])
+    def test_treble_corner_at_or_above_nyquist_refused(self, rate):
+        # at these rates the cookbook's treble poles have radius 1.0 to 2.4
+        with pytest.raises(ValidationFailure, match=(
+                f"treble shelf: its 3000-Hz corner is not below the Nyquist frequency "
+                f"of a {rate}-Hz buffer, so the filter is unstable")):
+            apply_shelf(tone(440, 1.0, sr=rate), "treble", 6.0)
+
+    def test_bass_shelf_at_a_low_rate_is_stable(self):
+        out = apply_shelf(tone(440, 1.0, sr=5000), "bass", 12.0)
+        assert np.isfinite(out.samples).all()
+
+    @pytest.mark.parametrize("a", [(1.0, 0.0, 1.0), (1.0, -2.5, 1.0), (1.0, 0.0, 1.5)])
+    def test_biquad_refuses_a_pole_on_or_outside_the_unit_circle(self, a):
+        with pytest.raises(ValidationFailure, match="biquad with a pole of radius .* is not stable"):
+            _biquad(np.array([1.0, 0.0, 0.0]), np.array(a), np.ones(64))
+
+    def test_matches_the_recursion_on_pcm16_speech(self, tmp_path):
+        """Oracle sweep against the direct-form recursion, scipy's `lfilter`:
+        two synthetic utterances (PCM16 WAVs) at each of five rates, both
+        bands, nine gains from -20 to +20 dB. 90 cases, 180 filterings,
+        5,711,778 samples: every PCM16 code equal, every sample within
+        1e-12."""
+        from scipy.signal import lfilter  # the oracle only: the package never imports scipy
+
+        n_samples = 0
+        for rate in (8000, 16000, 22050, 44100, 48000):
+            spec = SynthCorpusSpec(f"oracle{rate}", n_speakers=1, utterances_per_class_per_speaker=1,
+                                   classes=("angry", "sad"), sample_rate=rate, seed=11)
+            sources = [read_wav(r.audio_path) for r in generate_corpus(spec, tmp_path).records]
+            for band in ("bass", "treble"):
+                for gain_db in np.linspace(-20.0, 20.0, 9):
+                    b, a = _shelf_coefficients(band, float(gain_db), rate)
+                    for source in sources:
+                        got = apply_shelf(source, band, float(gain_db)).samples
+                        want = np.clip(lfilter(b, a, source.samples), -1.0, 1.0)
+                        assert np.max(np.abs(got - want)) <= 1e-12, (rate, band, gain_db)
+                        assert np.array_equal(np.rint(got * 32768.0), np.rint(want * 32768.0))
+                        n_samples += source.n_samples
+        assert n_samples == 5_711_778
 
     def test_factor_to_gain_mapping(self):
         assert shelf_gain_db(1.05) == pytest.approx(0.0)

@@ -182,6 +182,26 @@ class TestApplyPlan:
         assert by_status[augmented_id("missing", "volume", 0)] != "ok"
         assert len([r for r in expanded.records if r.augmented]) == 1
 
+    def test_unstable_treble_fails_its_entry_and_every_wav_is_finite(self, tmp_path):
+        path = tmp_path / "low.wav"
+        write_wav(tone(440, 1.0, sr=5000), path)
+        manifest = CorpusManifest("low", (UtteranceRecord(
+            id="u0", audio_path=str(path), corpus="low", speaker="s0", style="acted",
+            emotion="sad"),))
+        plan = plan_augmentation(manifest, "7vars", 3, tmp_path / "aug")
+        expanded, outcomes = apply_plan(plan, manifest)
+        status = {o.output_id: o.status for o in outcomes}
+        treble = augmented_id("u0", "7vars", RECIPE_VARIANTS["7vars"].index("treble"))
+        assert status.pop(treble) == (
+            "ValidationFailure: treble shelf: its 3000-Hz corner is not below the Nyquist "
+            "frequency of a 5000-Hz buffer, so the filter is unstable")
+        assert set(status.values()) == {"ok"}
+        assert len(expanded) == 7
+        written = sorted((tmp_path / "aug").iterdir())
+        assert [p.stem for p in written] == sorted(status)
+        for wav in written:
+            assert np.isfinite(read_wav(wav).samples).all()
+
     def test_all_seven_variants_render(self, tmp_path):
         manifest = self.small_corpus(tmp_path, n=1, seconds=1.5)
         plan = plan_augmentation(manifest, "7vars", 21, tmp_path / "aug")
