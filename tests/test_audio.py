@@ -402,10 +402,6 @@ class TestShelf:
                 f"of a {rate}-Hz buffer, so the filter is unstable")):
             apply_shelf(tone(440, 1.0, sr=rate), "treble", 6.0)
 
-    def test_bass_shelf_at_a_low_rate_is_stable(self):
-        out = apply_shelf(tone(440, 1.0, sr=5000), "bass", 12.0)
-        assert np.isfinite(out.samples).all()
-
     @pytest.mark.parametrize("a", [(1.0, 0.0, 1.0), (1.0, -2.5, 1.0), (1.0, 0.0, 1.5)])
     def test_biquad_refuses_a_pole_on_or_outside_the_unit_circle(self, a):
         with pytest.raises(ValidationFailure, match="biquad with a pole of radius .* is not stable"):
