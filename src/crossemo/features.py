@@ -9,7 +9,9 @@ z-normalized over all cells of the file.
 from __future__ import annotations
 
 import functools
-import struct
+import os
+import weakref
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .audio import AudioBuffer, read_wav
 from .errors import RuntimeFailure, ValidationFailure
-from .ioutil import read_json, write_json
+from .ioutil import config_digest, read_json, write_json
 
 # the paper's front-end: 26-ms Hamming windows every 9 ms, a 512-point FFT,
 # and a floor on the Mel energies before the natural log
@@ -57,7 +59,7 @@ class FbankConfig:
         return frame_count(self.max_samples, self.window_samples, self.shift_samples)
 
     def to_json(self) -> dict:
-        # kept, unlike other codecs, for the benchmark's feature-cache set-up
+        # kept, unlike other codecs, for the cache's sidecar and the benchmark's set-up
         return asdict(self)
 
 
@@ -148,125 +150,94 @@ def compute_features(buffer: AudioBuffer, cfg: FbankConfig) -> np.ndarray:
 
 
 class FeatureCache:
-    """Single-file feature cache plus a JSON sidecar recording the
-    FbankConfig. A missing, unreadable or mismatched sidecar invalidates
-    the cache.
+    """Fixed-row feature cache for one manifest's ids, plus a JSON sidecar.
 
-    Record layout: u32 id length, id bytes, u32 n_frames, u32 n_bands,
-    float32 row-major cells.
+    `features.bin` holds one record per id, at offset i * record_size for
+    the i-th id in sorted order: the n_frames x n_bands `<f4` cells in row
+    order, the 4-byte marker `ROW_MARKER`, then the little-endian
+    `zlib.crc32` of the cells. The file is sized to every record on open,
+    sparse and never growing. A never-written row reads as zeros and lacks
+    the marker; a torn or damaged one fails its CRC. Either way `get`
+    returns None and the caller computes the row again.
+
+    `features.json` holds {"features": the FbankConfig, "ids": the
+    `config_digest` of the sorted ids}. A cache directory serves one
+    manifest: a missing, unreadable or different sidecar, as another
+    config or another manifest's ids make it, starts the cache fresh.
     """
 
-    def __init__(self, directory: str | Path, cfg: FbankConfig):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.cfg = cfg
-        self.bin_path = self.directory / "features.bin"
-        self.sidecar_path = self.directory / "features.json"
-        self._index: dict[str, tuple[int, int, int]] = {}
+    ROW_MARKER = b"FROW"
+
+    def __init__(self, directory: str | Path, cfg: FbankConfig, ids):
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        self.bin_path = directory / "features.bin"
+        sidecar_path = directory / "features.json"
+        ids = sorted(ids)
+        self._rows = {utt_id: i for i, utt_id in enumerate(ids)}
+        self._shape = (cfg.n_frames, cfg.n_bands)
+        self._record_size = 4 * cfg.n_frames * cfg.n_bands + 8
+        sidecar = {"features": cfg.to_json(), "ids": config_digest(ids)}
         try:
-            same = self.sidecar_path.exists() and read_json(self.sidecar_path) == cfg.to_json()
+            same = sidecar_path.exists() and read_json(sidecar_path) == sidecar
         except ValidationFailure:
             same = False
-        if same and self.bin_path.exists():
-            self._load_index()
-        else:  # no sidecar, a damaged one or another config's: start fresh
+        if not same:
             self.bin_path.unlink(missing_ok=True)
-        write_json(self.sidecar_path, cfg.to_json())
+            write_json(sidecar_path, sidecar)
+        self._fd = os.open(self.bin_path, os.O_RDWR | os.O_CREAT, 0o666)
+        weakref.finalize(self, os.close, self._fd)
+        os.truncate(self._fd, len(ids) * self._record_size)
 
-    def _load_index(self):
-        """Index every complete record. A torn tail, left by an append that
-        was cut short, is truncated away so its entry is recomputed and the
-        next append starts on a record boundary. A record whose id is not
-        UTF-8, or whose shape is not the config's (n_frames, n_bands), is
-        damage: the file is truncated there in the same way."""
-        size = self.bin_path.stat().st_size
-        shape = (self.cfg.n_frames, self.cfg.n_bands)
-        end = 0
-        with open(self.bin_path, "r+b") as fh:
-            while True:
-                head = fh.read(4)
-                if len(head) < 4:
-                    break
-                (id_len,) = struct.unpack("<I", head)
-                id_bytes = fh.read(id_len)
-                dims = fh.read(8)
-                if len(id_bytes) < id_len or len(dims) < 8:
-                    break
-                n_frames, n_bands = struct.unpack("<II", dims)
-                offset = fh.tell()
-                if (n_frames, n_bands) != shape or offset + 4 * n_frames * n_bands > size:
-                    break
-                try:
-                    utt_id = id_bytes.decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-                end = fh.seek(4 * n_frames * n_bands, 1)
-                self._index[utt_id] = (offset, n_frames, n_bands)
-            fh.truncate(end)
+    def _trailer(self, cells) -> bytes:
+        return self.ROW_MARKER + zlib.crc32(cells).to_bytes(4, "little")
 
     def get(self, utt_id: str) -> np.ndarray | None:
-        """The cached features, or None when there are none or a cell is
-        not finite; the caller then computes them again."""
-        entry = self._index.get(utt_id)
-        if entry is None:
+        """The cached features, or None for an id not cached, never
+        written, torn or damaged."""
+        row = self._rows.get(utt_id)
+        if row is None:
             return None
-        offset, n_frames, n_bands = entry
-        with open(self.bin_path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read(4 * n_frames * n_bands)
-        values = np.frombuffer(data, dtype="<f4").reshape(n_frames, n_bands).copy()
-        return values if np.isfinite(values).all() else None
+        record = np.empty(self._record_size, dtype=np.uint8)
+        cells = record[:-8]
+        if (os.preadv(self._fd, [record], row * self._record_size) != record.size
+                or record[-8:].tobytes() != self._trailer(cells)):
+            return None
+        return cells.view("<f4").reshape(self._shape)
 
     def put(self, utt_id: str, values: np.ndarray) -> None:
-        """Append the record, or write its cells over an indexed copy of the
-        same shape (one `get` found damaged), so the file does not grow."""
-        encoded = values.astype("<f4").tobytes()
-        entry = self._index.get(utt_id)
-        if entry is not None and entry[1:] == values.shape:
-            with open(self.bin_path, "r+b") as fh:
-                fh.seek(entry[0])
-                fh.write(encoded)
-            return
-        idb = utt_id.encode("utf-8")
-        with open(self.bin_path, "ab") as fh:
-            fh.write(struct.pack("<I", len(idb)))
-            fh.write(idb)
-            fh.write(struct.pack("<II", values.shape[0], values.shape[1]))
-            offset = fh.tell()
-            fh.write(encoded)
-        self._index[utt_id] = (offset, values.shape[0], values.shape[1])
+        """Write the id's whole record with one positional write."""
+        if values.shape != self._shape:
+            raise RuntimeFailure(f"features of shape {values.shape} for {utt_id!r}, "
+                                 f"the cache holds {self._shape}")
+        cells = np.ascontiguousarray(values, dtype="<f4")
+        os.pwritev(self._fd, [cells, self._trailer(cells)], self._rows[utt_id] * self._record_size)
 
-    def __contains__(self, utt_id: str) -> bool:
-        return utt_id in self._index
+
+class _Memo(dict):
+    """The in-process cache of a store without a cache directory."""
+
+    put = dict.__setitem__
 
 
 class FeatureStore:
     """Feature provider for training/evaluation: computes the front-end per
-    utterance on demand, optionally backed by a FeatureCache."""
+    utterance on demand and keeps it in a FeatureCache over `cache_dir`, or
+    without one in memory."""
 
     def __init__(self, manifest, cfg: FbankConfig, cache_dir: str | Path | None = None):
         self.cfg = cfg
         self._records = {r.id: r for r in manifest.records}
-        self._cache = FeatureCache(cache_dir, cfg) if cache_dir else None
-        self._memo: dict[str, np.ndarray] = {}
+        self._cache = FeatureCache(cache_dir, cfg, self._records) if cache_dir else _Memo()
 
     def get(self, utt_id: str) -> np.ndarray:
-        hit = self._memo.get(utt_id)
-        if hit is not None:
-            return hit
-        if self._cache is not None:
-            cached = self._cache.get(utt_id)
-            if cached is not None:
-                self._memo[utt_id] = cached
-                return cached
-        record = self._records.get(utt_id)
-        if record is None:
-            raise RuntimeFailure(f"utterance {utt_id!r} not present in the manifest")
-        buffer = read_wav(record.audio_path)
-        values = compute_features(buffer, self.cfg).astype(np.float32)
-        if self._cache is not None:
+        values = self._cache.get(utt_id)
+        if values is None:
+            record = self._records.get(utt_id)
+            if record is None:
+                raise RuntimeFailure(f"utterance {utt_id!r} not present in the manifest")
+            values = compute_features(read_wav(record.audio_path), self.cfg).astype(np.float32)
             self._cache.put(utt_id, values)
-        self._memo[utt_id] = values
         return values
 
     def batch(self, utt_ids) -> np.ndarray:

@@ -7,7 +7,7 @@ import csv
 import hashlib
 import json
 import os
-import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,18 +17,22 @@ from .errors import RuntimeFailure, ValidationFailure
 def atomic_write_bytes(path: str | Path, *chunks) -> None:
     """Write the bytes-like `chunks` in turn via a temp file in the same
     directory plus rename, so readers never observe a partial file; the
-    chunks are never joined into one copy."""
+    chunks are never joined into one copy. The file gets the mode `open()`
+    gives a new file: 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # one name per process and thread; a file of that name is a crashed
+    # write's, since this thread is not writing `path` already
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp.unlink(missing_ok=True)
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

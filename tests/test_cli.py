@@ -14,6 +14,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crossemo
@@ -536,6 +537,25 @@ def test_every_effect_runs_without_scipy():
     assert python_c(code) == "[]"
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+def test_third_party_imports_are_the_runtime_dependencies():
+    import re
+    import tomllib
+
+    package = Path(crossemo.__file__).parent
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep).group()
+                for dep in pyproject["project"]["dependencies"]}
+    imported = {
+        name.partition(".")[0]
+        for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) and not node.level else [])
+    }
+    assert imported - sys.stdlib_module_names - {"crossemo"} == declared == {"numpy"}
+
+
 def test_only_the_cli_prints():
     package = Path(crossemo.__file__).parent
     calls = [
@@ -638,6 +658,62 @@ def test_train_eval_report(tiny, trained, tmp_path):
     assert run("report", "--runs", tmp_path / "eval" / "metrics_*.json", "--metric", "nope",
                "--out", tmp_path / "nope_report") == 2
     assert not (tmp_path / "nope_report").exists()
+
+
+def train_cached(prepared, cache, out_dir) -> bytes:
+    """Train the prepared fold for two epochs reading features through
+    `cache`: the run's history.jsonl."""
+    write_json(out_dir.with_suffix(".json"), {
+        "profile": "desk-scale", **prepared, "train": {"epochs": 2},
+        "feature_cache": str(cache), "out_dir": str(out_dir),
+    })
+    assert run("train", "--config", out_dir.with_suffix(".json")) == 0
+    return (out_dir / "history.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def cached_run(tiny, prepared):
+    """The feature cache of a two-epoch training run, and its history."""
+    root = tiny["root"] / "cached"
+    return root / "cache", train_cached(prepared, root / "cache", root / "clean")
+
+
+DAMAGED_BYTES = 24  # inverted at seeded offsets inside the cached rows
+
+
+@pytest.mark.parametrize("damage", ["flip", "cut-row", "cut-trailer"])
+def test_damaged_feature_cache_trains_the_same(prepared, cached_run, tmp_path, monkeypatch,
+                                               damage):
+    clean_cache, history = cached_run
+    cache = tmp_path / "cache"
+    shutil.copytree(clean_cache, cache)
+    bin_path = cache / "features.bin"
+    clean = bin_path.read_bytes()
+    cfg = features.FbankConfig(**json.loads((cache / "features.json").read_text())["features"])
+    size = 4 * cfg.n_frames * cfg.n_bands + 8
+    written = [i for i in range(len(clean) // size)
+               if clean[(i + 1) * size - 8:(i + 1) * size - 4] == b"FROW"]
+    assert 0 < len(written) < len(clean) // size  # the test side is never read
+    if damage == "flip":
+        rng = np.random.default_rng(34)
+        offsets = rng.choice(np.concatenate([np.arange(i * size, (i + 1) * size)
+                                             for i in written]), DAMAGED_BYTES, replace=False)
+        data = bytearray(clean)
+        for offset in offsets:
+            data[offset] ^= 0xFF
+        bin_path.write_bytes(data)
+        damaged = set(offsets // size)
+    else:
+        row = written[len(written) // 2]
+        os.truncate(bin_path, row * size + (100 if damage == "cut-row" else size - 3))
+        damaged = {i for i in written if i >= row}
+
+    computed = []
+    monkeypatch.setattr(features, "compute_features",
+                        lambda buffer, cfg: computed.append(1) or compute_features(buffer, cfg))
+    assert train_cached(prepared, cache, tmp_path / "run") == history
+    assert len(computed) == len(damaged)  # once each, then read from the cache
+    assert bin_path.read_bytes() == clean
 
 
 def test_desk_profile_with_blstm_arch(prepared, tmp_path):

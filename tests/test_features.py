@@ -1,11 +1,13 @@
-import struct
+import os
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from crossemo import features
 from crossemo.audio import AudioBuffer, apply_volume, write_wav
-from crossemo.errors import ValidationFailure
+from crossemo.errors import RuntimeFailure, ValidationFailure
 from crossemo.features import (
     FbankConfig,
     FeatureCache,
@@ -17,6 +19,7 @@ from crossemo.features import (
     mel_filterbank,
     znorm_per_file,
 )
+from crossemo.ioutil import config_digest, read_json
 from conftest import make_manifest, tone
 
 DEFAULT = FbankConfig()
@@ -159,84 +162,120 @@ class TestPipeline:
         assert np.max(np.abs(base - scaled)) < 1e-5
 
 
+IDS = ("utt3", "utt1", "utt2")  # the cache sorts them: utt1, utt2, utt3
+RECORD = 4 * DEFAULT.n_frames * DEFAULT.n_bands + 8  # cells, marker, CRC
+
+
+def random_rows(n, cfg=DEFAULT, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(cfg.n_frames, cfg.n_bands)).astype(np.float32) for _ in range(n)]
+
+
+def filled_cache(directory):
+    """A cache over IDS with every row written, and the rows in sorted order."""
+    cache = FeatureCache(directory, DEFAULT, IDS)
+    rows = random_rows(3)
+    for utt_id, values in zip(sorted(IDS), rows):
+        cache.put(utt_id, values)
+    return cache, rows
+
+
 class TestFeatureCache:
     def test_round_trip(self, tmp_path):
-        cache = FeatureCache(tmp_path, DEFAULT)
-        values = np.random.default_rng(0).normal(size=(775, 23)).astype(np.float32)
+        cache = FeatureCache(tmp_path, DEFAULT, IDS)
+        (values,) = random_rows(1)
+        cache.put("utt2", values)
+        assert np.array_equal(cache.get("utt2"), values)
+        assert cache.get("utt1") is None  # never written
+        assert cache.get("nope") is None  # not one of the ids
+        # reopening, with the ids in any order, reads the same rows
+        reopened = FeatureCache(tmp_path, DEFAULT, reversed(IDS))
+        assert np.array_equal(reopened.get("utt2"), values)
+        assert reopened.get("utt1") is None
+
+    def test_one_fixed_record_per_sorted_id(self, tmp_path):
+        cache = FeatureCache(tmp_path, DEFAULT, IDS)
+        assert cache.bin_path.stat().st_size == 3 * RECORD
+        (values,) = random_rows(1)
+        cache.put("utt2", values)
+        cache.put("utt2", values)
+        data = cache.bin_path.read_bytes()
+        assert len(data) == 3 * RECORD  # written in place, never appended
+        record = data[RECORD:2 * RECORD]
+        assert record[:-8] == values.astype("<f4").tobytes()
+        assert record[-8:] == b"FROW" + zlib.crc32(record[:-8]).to_bytes(4, "little")
+        assert data[:RECORD] == data[2 * RECORD:] == bytes(RECORD)
+
+    def test_put_refuses_another_shape(self, tmp_path):
+        cache = FeatureCache(tmp_path, DEFAULT, IDS)
+        with pytest.raises(RuntimeFailure, match="shape"):
+            cache.put("utt1", np.zeros((774, 23), dtype=np.float32))
+
+    # each case would read utt1's row back intact without the sidecar's rule:
+    # another config of the same shape, a manifest that adds an id after it,
+    # and a sidecar lost or damaged
+    @pytest.mark.parametrize("case", ["config", "ids", "missing", "unreadable"])
+    def test_sidecar_mismatch_starts_fresh(self, tmp_path, case):
+        cfg, ids = FbankConfig(max_seconds=1.2), IDS
+        shape = (cfg.n_frames, cfg.n_bands)
+        FeatureCache(tmp_path, cfg, ids).put("utt1", np.ones(shape))
+        sidecar = tmp_path / "features.json"
+        if case == "config":
+            cfg = FbankConfig(max_seconds=1.2, sample_rate=8000)
+            assert (cfg.n_frames, cfg.n_bands) == shape
+        elif case == "ids":
+            ids = IDS + ("utt4",)
+        elif case == "missing":
+            sidecar.unlink()
+        else:
+            sidecar.write_text("{")
+        assert FeatureCache(tmp_path, cfg, ids).get("utt1") is None
+        assert read_json(sidecar) == {"features": cfg.to_json(), "ids": config_digest(sorted(ids))}
+
+    # cuts inside utt2's record: in its cells, its marker and its CRC
+    @pytest.mark.parametrize("cut", [100, RECORD - 6, RECORD - 2], ids=["cells", "marker", "crc"])
+    def test_cut_rows_read_as_missing_and_the_size_is_restored(self, tmp_path, cut):
+        cache, rows = filled_cache(tmp_path)
+        os.truncate(cache.bin_path, RECORD + cut)
+        reopened = FeatureCache(tmp_path, DEFAULT, IDS)
+        assert cache.bin_path.stat().st_size == 3 * RECORD
+        assert np.array_equal(reopened.get("utt1"), rows[0])
+        assert reopened.get("utt2") is None and reopened.get("utt3") is None
+        reopened.put("utt2", rows[1])
+        assert np.array_equal(FeatureCache(tmp_path, DEFAULT, IDS).get("utt2"), rows[1])
+
+    # one byte of utt2's record inverted: its first and last cell, its marker, its CRC
+    @pytest.mark.parametrize("offset", [0, RECORD - 9, RECORD - 8, RECORD - 1],
+                             ids=["first-cell", "last-cell", "marker", "crc"])
+    def test_damaged_byte_fails_its_row_only(self, tmp_path, offset):
+        cache, rows = filled_cache(tmp_path)
+        with open(cache.bin_path, "r+b") as fh:
+            fh.seek(RECORD + offset)
+            byte = fh.read(1)[0]
+            fh.seek(RECORD + offset)
+            fh.write(bytes([byte ^ 0xFF]))
+        reopened = FeatureCache(tmp_path, DEFAULT, IDS)
+        assert reopened.get("utt2") is None
+        assert np.array_equal(reopened.get("utt1"), rows[0])
+        assert np.array_equal(reopened.get("utt3"), rows[2])
+        reopened.put("utt2", rows[1])
+        assert np.array_equal(reopened.get("utt2"), rows[1])
+
+    def test_every_single_bit_flip_fails_its_row(self, tmp_path):
+        # one seeded bit in each byte of a short record: none loads silently
+        cfg = FbankConfig(max_seconds=0.1)
+        cache = FeatureCache(tmp_path, cfg, ["utt1"])
+        (values,) = random_rows(1, cfg)
         cache.put("utt1", values)
-        assert "utt1" in cache
+        record = cache.bin_path.read_bytes()
+        bits = np.random.default_rng(5).integers(0, 8, size=len(record))
+        for offset, bit in enumerate(bits):
+            damaged = bytearray(record)
+            damaged[offset] ^= 1 << int(bit)
+            cache.bin_path.write_bytes(damaged)
+            assert cache.get("utt1") is None, offset
+        cache.bin_path.write_bytes(record)
         assert np.array_equal(cache.get("utt1"), values)
-        # reopening rebuilds the index from disk
-        cache2 = FeatureCache(tmp_path, DEFAULT)
-        assert np.array_equal(cache2.get("utt1"), values)
-
-    def test_config_change_invalidates(self, tmp_path):
-        cache = FeatureCache(tmp_path, DEFAULT)
-        cache.put("utt1", np.zeros((775, 23), dtype=np.float32))
-        other = FeatureCache(tmp_path, FbankConfig(max_seconds=1.4))
-        assert "utt1" not in other
-
-    def test_missing_sidecar_starts_fresh(self, tmp_path):
-        # two configs of one shape: only the sidecar tells their records apart
-        wide, narrow = FbankConfig(max_seconds=1.2), FbankConfig(max_seconds=1.2, sample_rate=8000)
-        shape = (wide.n_frames, wide.n_bands)
-        assert shape == (narrow.n_frames, narrow.n_bands)
-        FeatureCache(tmp_path, wide).put("utt1", np.ones(shape, dtype=np.float32))
-        (tmp_path / "features.json").unlink()
-        FeatureCache(tmp_path, narrow)
-        assert "utt1" not in FeatureCache(tmp_path, narrow)
-
-    def test_missing_returns_none(self, tmp_path):
-        cache = FeatureCache(tmp_path, DEFAULT)
-        assert cache.get("nope") is None
-
-    # offsets into the second record: inside its id-length field, its id,
-    # its shape fields, and its cell data
-    @pytest.mark.parametrize("cut", [2, 6, 12, 100], ids=["length", "id", "shape", "data"])
-    def test_torn_tail_dropped_on_open(self, tmp_path, cut):
-        first = np.random.default_rng(1).normal(size=(775, 23)).astype(np.float32)
-        second = np.random.default_rng(2).normal(size=(775, 23)).astype(np.float32)
-        cache = FeatureCache(tmp_path, DEFAULT)
-        cache.put("utt1", first)
-        boundary = cache.bin_path.stat().st_size
-        cache.put("utt2", second)
-        with open(cache.bin_path, "r+b") as fh:
-            fh.truncate(boundary + cut)
-
-        reopened = FeatureCache(tmp_path, DEFAULT)
-        assert "utt2" not in reopened
-        assert np.array_equal(reopened.get("utt1"), first)
-        assert cache.bin_path.stat().st_size == boundary
-        # the lost entry is written again and later appends stay aligned
-        reopened.put("utt2", second)
-        reopened.put("utt3", first)
-        again = FeatureCache(tmp_path, DEFAULT)
-        assert np.array_equal(again.get("utt2"), second)
-        assert np.array_equal(again.get("utt3"), first)
-
-    # the second record's first id byte set to 0xFF, or its n_frames lowered
-    # by 1: damage that once raised a raw UnicodeDecodeError or ValueError
-    @pytest.mark.parametrize("offset,patch", [(4, b"\xff"), (8, struct.pack("<I", 774))],
-                             ids=["id-not-utf8", "n-frames"])
-    def test_damaged_record_dropped_on_open(self, tmp_path, offset, patch):
-        first = np.random.default_rng(1).normal(size=(775, 23)).astype(np.float32)
-        second = np.random.default_rng(2).normal(size=(775, 23)).astype(np.float32)
-        cache = FeatureCache(tmp_path, DEFAULT)
-        cache.put("utt1", first)
-        boundary = cache.bin_path.stat().st_size
-        cache.put("utt2", second)
-        cache.put("utt3", first)
-        with open(cache.bin_path, "r+b") as fh:
-            fh.seek(boundary + offset)
-            fh.write(patch)
-
-        reopened = FeatureCache(tmp_path, DEFAULT)
-        assert "utt2" not in reopened and "utt3" not in reopened
-        assert np.array_equal(reopened.get("utt1"), first)
-        assert cache.bin_path.stat().st_size == boundary
-        reopened.put("utt2", second)
-        again = FeatureCache(tmp_path, DEFAULT)
-        assert np.array_equal(again.get("utt2"), second)
 
     def test_non_finite_record_recomputed(self, tmp_path):
         # a NaN cell once reached training and surfaced as a non-finite training loss
@@ -245,12 +284,37 @@ class TestFeatureCache:
         values = FeatureStore(manifest, DEFAULT, tmp_path / "cache").get("u0000")
         bin_path = tmp_path / "cache" / "features.bin"
         with open(bin_path, "r+b") as fh:
-            fh.seek(4 + len("u0000") + 8 + 4 * 100)  # cell 100 of the only record
-            fh.write(struct.pack("<f", float("nan")))
-        assert FeatureCache(tmp_path / "cache", DEFAULT).get("u0000") is None
+            fh.seek(4 * 100)  # cell 100 of the only record
+            fh.write(np.float32("nan").tobytes())
+        assert FeatureCache(tmp_path / "cache", DEFAULT, ["u0000"]).get("u0000") is None
 
         size = bin_path.stat().st_size
         store = FeatureStore(manifest, DEFAULT, tmp_path / "cache")
         assert np.array_equal(store.get("u0000"), values)
         assert bin_path.stat().st_size == size  # written over the damaged copy
-        assert np.array_equal(FeatureCache(tmp_path / "cache", DEFAULT).get("u0000"), values)
+        assert np.array_equal(FeatureCache(tmp_path / "cache", DEFAULT, ["u0000"]).get("u0000"),
+                              values)
+
+
+def test_store_holds_no_rows_once_cached(tmp_path):
+    # reading every id of a warm cache adds under two rows to what the store
+    # holds, whether it has n or 4n ids: each row lives only as long as its caller
+    cfg = FbankConfig(max_seconds=1.2)
+    write_wav(tone(300, 1.2), tmp_path / "a.wav")
+    row_bytes = 4 * cfg.n_frames * cfg.n_bands
+    for n in (16, 64):
+        manifest = make_manifest(n, audio_path=str(tmp_path / "a.wav"))
+        ids = [r.id for r in manifest.records]
+        warm = FeatureStore(manifest, cfg, tmp_path / f"cache{n}")
+        for utt_id in ids:
+            warm.get(utt_id)
+        tracemalloc.start()
+        try:
+            store = FeatureStore(manifest, cfg, tmp_path / f"cache{n}")
+            before, _ = tracemalloc.get_traced_memory()
+            for utt_id in ids:
+                assert store.get(utt_id).shape == (cfg.n_frames, cfg.n_bands)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - before < 2 * row_bytes, n
